@@ -118,9 +118,10 @@ def main(argv=None) -> int:
 
     cmp_ = sub.add_parser(
         "compact",
-        help="store maintenance: bound an incremental store's file "
-             "count (run between increments; see compact_ingest_store /"
-             " upsert_store.compact_store for the crash discipline)")
+        help="store maintenance: fold each partition's marker-complete "
+             "increments into one reserved compact file and advance the "
+             "watermark (run between increments; see "
+             "sylk/stages/store_fold.py for the crash discipline)")
     cmp_.add_argument("--kind", choices=("ingest", "upsert", "ann",
                                          "index"),
                       required=True,
@@ -129,9 +130,6 @@ def main(argv=None) -> int:
                            "ann = IVF-cell ANN vector store; "
                            "index = inverted text-index store")
     cmp_.add_argument("--store", required=True, help="store directory")
-    cmp_.add_argument("--out", help="ingest: the accepted-output dir "
-                                    "(gates which increments are "
-                                    "complete enough to fold)")
     cmp_.add_argument("--key-col", help="upsert: key column")
     cmp_.add_argument("--order-col", help="upsert: order column")
     cmp_.add_argument("--tombstone-col", default=None)
@@ -237,12 +235,9 @@ def main(argv=None) -> int:
 
         if args.cmd == "compact":
             if args.kind == "ingest":
-                if not args.out:
-                    ap.error("--kind ingest requires --out")
                 from sylk.stages.dedup_store import compact_ingest_store
 
-                print(json.dumps(compact_ingest_store(args.store,
-                                                      args.out)))
+                print(json.dumps(compact_ingest_store(args.store)))
             elif args.kind == "ann":
                 from sylk.stages.ann_store import compact_ann_store
 

@@ -1103,55 +1103,47 @@ def q_ann_ivf(sf_dir: str) -> pa.Table:
     return _table(out, ["query_idx", "vec_id", "cosine"])
 
 
-def q_ann_ivf_partitioned(sf_dir: str) -> pa.Table:
-    """The scan-pruning ANN path (SURVEY §2.4): write the embeddings
-    Hive-partitioned by IVF cell, then answer top-k by OPENING only the
-    probed cells' files — at corpus scale pruning happens at the scan
-    (bytes off storage), not just in compute.  Rows-only driver check
-    (approximate by design); the recall floor vs ann_bruteforce is
-    asserted in tests/test_training_ops.py."""
+def _ann_store_topk(sf_dir: str, nprobe: int) -> pa.Table:
+    """Top-k over a one-increment, 16-cell :mod:`ann_store` built from
+    the embeddings, probing ``nprobe`` cells per query."""
     import shutil
     import tempfile
 
-    from ..stages.similarity import ann_topk_ivf_partitioned, ivf_write_partitioned
+    from ..stages.ann_store import ann_ingest, ann_store_query
 
-    out_dir = tempfile.mkdtemp(prefix="sylk_ivf_", dir="/tmp")
+    store = tempfile.mkdtemp(prefix="sylk_ivf_", dir="/tmp")
     try:
-        index = ivf_write_partitioned(_emb(sf_dir), out_dir, n_cells=16)
-        out = ann_topk_ivf_partitioned(
-            out_dir, index, _query_matrix(sf_dir), k=_ANN_K, nprobe=4
-        )
+        ann_ingest(_emb(sf_dir), store, inc_id=1, n_cells=16)
+        out = ann_store_query(store, _query_matrix(sf_dir), k=_ANN_K,
+                              nprobe=nprobe)
         return _table(out, ["query_idx", "vec_id", "cosine"])
     finally:
-        shutil.rmtree(out_dir, ignore_errors=True)
+        shutil.rmtree(store, ignore_errors=True)
+
+
+def q_ann_ivf_partitioned(sf_dir: str) -> pa.Table:
+    """The scan-pruning ANN path (SURVEY §2.4): the embeddings ingested
+    into the IVF-cell ANN store, then top-k answered by OPENING only the
+    probed cells' files — at corpus scale pruning happens at the scan
+    (bytes off storage), not just in compute.  Rows-only registry check
+    (approximate by design); the recall floor vs ann_bruteforce is
+    asserted in tests/test_training_ops.py."""
+    return _ann_store_topk(sf_dir, nprobe=4)
 
 
 def q_ann_ivf_recall(sf_dir: str) -> pa.Table:
     """Oracle-checked IVF recall evidence (VERDICT r3 #6): the
-    cell-partitioned IVF search at nprobe=8 of 16 cells must reproduce
+    cell-partitioned ANN store at nprobe=8 of 16 cells must reproduce
     the EXACT brute-force top-k — the oracle is the exact all-pairs SQL
     (same as ann_bruteforce), so a green check asserts recall == 1.0
     row-for-row (neighbor ids AND 6dp cosines) while the Ray side scans
-    only the probed half of the partitioned store.  Measured on this
-    corpus: recall 1.0 at nprobe=8 at sf0.001/sf0.01 with margin
-    (nprobe=6 already reaches 1.0 at sf0.01).  A corpus with adversarial
-    cell boundaries could push a needed neighbor past the probe horizon
-    and make this rows-only again — the same documented trade as the
-    minhash exact oracle (q_minhash_dup_pairs)."""
-    import shutil
-    import tempfile
-
-    from ..stages.similarity import ann_topk_ivf_partitioned, ivf_write_partitioned
-
-    out_dir = tempfile.mkdtemp(prefix="sylk_ivfr_", dir="/tmp")
-    try:
-        index = ivf_write_partitioned(_emb(sf_dir), out_dir, n_cells=16)
-        out = ann_topk_ivf_partitioned(
-            out_dir, index, _query_matrix(sf_dir), k=_ANN_K, nprobe=8
-        )
-        return _table(out, ["query_idx", "vec_id", "cosine"])
-    finally:
-        shutil.rmtree(out_dir, ignore_errors=True)
+    only the probed half of the store.  Measured on this corpus: recall
+    1.0 at nprobe=8 at sf0.001/sf0.01 with margin (nprobe=6 already
+    reaches 1.0 at sf0.01).  A corpus with adversarial cell boundaries
+    could push a needed neighbor past the probe horizon and make this
+    rows-only again — the same documented trade as the minhash exact
+    oracle (q_minhash_dup_pairs)."""
+    return _ann_store_topk(sf_dir, nprobe=8)
 
 
 def q_ann_store_recall(sf_dir: str) -> pa.Table:

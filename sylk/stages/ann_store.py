@@ -4,9 +4,8 @@ side of the ingest-store family (dedup_store / upsert_store), for the
 "index the corpus as it arrives" workflow a streaming training-data
 pipeline needs.
 
-Store layout::
+Store layout (the :mod:`store_fold` contract)::
 
-    store_dir/_index.json            # {n_cells, dim, seed} metadata
     store_dir/centroids.npy          # float64 (n_cells, dim), unit rows
     store_dir/cell=<c>/inc<id>.parquet      # vec_id, embedding
     store_dir/cell=<c>/compact<upto>.parquet # folded increments
@@ -24,21 +23,11 @@ opened (``probe_files`` is the testable contract).  Centroids are NOT
 retrained as the corpus drifts; that is the standard IVF trade —
 rebuild the store to rebalance.
 
-Idempotence / crash safety (the compact.py discipline shared by the
-other stores):
-
-* centroids + metadata are written tmp -> atomic rename; retraining on
-  a rerun of increment 1 is deterministic (same sample, same seed), so
-  an overwrite is bit-identical;
-* cell files carry DETERMINISTIC names keyed by (cell, inc_id) and are
-  written tmp -> rename — a rerun overwrites its own partial work;
-* a ``_done_inc<id>.json`` marker is written only after every cell
-  file of the increment is visible; reruns happen only while the
-  marker is missing;
-* :func:`compact_ann_store` folds ONLY marker-complete increments into
-  reserved-name ``compact<upto>.parquet`` files (a name no increment
-  can produce) and persists a watermark that makes :func:`ann_ingest`
-  refuse ``inc_id <= upto`` — the upsert-store run-name lesson.
+Idempotence / crash safety: the centroids are written tmp -> atomic
+rename, and retraining on a rerun of increment 1 is deterministic
+(same sample, same seed), so an overwrite is bit-identical.  Cell
+files, markers, read sets, tombstones, compaction and the watermark
+are the shared :mod:`store_fold` contract.
 
 Distribution: one hash-shuffle of the increment by cell
 (``groupby(cell).map_groups``), then each cell task writes its file
@@ -49,7 +38,6 @@ is n_cells rows).  The query is the existing pruned brute-force:
 
 from __future__ import annotations
 
-import glob
 import os
 
 import numpy as np
@@ -57,8 +45,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .similarity import IVFIndex, ann_topk_bruteforce, _normalize
-from .store_fold import (atomic_json, atomic_write, check_watermark,
-                         fold_marker_complete)
+from .store_fold import (atomic_write, check_as_of, check_watermark,
+                         delete_files, fold, purge, read_set,
+                         write_marker, write_tombstones)
 
 
 def _load_index(store_dir: str) -> IVFIndex:
@@ -87,9 +76,6 @@ def ann_ingest(emb_ds, store_dir: str, inc_id: int, n_cells: int = 16,
         index = IVFIndex.train(emb_ds, n_cells=n_cells, sample=sample,
                                seed=seed)
         _atomic_npy(cpath, index.centroids)
-        atomic_json(os.path.join(store_dir, "_index.json"),
-                    {"n_cells": int(len(index.centroids)),
-                     "dim": int(index.centroids.shape[1]), "seed": seed})
     else:
         index = _load_index(store_dir)
 
@@ -112,9 +98,8 @@ def ann_ingest(emb_ds, store_dir: str, inc_id: int, n_cells: int = 16,
              .groupby("cell")
              .map_groups(_one_cell, batch_format="pyarrow")
              .to_pandas())
-    # marker LAST: reruns trigger only while it is missing, and every
-    # cell file above is already atomically visible
-    atomic_json(os.path.join(store_dir, f"_done_inc{inc_id}.json"),
+    # marker LAST: every cell file above is already atomically visible
+    write_marker(store_dir, inc_id,
                  {"cells": int(len(stats)),
                   "rows": int(stats["n_rows"].sum()) if len(stats) else 0})
     return pa.Table.from_pandas(stats, preserve_index=False)
@@ -122,34 +107,11 @@ def ann_ingest(emb_ds, store_dir: str, inc_id: int, n_cells: int = 16,
 
 def probe_files(store_dir: str, cells,
                 as_of: int | None = None) -> list[str]:
-    """A query's read set: every increment + compact file of the probed
+    """A query's read set (:func:`store_fold.read_set`) over the probed
     cells ONLY.  Factored out so the scan-pruning contract is directly
-    testable (tests assert non-probed ``cell=`` dirs never open).
-    ``as_of`` drops inc files above the snapshot horizon (the caller
-    has already refused an as_of below the compaction watermark)."""
-    from .store_fold import filter_inc_files
-
-    out = []
-    for c in sorted(cells):
-        cdir = os.path.join(store_dir, f"cell={c}")
-        incs = filter_inc_files(
-            glob.glob(os.path.join(cdir, "inc*.parquet")), as_of)
-        out.extend(sorted(incs + glob.glob(os.path.join(
-            cdir, "compact*.parquet"))))
-    return out
-
-
-def _delete_files(store_dir: str) -> list[str]:
-    """Marker-COMPLETE tombstone files (an unmarked del file from a
-    crash window is invisible, like an unmarked ingest)."""
-    ddir = os.path.join(store_dir, "_deletes")
-    out = []
-    for f in glob.glob(os.path.join(ddir, "_done_del*.json")):
-        did = int(os.path.basename(f)[len("_done_del"):-len(".json")])
-        p = os.path.join(ddir, f"del{did}.parquet")
-        if os.path.exists(p):
-            out.append(p)
-    return sorted(out)
+    testable (tests assert non-probed ``cell=`` dirs never open)."""
+    return read_set(store_dir, [os.path.join(store_dir, f"cell={c}")
+                                for c in sorted(cells)], as_of=as_of)
 
 
 def ann_delete(store_dir: str, vec_ids, del_id: int) -> dict:
@@ -163,14 +125,10 @@ def ann_delete(store_dir: str, vec_ids, del_id: int) -> dict:
     resolution pass is needed.  Deterministic name + marker-last gives
     the usual rerun idempotence; a deleted vec_id must not be
     re-ingested (the probe would mask it forever)."""
-    ddir = os.path.join(store_dir, "_deletes")
-    os.makedirs(ddir, exist_ok=True)
     ids = sorted(set(int(i) for i in vec_ids))
-    out = pa.table({"vec_id": pa.array(ids, pa.int64())})
-    atomic_write(os.path.join(ddir, f"del{del_id}.parquet"),
-                 lambda p: pq.write_table(out, p))
-    atomic_json(os.path.join(ddir, f"_done_del{del_id}.json"),
-                {"n_ids": len(ids)})
+    write_tombstones(store_dir, del_id,
+                     pa.table({"vec_id": pa.array(ids, pa.int64())}),
+                     {"n_ids": len(ids)})
     return {"tombstoned": len(ids)}
 
 
@@ -190,10 +148,9 @@ def ann_store_query(store_dir: str, queries: np.ndarray, k: int = 10,
     corpus stats exist here, so the horizon is purely a scan cut —
     centroids are trained by increment 1 and never move, so routing is
     identical at every horizon.  Tombstones still apply in full
-    (right-to-be-forgotten wins over time travel)."""
+    (right-to-be-forgotten wins over time travel).  A probe that finds
+    no file returns a typed empty (query_idx, vec_id, cosine) Dataset."""
     import ray.data
-
-    from .store_fold import check_as_of
 
     check_as_of(store_dir, as_of)
     index = _load_index(store_dir)
@@ -203,9 +160,12 @@ def ann_store_query(store_dir: str, queries: np.ndarray, k: int = 10,
                         {int(c) for row in probe for c in row},
                         as_of=as_of)
     if not files:
-        return ray.data.from_items([])
+        return ray.data.from_arrow(pa.table({
+            "query_idx": pa.array([], pa.int32()),
+            "vec_id": pa.array([], pa.int64()),
+            "cosine": pa.array([], pa.float64())}))
     pruned = ray.data.read_parquet(files, columns=["vec_id", "embedding"])
-    del_files = _delete_files(store_dir)
+    del_files = delete_files(store_dir)
     if del_files:
         from .join import anti_join
 
@@ -216,26 +176,10 @@ def ann_store_query(store_dir: str, queries: np.ndarray, k: int = 10,
                                round_to=round_to)
 
 
-def compact_ann_store(store_dir: str, purge_deletes: bool = True) -> dict:
-    """Bound the per-cell file count — the shared marker-gated fold
-    (:func:`store_fold.fold_marker_complete`) over the ``cell=`` dirs;
-    duplicate vectors from a crash window tie and rank adjacently by
-    vec_id until the next compaction folds them away.  With
-    ``purge_deletes`` (default), tombstoned vec_ids are dropped from
-    every rewritten cell file — the physical purge, free because the
-    fold rewrites every surviving row anyway (tombstone files are
-    retained; re-masking purged ids is a no-op)."""
-    drop_fn = None
-    if purge_deletes:
-        del_files = _delete_files(store_dir)
-        if del_files:
-            def drop_fn(tbl: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
-                ids = pa.concat_tables(
-                    [pq.read_table(f, columns=["vec_id"])
-                     for f in del_files]).column("vec_id").combine_chunks()
-                return tbl.filter(
-                    pc.invert(pc.is_in(tbl.column("vec_id"),
-                                       value_set=ids)))
-    return fold_marker_complete(store_dir, "cell=*", drop_fn=drop_fn)
+def compact_ann_store(store_dir: str) -> dict:
+    """Bound the per-cell file count — :func:`store_fold.fold` over the
+    ``cell=`` dirs, purging tombstoned vec_ids from every rewritten cell
+    file (free, because the fold rewrites every surviving row anyway;
+    tombstone files are retained, and re-masking purged ids is a
+    no-op)."""
+    return fold(store_dir, "cell=*", reduce=purge(store_dir, "vec_id"))

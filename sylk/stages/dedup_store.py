@@ -5,15 +5,18 @@ novel keys — "have I seen this content before?" across a growing corpus
 WITHOUT recomputing past increments or holding a global key set
 anywhere.
 
-Store layout::
+Store layout (the :mod:`store_fold` contract)::
 
-    store_dir/p=<bucket>/inc<id>.parquet    # one uint64 column 'h'
+    store_dir/p=<bucket>/inc<id>.parquet    # one int64 column 'h'
+    store_dir/p=<bucket>/compact<upto>.parquet
+    store_dir/_done_inc<id>.json            # completeness marker
+    store_dir/_compact.json                 # compaction watermark
 
 ``bucket = h >> (64 - bits)`` — a contiguous hash range per partition,
-so an increment's probe reads ONLY its buckets' files (at corpus scale
-the store is large but each increment touches every bucket with a tiny
-slice; the per-bucket file count is bounded by the increment count and
-bounded by :func:`compact_ingest_store` / ``sylk compact``).
+so an increment's probe reads ONLY its buckets' read sets (at corpus
+scale the store is large but each increment touches every bucket with
+a tiny slice; :func:`compact_ingest_store` / ``sylk compact`` bounds
+the per-bucket file count).
 
 Semantics: the FIRST increment containing a key accepts it; within an
 increment, the row with the smallest ``order_col`` wins (a total order
@@ -21,15 +24,15 @@ per key makes the result deterministic — the requirement every carry
 operator in this engine shares).  Increments must be ingested with
 monotonically increasing ``inc_id``.
 
-Idempotence / crash safety (the compact.py discipline):
+Idempotence / crash safety (the :mod:`store_fold` contract):
 * all files (accepted output + store append) are written ``.tmp`` then
   atomically renamed, with DETERMINISTIC names keyed by (inc_id,
   bucket) — a rerun overwrites its own partial work instead of
-  duplicating it;
-* the store append carries ``inc<id>`` in its name and the probe
-  IGNORES the current increment's own store files, so a crash after the
-  store append but before the output rename re-accepts the same rows on
-  rerun (same files, same contents).
+  duplicating it; the increment's marker is written last;
+* the probe reads marker-complete increments only and also excludes
+  the current increment's own file, so a rerun — after a crash
+  anywhere, even after the marker — re-accepts the same rows (same
+  files, same contents).
 
 Distribution: one hash-shuffle of the increment by bucket
 (``groupby(bucket).map_groups``), then each bucket task is independent:
@@ -43,133 +46,48 @@ import glob
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+from .store_fold import (check_watermark, complete_increments, fold,
+                         read_set, write_marker)
 
 
 def _bucket_of(h: np.ndarray, bits: int) -> np.ndarray:
     return (h >> np.uint64(64 - bits)).astype(np.int64)
 
 
-def _bucket_probe_files(pdir: str, inc_id: int) -> list[str]:
-    """A probe's read set for one bucket: every prior increment's file
-    plus any reserved-name compact file (never "own increment"), minus
-    the current increment's own file (a rerun after a crashed output
-    rename must re-accept its rows)."""
-    own = f"inc{inc_id}.parquet"
-    return sorted(
-        f for f in (glob.glob(os.path.join(pdir, "inc*.parquet"))
-                    + glob.glob(os.path.join(pdir, "compact*.parquet")))
-        if os.path.basename(f) != own)
-
-
-def _compact_watermark(store_dir: str) -> int:
-    """Highest increment id folded into compact files (-1 = none)."""
-    import json
-
-    p = os.path.join(store_dir, "_compact.json")
-    if not os.path.exists(p):
-        return -1
-    with open(p) as f:
-        return int(json.load(f)["upto"])
-
-
-def _write_watermark(store_dir: str, upto: int) -> None:
-    import json
-
-    p = os.path.join(store_dir, "_compact.json")
-    with open(p + ".tmp", "w") as f:
-        json.dump({"upto": upto}, f)
-    os.replace(p + ".tmp", p)
-
-
-def _check_watermark(store_dir: str, inc_id: int) -> None:
-    wm = _compact_watermark(store_dir)
-    if inc_id <= wm:
-        raise ValueError(
-            f"inc_id {inc_id} <= compaction watermark {wm}: increments "
-            "at or below the horizon are merged into reserved compact "
-            "files; a rerun would see its own hashes in the store and "
-            "silently reject every row (the upsert-store run-name "
-            "lesson).  Rerun-able increments are never compacted — "
-            "compact_ingest_store only folds increments whose accepted "
-            "output is visible.")
-
-
-def compact_ingest_store(store_dir: str, out_dir: str) -> dict:
-    """Bound an ingest store's per-bucket file count (VERDICT r4 #7).
-    Works on both p=<bucket>/inc<id>.parquet stores — the exact
-    dedup_ingest hash store and the near-dup band store: per bucket,
-    merge every COMPLETE increment's file (completeness = the
-    increment's ``out_dir/inc=<id>`` dir is visible; the store protocol
-    reruns an increment only while its output dir is MISSING, so a
-    visible increment can never rerun) plus any earlier compact file
-    into one reserved-name ``compact<upto>.parquet``.
-
-    ``upto`` (the highest folded inc id) persists as a watermark that
-    makes *_ingest refuse ``inc_id <= upto``: a rerun below the horizon
-    would find its own hashes in the compact file — which no per-file
-    name exclusion can hide — and silently reject all of its rows.
-
-    Crash safety (the compact.py discipline): write compact tmp ->
-    rename, THEN delete sources.  A crash between the rename and the
-    deletes leaves duplicate membership rows, which probes tolerate
-    (membership is a set test; band candidates dedupe in
-    grouped_counts) and the next compaction folds away.  Single-writer:
-    run between increments, like upsert_store.compact_store."""
-    import ray
-
-    incs = sorted(
-        int(os.path.basename(d).split("=", 1)[1])
-        for d in glob.glob(os.path.join(out_dir, "inc=*")))
-    if not incs:
-        return {"files_in": 0, "files_out": 0,
-                "upto": _compact_watermark(store_dir)}
-    upto = max(incs)
-    complete = {f"inc{i}.parquet" for i in incs}
-
-    @ray.remote
-    def _one(pdir: str) -> tuple:
-        files = sorted(
-            f for f in glob.glob(os.path.join(pdir, "inc*.parquet"))
-            if os.path.basename(f) in complete)
-        files += sorted(glob.glob(os.path.join(pdir, "compact*.parquet")))
-        cf = os.path.join(pdir, f"compact{upto}.parquet")
-        if not files or files == [cf]:
-            return (len(files), len(files))
-        tbl = pa.concat_tables([pq.read_table(f) for f in files])
-        if tbl.schema.names == ["h"]:  # exact store: shrink to the set
-            tbl = pa.table({"h": pa.array(np.unique(
-                tbl.column("h").to_numpy(zero_copy_only=False)),
-                pa.int64())})
-        pq.write_table(tbl, cf + ".tmp")
-        os.replace(cf + ".tmp", cf)
-        for f in files:
-            if os.path.abspath(f) != os.path.abspath(cf):
-                os.remove(f)
-        return (len(files), 1)
-
-    res = ray.get([_one.remote(d) for d in
-                   sorted(glob.glob(os.path.join(store_dir, "p=*")))])
-    _write_watermark(store_dir, upto)
-    return {"files_in": sum(r[0] for r in res),
-            "files_out": sum(r[1] for r in res), "upto": upto}
+def compact_ingest_store(store_dir: str) -> dict:
+    """Bound an ingest store's per-bucket file count — the shared
+    :func:`store_fold.fold` over the ``p=`` dirs of either ingest store
+    (the dedup_ingest hash store or the near-dup band store).  The exact
+    store's fold shrinks each bucket to its distinct hashes; band rows
+    are concatenated as they are."""
+    def _shrink(tbl: pa.Table) -> pa.Table:
+        if tbl.schema.names != ["h"]:   # band store
+            return tbl
+        return pa.table({"h": pa.array(np.unique(
+            tbl.column("h").to_numpy(zero_copy_only=False)), pa.int64())})
+    return fold(store_dir, "p=*", reduce=_shrink)
 
 
 def dedup_ingest(ds, store_dir: str, out_dir: str, key_col: str,
                  order_col: str, inc_id: int, bits: int = 6):
-    """Ingest one increment.  Returns a small per-bucket stats Dataset
-    (bucket, accepted, rejected); accepted rows land under
+    """Ingest one increment.  Eager: the files and the completeness
+    marker are on disk on return.  Returns a small per-bucket stats
+    Dataset (bucket, accepted, rejected); accepted rows land under
     ``out_dir/inc=<inc_id>/`` as parquet (read back with read_parquet).
 
     ``key_col`` (string) is the content identity — hashed with the
     md5-parity ``content_hash64`` kernel; ``order_col`` (int64) breaks
     in-increment ties (smallest wins)."""
+    import ray.data
+
     from .sample import content_hash64
 
     os.makedirs(store_dir, exist_ok=True)
-    _check_watermark(store_dir, inc_id)
+    check_watermark(store_dir, inc_id)
+    done = complete_increments(store_dir)
     acc_dir = os.path.join(out_dir, f"inc={inc_id}")
     os.makedirs(acc_dir, exist_ok=True)
 
@@ -194,14 +112,13 @@ def dedup_ingest(ds, store_dir: str, out_dir: str, key_col: str,
         keep_idx = sel[first]
         n_in_dupes = len(h) - len(keep_idx)
         kh = h[keep_idx]
-        # probe: every PRIOR increment's file in this bucket plus any
-        # compact file (skip our own — a rerun after a crashed output
-        # rename must re-accept)
+        # probe: the bucket's read set minus our own file (a rerun
+        # after a crashed output rename must re-accept)
         pdir = os.path.join(store_dir, f"p={bkt}")
         seen_parts = [
             pq.read_table(f, columns=["h"]).column("h")
             .to_numpy(zero_copy_only=False).astype(np.uint64)
-            for f in _bucket_probe_files(pdir, inc_id)
+            for f in read_set(store_dir, [pdir], exclude=inc_id, done=done)
         ]
         if seen_parts:
             seen = np.sort(np.concatenate(seen_parts))
@@ -226,9 +143,13 @@ def dedup_ingest(ds, store_dir: str, out_dir: str, key_col: str,
             "rejected": pa.array([int((~novel).sum()) + n_in_dupes],
                                  pa.int64())})
 
-    tagged = ds.map_batches(_tag, batch_format="pyarrow", batch_size=None)
-    return tagged.groupby("_bkt").map_groups(_one_bucket,
-                                             batch_format="pyarrow")
+    stats = (ds.map_batches(_tag, batch_format="pyarrow", batch_size=None)
+             .groupby("_bkt")
+             .map_groups(_one_bucket, batch_format="pyarrow")
+             .to_pandas())
+    write_marker(store_dir, inc_id, {"buckets": int(len(stats))})
+    return ray.data.from_arrow(pa.Table.from_pandas(stats,
+                                                    preserve_index=False))
 
 
 def read_accepted(out_dir: str, inc_id: int | None = None):
@@ -251,11 +172,8 @@ def _neardup_probe_files(store_dir: str, inc_id: int,
     """Prior-increment band files for the given band-hash buckets ONLY
     — the probe's read set.  Factored out so the pruning contract is
     directly testable (tests assert only colliding ``p=`` dirs open)."""
-    out = []
-    for bkt in sorted(buckets):
-        out.extend(_bucket_probe_files(
-            os.path.join(store_dir, f"p={bkt}"), inc_id))
-    return out
+    return read_set(store_dir, [os.path.join(store_dir, f"p={b}")
+                                for b in sorted(buckets)], exclude=inc_id)
 
 
 def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
@@ -275,7 +193,8 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
        band_hash) rows under ``store_dir/p=<bucket>/inc<id>.parquet``
        with ``bucket = band_hash >> (64 - bits)`` — the same hash-prefix
        partitioning :func:`dedup_ingest` uses, written with
-       deterministic names + tmp/rename so reruns overwrite.
+       deterministic names + tmp/rename so reruns overwrite; the
+       increment's marker is written last.
 
     The probe is PRUNED: an increment collects its distinct band-hash
     buckets (<= 2**bits values of metadata, never rows) and reads only
@@ -304,7 +223,7 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
     from .join import anti_join, hash_join, semi_join
 
     os.makedirs(store_dir, exist_ok=True)
-    _check_watermark(store_dir, inc_id)
+    check_watermark(store_dir, inc_id)
     n_inc = ds.count()
     pairs = minhash_dup_pairs(ds, threshold=threshold, text_col=text_col)
     nodes = ds.map_batches(lambda b: b.select([id_col]),
@@ -448,9 +367,9 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
                 on=id_col, right_key="a")
 
     # ---- writes ----
-    # ORDER MATTERS: band store FIRST, accepted output second.  A crash
-    # between the two leaves the increment VISIBLY incomplete
-    # (read_accepted(inc) empty -> caller reruns, deterministic names
+    # ORDER MATTERS: band store FIRST, accepted output second, marker
+    # last.  A crash before the marker leaves the increment invisible
+    # to every probe and fold (the caller reruns, deterministic names
     # overwrite); the reverse order would leave accepted docs whose
     # bands never reached the store — silent recall loss for every
     # later increment.  Probes ignore the current inc's store files, so
@@ -488,6 +407,7 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
     os.makedirs(tmp, exist_ok=True)
     shutil.rmtree(final, ignore_errors=True)
     os.rename(tmp, final)
+    write_marker(store_dir, inc_id, {"accepted": int(n_acc)})
     return {"accepted": int(n_acc),
             "rejected_in_inc": int(n_inc - n_kept),
             "rejected_cross": int(n_rej_cross)}

@@ -143,48 +143,14 @@ class IVFIndex:
         return batch.append_column("cell", pa.array(cell))
 
 
-def ivf_write_partitioned(emb_ds, out_dir: str, n_cells: int = 16, seed: int = 42):
-    """Scale path: assign every vector to its IVF cell and write the
-    table Hive-partitioned by ``cell``.  At corpus scale this runs once
-    at ingest; queries then open ONLY the probed cells' directories, so
-    pruning happens at the SCAN (bytes off storage), not just in
-    compute.  Returns the trained index (centroids) for query routing."""
-    index = IVFIndex.train(emb_ds, n_cells=n_cells, seed=seed)
-    assigned = emb_ds.map_batches(index.assign_batch, batch_format="pyarrow")
-    assigned.write_parquet(out_dir, partition_cols=["cell"])
-    return index
-
-
-def ann_topk_ivf_partitioned(out_dir: str, index: "IVFIndex", queries: np.ndarray,
-                             k: int = 10, nprobe: int = 4,
-                             round_to: int | None = 6):
-    """Cosine top-k over a cell-partitioned store: read only the nprobe
-    nearest cells per query (union over queries), brute-force inside."""
-    import glob as _glob
-    import os
-
-    import ray.data
-
-    q = _normalize(np.asarray(queries, dtype=np.float64))
-    probe = np.argsort(-(q @ index.centroids.T), axis=1)[:, :nprobe]
-    cells = sorted({int(c) for row in probe for c in row})
-    files = [
-        f
-        for c in cells
-        for f in sorted(_glob.glob(os.path.join(out_dir, f"cell={c}", "*.parquet")))
-    ]
-    pruned = ray.data.read_parquet(files, columns=["vec_id", "embedding"])
-    return ann_topk_bruteforce(pruned, np.asarray(queries), k=k, round_to=round_to)
-
-
 def ann_topk_ivf(emb_ds, queries: np.ndarray, k: int = 10, n_cells: int = 16,
                  nprobe: int = 4, round_to: int | None = 6,
                  sample: int = 2048, seed: int = 42):
     """IVF-pruned cosine top-k: probe only ``nprobe`` cells per query.
 
-    Scale path: the cell assignment runs once (write ``cell`` as a
-    partition column at ingest); queries then read only matching
-    partitions — at 100 TB this prunes the scan, not just the compute.
+    Compute pruning only: every row is read.  The scan-pruning form —
+    the cell assignment persisted once at ingest, queries opening only
+    the probed cells' files — is :mod:`ann_store`.
     """
     import ray
 

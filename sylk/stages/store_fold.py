@@ -1,22 +1,40 @@
-"""Shared machinery for MARKER-gated partitioned stores (the ANN
-vector store and the inverted text index): atomic file writers and the
-generic per-partition-dir compaction fold.
+"""The one store core: layout, completeness markers, read set,
+watermark, tombstones and compaction fold, shared by every increment
+store (dedup_store's exact and near-dup stores, upsert_store,
+ann_store, text_index).
 
-These stores share one layout contract::
+Layout::
 
     store_dir/<part>=<k>/inc<id>.parquet       # deterministic names
     store_dir/<part>=<k>/compact<upto>.parquet # reserved fold names
     store_dir/_done_inc<id>.json               # completeness marker
-    store_dir/_compact.json                    # rerun-refusing watermark
+    store_dir/_compact.json                    # compaction watermark
+    store_dir/_deletes/del<id>.parquet         # tombstoned ids
+    store_dir/_deletes/_done_del<id>.json      # tombstone marker
 
-and one crash discipline: increment files are written tmp -> rename
-under deterministic (partition, inc_id) names so a crash-recovery
-rerun overwrites its own partial work; the ``_done_inc<id>`` marker is
-written only after every partition file is visible; compaction folds
-ONLY marker-complete increments into reserved ``compact<upto>`` names
-no increment can produce, then persists the watermark that makes the
-store's ingest refuse ``inc_id <= upto`` (the upsert-store run-name
-lesson — ADVICE r5 high)."""
+Contract:
+
+* An increment writes its partition files tmp -> rename under
+  deterministic (partition, inc_id) names, so a rerun overwrites its
+  own partial work, and writes its ``_done_inc<id>`` marker LAST.  An
+  increment without its marker does not exist: no read set holds it
+  and no fold consumes it.
+* A partition's read set (:func:`read_set`) is its highest
+  ``compact<u>`` file plus the marker-complete ``inc<i>`` files with
+  ``u < i <= as_of``.  Files with ``i <= u`` are shadowed — folded
+  already, or left behind by a fold that crashed before deleting its
+  sources — so no probe ever sees a row twice.
+* :func:`fold` folds each partition's read set up to ``upto``, the
+  highest complete id with no unmarked ``inc`` file at or below it,
+  into ``compact<upto>`` (tmp -> rename, then delete the sources), and
+  then persists the watermark that makes ingest refuse
+  ``inc_id <= upto``: a rerun below the horizon would land in a
+  shadowed file.  ``compact`` is a name no increment can produce, so a
+  rerun never overwrites folded history.
+* Tombstones follow the same marker-last rule; the fold's ``reduce``
+  hook (:func:`purge`) is where tombstoned rows stop existing on disk.
+
+Single writer: ingests, deletes and folds run one at a time."""
 
 from __future__ import annotations
 
@@ -25,13 +43,13 @@ import json
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .dedup_store import _compact_watermark, _write_watermark
-
-__all__ = ["atomic_write", "atomic_json", "fold_marker_complete",
-           "complete_increments", "check_watermark", "check_as_of",
-           "filter_inc_files"]
+__all__ = ["atomic_write", "atomic_json", "complete_increments",
+           "write_marker", "read_set", "watermark", "check_watermark",
+           "check_as_of", "delete_files", "write_tombstones", "purge",
+           "fold"]
 
 
 def atomic_write(path: str, write_fn) -> None:
@@ -45,25 +63,65 @@ def atomic_json(path: str, obj) -> None:
     os.replace(path + ".tmp", path)
 
 
+def _num(path: str, prefix: str) -> int:
+    """The id in ``<prefix><id>.<ext>``."""
+    return int(os.path.basename(path)[len(prefix):].split(".", 1)[0])
+
+
 def complete_increments(store_dir: str) -> list[int]:
     """Increment ids whose completeness marker is on disk, ascending."""
-    return sorted(
-        int(os.path.basename(f)[len("_done_inc"):-len(".json")])
-        for f in glob.glob(os.path.join(store_dir, "_done_inc*.json")))
+    return sorted(_num(f, "_done_inc") for f in
+                  glob.glob(os.path.join(store_dir, "_done_inc*.json")))
+
+
+def write_marker(store_dir: str, inc_id: int, info: dict) -> None:
+    """Mark increment ``inc_id`` complete — an ingest's LAST write."""
+    atomic_json(os.path.join(store_dir, f"_done_inc{inc_id}.json"), info)
+
+
+def read_set(store_dir: str, pdirs, as_of: int | None = None,
+             exclude: int | None = None, done=None) -> list[str]:
+    """The files a reader opens in each of ``pdirs``: the highest
+    ``compact<u>`` plus the marker-complete ``inc<i>`` with
+    ``u < i <= as_of`` (and ``i != exclude``).  ``done`` is the
+    complete-increment set; without it the markers are globbed once."""
+    done = set(complete_increments(store_dir) if done is None else done)
+    out = []
+    for pdir in pdirs:
+        u = max((_num(f, "compact") for f in
+                 glob.glob(os.path.join(pdir, "compact*.parquet"))),
+                default=-1)
+        if u >= 0:
+            out.append(os.path.join(pdir, f"compact{u}.parquet"))
+        out.extend(os.path.join(pdir, f"inc{i}.parquet") for i in sorted(
+            _num(f, "inc")
+            for f in glob.glob(os.path.join(pdir, "inc*.parquet")))
+            if u < i and i in done and i != exclude
+            and (as_of is None or i <= as_of))
+    return out
+
+
+def watermark(store_dir: str) -> int:
+    """Highest increment id folded into compact files (-1 = none)."""
+    p = os.path.join(store_dir, "_compact.json")
+    if not os.path.exists(p):
+        return -1
+    with open(p) as f:
+        return int(json.load(f)["upto"])
 
 
 def check_watermark(store_dir: str, inc_id: int) -> None:
-    """Refuse an ingest at/below the compaction horizon: its rows are
-    already folded into reserved compact files, so a rerun would
-    duplicate them in every probe.  Only marker-complete increments are
-    ever compacted, so a legitimate crash-recovery rerun is never below
-    the watermark."""
-    wm = _compact_watermark(store_dir)
+    """Refuse an ingest at/below the compaction horizon: its files
+    would be shadowed by the compact files that already hold the
+    increment.  Only marker-complete increments below the lowest
+    unmarked one are folded, so with one writer ingesting in order the
+    rerun of a crashed increment is never refused."""
+    wm = watermark(store_dir)
     if inc_id <= wm:
         raise ValueError(
             f"inc_id {inc_id} <= compaction watermark {wm}: the "
             "increment is already folded into reserved compact files; "
-            "rerunning it would duplicate its rows in every probe.")
+            "a rerun's files would be shadowed by them.")
 
 
 def check_as_of(store_dir: str, as_of: int | None) -> None:
@@ -72,7 +130,7 @@ def check_as_of(store_dir: str, as_of: int | None) -> None:
     snapshot no longer exists on disk."""
     if as_of is None:
         return
-    wm = _compact_watermark(store_dir)
+    wm = watermark(store_dir)
     if wm > as_of:
         raise ValueError(
             f"as_of={as_of} is below the compaction watermark {wm}: "
@@ -82,63 +140,87 @@ def check_as_of(store_dir: str, as_of: int | None) -> None:
             "need deeper time travel.")
 
 
-def filter_inc_files(inc_files, as_of: int | None):
-    """Drop ``inc<id>.parquet`` paths above the snapshot horizon."""
-    if as_of is None:
-        return list(inc_files)
-    return [f for f in inc_files
-            if int(os.path.basename(f)[len("inc"):-len(".parquet")])
-            <= as_of]
+def delete_files(store_dir: str, exclude: int | None = None) -> list[str]:
+    """Marker-complete tombstone files (a del file without its marker
+    is invisible, exactly like an unmarked ingest)."""
+    ddir = os.path.join(store_dir, "_deletes")
+    return sorted(
+        p for p in (os.path.join(ddir, f"del{_num(f, '_done_del')}.parquet")
+                    for f in glob.glob(os.path.join(ddir, "_done_del*.json"))
+                    if _num(f, "_done_del") != exclude)
+        if os.path.exists(p))
 
 
-def fold_marker_complete(store_dir: str, part_glob: str,
-                         drop_fn=None) -> dict:
-    """Bound the per-partition file count: fold every marker-COMPLETE
-    increment's files (plus earlier compact files) in each
-    ``part_glob`` dir into one reserved ``compact<upto>.parquet``, then
-    persist the watermark.  Crash safety: compact tmp -> rename THEN
-    delete sources; a crash between leaves duplicate rows, which the
-    next compaction folds away (callers' reads must tolerate
-    duplicates until then — both stores' probes do).  Single-writer:
-    run between increments.
+def write_tombstones(store_dir: str, del_id: int, ids: pa.Table,
+                     info: dict) -> None:
+    """Persist one delete batch: the id file, then its marker LAST."""
+    ddir = os.path.join(store_dir, "_deletes")
+    os.makedirs(ddir, exist_ok=True)
+    atomic_write(os.path.join(ddir, f"del{del_id}.parquet"),
+                 lambda p: pq.write_table(ids, p))
+    atomic_json(os.path.join(ddir, f"_done_del{del_id}.json"), info)
 
-    ``drop_fn`` (optional, pickled to the per-partition tasks) filters
-    the concatenated table before the write — the PHYSICAL-purge hook:
-    the text index passes an anti-filter over its tombstoned doc_ids,
-    so compaction is also the moment deleted rows stop existing on
-    disk (logical deletes mask them at probe time until then)."""
+
+def purge(store_dir: str, id_col: str):
+    """The fold's tombstone purge: a ``reduce`` dropping every row whose
+    ``id_col`` is in a marker-complete tombstone file, or None when
+    there is none.  Each partition task re-reads the tombstone files
+    (deletes are small next to the corpus)."""
+    files = delete_files(store_dir)
+    if not files:
+        return None
+
+    def _purge(tbl: pa.Table) -> pa.Table:
+        ids = pa.concat_tables([pq.read_table(f, columns=[id_col])
+                                for f in files]).column(id_col)
+        return tbl.filter(pc.invert(pc.is_in(
+            tbl.column(id_col), value_set=ids.combine_chunks())))
+    return _purge
+
+
+def fold(store_dir: str, part_glob: str, reduce=None) -> dict:
+    """Compact every ``part_glob`` partition: its read set up to
+    ``upto`` becomes one ``compact<upto>.parquet`` (``reduce``, pickled
+    to the per-partition tasks, maps the concatenated table first),
+    written tmp -> rename; then the sources and shadowed leftovers are
+    deleted, and the watermark is written last.  A crash anywhere
+    leaves every read set answering as before; rerunning the fold
+    finishes the job."""
     import ray
 
-    incs = complete_increments(store_dir)
-    if not incs:
-        return {"files_in": 0, "files_out": 0,
-                "upto": _compact_watermark(store_dir)}
-    upto = max(incs)
-    complete = {f"inc{i}.parquet" for i in incs}
+    wm = watermark(store_dir)
+    done = set(complete_increments(store_dir))
+    # the lowest increment with files but no marker (a crashed ingest
+    # awaiting its rerun) caps the fold below it
+    gap = min((i for i in (_num(f, "inc") for f in glob.glob(
+        os.path.join(store_dir, part_glob, "inc*.parquet")))
+        if i > wm and i not in done), default=float("inf"))
+    upto = max([wm] + [i for i in done if i < gap])
+    if upto < 0:
+        return {"files_in": 0, "files_out": 0, "upto": wm}
 
     @ray.remote
     def _one(pdir: str) -> tuple:
-        files = sorted(
-            f for f in glob.glob(os.path.join(pdir, "inc*.parquet"))
-            if os.path.basename(f) in complete)
-        files += sorted(glob.glob(os.path.join(pdir, "compact*.parquet")))
+        src = read_set(store_dir, [pdir], as_of=upto, done=done)
+        # shadowed leftovers: older compact files and inc files at or
+        # below the new horizon that the read set skipped
+        stale = [f for f in glob.glob(os.path.join(pdir, "compact*.parquet"))
+                 if f not in src] + [
+                 f for f in glob.glob(os.path.join(pdir, "inc*.parquet"))
+                 if f not in src and _num(f, "inc") <= upto]
         cf = os.path.join(pdir, f"compact{upto}.parquet")
-        if (not files or files == [cf]) and drop_fn is None:
-            return (len(files), len(files))
-        if not files:
-            return (0, 0)
-        tbl = pa.concat_tables([pq.read_table(f) for f in files])
-        if drop_fn is not None:
-            tbl = drop_fn(tbl)
-        pq.write_table(tbl, cf + ".tmp")
-        os.replace(cf + ".tmp", cf)
-        for f in files:
-            if os.path.abspath(f) != os.path.abspath(cf):
+        if src and (reduce is not None or src != [cf]):
+            tbl = pa.concat_tables([pq.read_table(f) for f in src])
+            if reduce is not None:
+                tbl = reduce(tbl)
+            atomic_write(cf, lambda p: pq.write_table(tbl, p))
+        for f in src + stale:
+            if f != cf:
                 os.remove(f)
-        return (len(files), 1)
+        return (len(src) + len(stale), int(bool(src)))
 
     res = ray.get([_one.remote(d) for d in
                    sorted(glob.glob(os.path.join(store_dir, part_glob)))])
-    _write_watermark(store_dir, upto)
+    atomic_json(os.path.join(store_dir, "_compact.json"), {"upto": upto})
     return {"files_in": sum(r[0] for r in res),
             "files_out": sum(r[1] for r in res), "upto": upto}

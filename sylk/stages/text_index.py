@@ -42,8 +42,9 @@ by |query terms|; scoring is a per-row broadcast-scalar kernel + one
 Append-only contract: a doc_id is ingested by exactly ONE increment
 (the dedup_ingest store is the upstream that guarantees novelty), so a
 term's df is a plain row count and no cross-increment merge of a doc's
-postings is ever needed.  Rerun idempotence / crash windows / the
-compaction watermark are the shared :mod:`store_fold` discipline.
+postings is ever needed.  Rerun idempotence, crash windows, read sets
+(marker-complete increments only, shadowed leftovers never read) and
+the compaction watermark are the shared :mod:`store_fold` contract.
 
 Deletion (right-to-be-forgotten): :func:`index_delete` tombstones a
 doc_id batch — it resolves the batch against the doc-length partition
@@ -52,7 +53,7 @@ double-count), writes the id list + an exact (n_docs, n_tokens) delta,
 and from that moment every probe masks the docs LOGICALLY (an
 anti-join on the tombstones, broadcast/hash-tiered) and corrects
 N/avgdl/df from the deltas.  :func:`compact_text_index` purges them
-PHYSICALLY (the fold's ``drop_fn`` hook) — compaction is already the
+PHYSICALLY (the fold's ``reduce`` hook) — compaction is already the
 moment every surviving row is rewritten, so the purge is free.
 Tombstone files/deltas are retained after the purge (they keep the
 marker-summed stats honest and re-masking purged ids is a no-op).  A
@@ -78,8 +79,9 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .sample import content_hash64
-from .store_fold import (atomic_json, atomic_write, check_watermark,
-                         fold_marker_complete)
+from .store_fold import (atomic_json, atomic_write, check_as_of,
+                         check_watermark, delete_files, fold, purge,
+                         read_set, write_marker, write_tombstones)
 
 
 def _term_buckets(terms, n_buckets: int) -> np.ndarray:
@@ -221,9 +223,8 @@ def index_ingest(docs_ds, store_dir: str, inc_id: int,
         n_docs = n_tokens = 0
     # marker LAST (store_fold contract): carries the increment's corpus
     # stats so probes read metadata, never a doc-length scan
-    atomic_json(os.path.join(store_dir, f"_done_inc{inc_id}.json"),
-                {"n_docs": n_docs, "n_tokens": n_tokens,
-                 "buckets": int(len(stats))})
+    write_marker(store_dir, inc_id, {"n_docs": n_docs, "n_tokens": n_tokens,
+                                     "buckets": int(len(stats))})
     return pa.Table.from_pandas(stats, preserve_index=False)
 
 
@@ -244,32 +245,10 @@ def corpus_stats(store_dir: str,
     return n_docs, n_tokens
 
 
-def _check_as_of(store_dir: str, as_of: int | None) -> None:
-    from .store_fold import check_as_of
-
-    check_as_of(store_dir, as_of)
-
-
 def _doclen_files(store_dir: str) -> list[str]:
-    d = os.path.join(store_dir,
-                     f"term={int(_load_meta(store_dir)['n_buckets'])}")
-    return sorted(glob.glob(os.path.join(d, "inc*.parquet"))
-                  + glob.glob(os.path.join(d, "compact*.parquet")))
-
-
-def _delete_files(store_dir: str, exclude: int | None = None) -> list[str]:
-    """Marker-COMPLETE tombstone files (a crash-window del file without
-    its marker is invisible, exactly like an unmarked ingest)."""
-    ddir = os.path.join(store_dir, "_deletes")
-    out = []
-    for f in glob.glob(os.path.join(ddir, "_done_del*.json")):
-        did = int(os.path.basename(f)[len("_done_del"):-len(".json")])
-        if exclude is not None and did == exclude:
-            continue
-        p = os.path.join(ddir, f"del{did}.parquet")
-        if os.path.exists(p):
-            out.append(p)
-    return sorted(out)
+    n_buckets = int(_load_meta(store_dir)["n_buckets"])
+    return read_set(store_dir,
+                    [os.path.join(store_dir, f"term={n_buckets}")])
 
 
 def deleted_stats(store_dir: str,
@@ -323,8 +302,6 @@ def index_delete(store_dir: str, doc_ids, del_id: int) -> dict:
             "doc_id": pa.array(sorted(set(int(i) for i in doc_ids)),
                                pa.int64())}))
     dl_files = _doclen_files(store_dir)
-    ddir = os.path.join(store_dir, "_deletes")
-    os.makedirs(ddir, exist_ok=True)
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
                       "dl": pa.array([], pa.int64()),
                       "_inc": pa.array([], pa.int64())})
@@ -333,7 +310,7 @@ def index_delete(store_dir: str, doc_ids, del_id: int) -> dict:
             ray.data.read_parquet(dl_files,
                                   columns=["doc_id", "dl", "_inc"]),
             doc_ids, on="doc_id")
-        prior = _delete_files(store_dir, exclude=del_id)
+        prior = delete_files(store_dir, exclude=del_id)
         if prior:
             cand = anti_join(cand,
                              ray.data.read_parquet(prior,
@@ -357,35 +334,24 @@ def index_delete(store_dir: str, doc_ids, del_id: int) -> dict:
             grouped.column("_inc").to_pylist(),
             grouped.column("n_sum").to_pylist(),
             grouped.column("dl_sum").to_pylist())}
-    out = eff.select(["doc_id"]).sort_by("doc_id")
-    atomic_write(os.path.join(ddir, f"del{del_id}.parquet"),
-                 lambda p: pq.write_table(out, p))
-    atomic_json(os.path.join(ddir, f"_done_del{del_id}.json"),
-                {"n_docs": n_docs, "n_tokens": n_tokens,
-                 "by_inc": by_inc})
+    write_tombstones(store_dir, del_id,
+                     eff.select(["doc_id"]).sort_by("doc_id"),
+                     {"n_docs": n_docs, "n_tokens": n_tokens,
+                      "by_inc": by_inc})
     return {"requested": doc_ids.count(), "deleted": n_docs,
             "tokens": n_tokens}
 
 
 def probe_files(store_dir: str, terms,
                 as_of: int | None = None) -> list[str]:
-    """A query's read set: every increment + compact file of the query
+    """A query's read set (:func:`store_fold.read_set`) over the query
     terms' hash buckets ONLY (factored out so the pruning contract is
-    directly testable, the ann_store pattern).  ``as_of`` drops inc
-    files above the horizon (compact files are always included — the
-    caller has already refused an as_of below the watermark, and every
-    fold's upto is <= the watermark)."""
+    directly testable, the ann_store pattern)."""
     n_buckets = int(_load_meta(store_dir)["n_buckets"])
-    out = []
-    for b in sorted(set(_term_buckets(list(terms), n_buckets).tolist())):
-        bdir = os.path.join(store_dir, f"term={b}")
-        from .store_fold import filter_inc_files
-
-        incs = filter_inc_files(
-            glob.glob(os.path.join(bdir, "inc*.parquet")), as_of)
-        out.extend(sorted(incs + glob.glob(os.path.join(
-            bdir, "compact*.parquet"))))
-    return out
+    return read_set(store_dir, [
+        os.path.join(store_dir, f"term={b}")
+        for b in sorted(set(_term_buckets(list(terms), n_buckets).tolist()))],
+        as_of=as_of)
 
 
 def _pruned_postings(store_dir: str, terms, columns,
@@ -397,7 +363,7 @@ def _pruned_postings(store_dir: str, terms, columns,
     when nothing can match."""
     import ray.data
 
-    _check_as_of(store_dir, as_of)
+    check_as_of(store_dir, as_of)
     files = probe_files(store_dir, terms, as_of=as_of)
     if not files:
         return None
@@ -408,7 +374,7 @@ def _pruned_postings(store_dir: str, terms, columns,
                     lambda t: t.filter(pc.is_in(t.column("term"),
                                                 value_set=term_arr)),
                     batch_format="pyarrow", batch_size=None))
-    del_files = _delete_files(store_dir)
+    del_files = delete_files(store_dir)
     if del_files:
         # logical delete mask: tombstoned docs leave df, scores and the
         # candidate set immediately (broadcast/hash-tiered anti-join);
@@ -529,9 +495,10 @@ def index_match_docs(store_dir: str, terms, as_of: int | None = None):
     query term.  Same pruned read as the BM25 probe (only the query
     terms' buckets open, tombstones masked, same ``as_of`` snapshot
     semantics); a doc qualifies when its distinct-term posting count
-    equals |terms| — postings are unique per (term, doc) store-wide
-    (append-only contract), so a per-doc row count after the term
-    filter is the distinct-term count.  Returns Dataset[(doc_id,)]."""
+    equals |terms| — postings are unique per (term, doc) in a read set
+    (append-only contract; shadowed crash leftovers are never read), so
+    a per-doc row count after the term filter is the distinct-term
+    count.  Returns Dataset[(doc_id,)]."""
     import ray
     import ray.data
 
@@ -647,30 +614,12 @@ def index_phrase_docs(store_dir: str, phrase, as_of: int | None = None):
                          batch_format="pyarrow", batch_size=None))
 
 
-def compact_text_index(store_dir: str, purge_deletes: bool = True) -> dict:
-    """Bound the per-bucket file count — the shared marker-gated fold
-    over the ``term=`` dirs (the doc-length partition folds with them);
-    duplicate postings from a crash window double a doc's contribution
-    for the affected terms until the next compaction folds them away
-    (bounded staleness, same trade as the other stores).
-
-    With ``purge_deletes`` (default), tombstoned doc_ids are dropped
-    from every rewritten file — the PHYSICAL right-to-be-forgotten
-    purge, free because compaction rewrites every surviving row anyway.
-    Each partition task re-reads the tombstone files (deletes are
-    assumed small vs the corpus; a mass-purge regime would partition
-    the tombstones by bucket the same way).  Tombstone files + deltas
-    are retained: the ingest markers still count the deleted docs, so
-    the deltas must keep correcting probe-time stats forever."""
-    drop_fn = None
-    if purge_deletes:
-        del_files = _delete_files(store_dir)
-        if del_files:
-            def drop_fn(tbl: pa.Table) -> pa.Table:
-                ids = pa.concat_tables(
-                    [pq.read_table(f, columns=["doc_id"])
-                     for f in del_files]).column("doc_id").combine_chunks()
-                return tbl.filter(
-                    pc.invert(pc.is_in(tbl.column("doc_id"),
-                                       value_set=ids)))
-    return fold_marker_complete(store_dir, "term=*", drop_fn=drop_fn)
+def compact_text_index(store_dir: str) -> dict:
+    """Bound the per-bucket file count — :func:`store_fold.fold` over
+    the ``term=`` dirs (the doc-length partition folds with them),
+    purging tombstoned doc_ids from every rewritten file: the PHYSICAL
+    right-to-be-forgotten purge, free because compaction rewrites every
+    surviving row anyway.  Tombstone files + deltas are retained: the
+    ingest markers still count the deleted docs, so the deltas must
+    keep correcting probe-time stats forever."""
+    return fold(store_dir, "term=*", reduce=purge(store_dir, "doc_id"))

@@ -3,32 +3,32 @@ tombstones across ingest increments — the MERGE INTO / mutable-table
 semantics a log-structured data lake provides, built from immutable
 per-increment sorted runs.
 
-Store layout::
+Store layout (the :mod:`store_fold` contract)::
 
-    store_dir/p=<bucket>/run_inc<id>.parquet   # winners of one increment
+    store_dir/p=<bucket>/inc<id>.parquet       # winners of one increment
+    store_dir/p=<bucket>/compact<upto>.parquet # folded winners
+    store_dir/_done_inc<id>.json               # completeness marker
 
 ``bucket = key_hash >> (64 - bits)`` co-locates every version of a key
 in one partition, so reads and compaction never shuffle across buckets.
 Each write reduces its increment to one LAST row per key (by
 ``order_col`` — a total order within the increment), stamps ``_inc``,
 and lands the run with a deterministic name via tmp+rename (reruns
-overwrite; the compact.py / dedup_store discipline).
+overwrite), then writes its marker.
 
-Read semantics: for each key, the row from the HIGHEST ``(_inc,
-order_col)`` wins; if the winner's ``tombstone_col`` is true the key is
-absent from the live view.  Increments must be written with
-monotonically increasing ``inc_id`` (arrival order IS the CDC order).
+Read semantics: over each bucket's read set, the row from the HIGHEST
+``(_inc, order_col)`` wins per key; if the winner's ``tombstone_col``
+is true the key is absent from the live view.  Increments must be
+written with monotonically increasing ``inc_id`` (arrival order IS the
+CDC order).
 
-Compaction (:func:`compact_store`): per bucket, merge all runs into one
-``run_compact<max>.parquet`` holding only the winners — tombstone rows
-are DROPPED (a full-bucket compaction leaves nothing older for them to
-mask).  The bucket directory is rebuilt in scratch and atomically
-swapped, so a crashed compaction leaves the old runs intact.  The
-``run_compact`` prefix is RESERVED: no increment can ever write it, so
-a crash-recovery rerun of increment ``<max>`` (which os.replace's its
-own deterministic ``run_inc<max>.parquet``) can never clobber the
-compacted history of other keys — per-row ``_inc`` still carries merge
-order, so the rerun's rows win ties exactly as the original did.
+Compaction (:func:`compact_store`) is the shared :func:`store_fold.fold`
+with a winners-only reduce: tombstone rows are DROPPED, because the
+fold covers everything at or below its horizon and leaves nothing
+older for them to mask.  The ``compact`` name is reserved, so a
+crash-recovery rerun of a folded increment can never overwrite the
+compacted history of other keys; its own file is shadowed by the
+compact file that already holds the increment.
 
 Scale shape: writes are one hash exchange of the increment; reads and
 compaction stream per-bucket (embarrassingly parallel, bounded by
@@ -40,11 +40,14 @@ from __future__ import annotations
 
 import glob
 import os
-import shutil
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+from .store_fold import (atomic_write, complete_increments, fold,
+                         read_set, write_marker)
 
 
 def _key_hash(col: pa.Array) -> np.ndarray:
@@ -68,10 +71,22 @@ def _last_per_key(tbl: pa.Table, key_col: str, order_keys) -> pa.Table:
     return tbl.take(pa.array(sel[last]))
 
 
+def _live(tbl: pa.Table, key_col: str, order_col: str,
+          tombstone_col: str | None) -> pa.Table:
+    """Winners of a bucket's runs, tombstoned winners dropped."""
+    tbl = _last_per_key(tbl, key_col, ["_inc", order_col])
+    if tombstone_col is None:
+        return tbl
+    return tbl.filter(pc.invert(pc.fill_null(
+        tbl.column(tombstone_col).cast(pa.bool_()), False)))
+
+
 def upsert_write(ds, store_dir: str, key_col: str, order_col: str,
                  inc_id: int, bits: int = 4):
-    """Write one CDC increment.  Returns a per-bucket stats Dataset
+    """Write one CDC increment.  Eager: the runs and the completeness
+    marker are on disk on return.  Returns a per-bucket stats Dataset
     (bucket, rows)."""
+    import ray.data
 
     def _tag(b: pa.Table) -> pa.Table:
         if b.num_columns == 0:
@@ -91,59 +106,19 @@ def upsert_write(ds, store_dir: str, key_col: str, order_col: str,
             "_inc", pa.array(np.full(win.num_rows, inc_id), pa.int64()))
         pdir = os.path.join(store_dir, f"p={bkt}")
         os.makedirs(pdir, exist_ok=True)
-        f = os.path.join(pdir, f"run_inc{inc_id}.parquet")
-        pq.write_table(win, f + ".tmp")
-        os.replace(f + ".tmp", f)
+        atomic_write(os.path.join(pdir, f"inc{inc_id}.parquet"),
+                     lambda p: pq.write_table(win, p))
         return pa.table({"bucket": pa.array([bkt], pa.int64()),
                          "rows": pa.array([win.num_rows], pa.int64())})
 
     os.makedirs(store_dir, exist_ok=True)
-    tagged = ds.map_batches(_tag, batch_format="pyarrow", batch_size=None)
-    return tagged.groupby("_bkt").map_groups(_one_bucket,
-                                             batch_format="pyarrow")
-
-
-def _bucket_dirs(store_dir: str) -> list[str]:
-    out = {d for d in glob.glob(os.path.join(store_dir, "p=*"))
-           if not d.endswith((".old", ".compact"))}
-    # a compaction that crashed between its two renames leaves only
-    # .old/.compact — surface the bucket so _recover_bucket converges it
-    for d in glob.glob(os.path.join(store_dir, "p=*.old")):
-        out.add(d[: -len(".old")])
-    return sorted(out)
-
-
-def _recover_bucket(pdir: str) -> None:
-    """Converge a bucket left by a crashed compaction: once the live
-    dir was renamed to ``.old`` the scratch ``.compact`` dir is known
-    complete, so roll FORWARD (.compact -> live); pre-rename crashes
-    only leave a stale scratch dir to delete."""
-    old, tmp = pdir + ".old", pdir + ".compact"
-    if os.path.isdir(old):
-        if not os.path.isdir(pdir):
-            if os.path.isdir(tmp):
-                os.rename(tmp, pdir)
-            else:  # unreachable by the protocol order; keep data anyway
-                os.rename(old, pdir)
-        shutil.rmtree(old, ignore_errors=True)
-    shutil.rmtree(tmp, ignore_errors=True)
-
-
-def _bucket_runs(pdir: str) -> list[str]:
-    # "run_compact*" sorts before "run_inc*" (c < i), so on an _inc tie
-    # (a rerun of the increment a compaction already absorbed) the
-    # rerun's row concatenates later and wins via lexsort stability —
-    # same data either way, but the order is deterministic.
-    return sorted(glob.glob(os.path.join(pdir, "run_inc*.parquet"))
-                  + glob.glob(os.path.join(pdir, "run_compact*.parquet")))
-
-
-def _merge_bucket(pdir: str, key_col: str, order_col: str) -> pa.Table:
-    runs = [pq.read_table(f) for f in _bucket_runs(pdir)]
-    if not runs:
-        return None
-    return _last_per_key(pa.concat_tables(runs), key_col,
-                         ["_inc", order_col])
+    stats = (ds.map_batches(_tag, batch_format="pyarrow", batch_size=None)
+             .groupby("_bkt")
+             .map_groups(_one_bucket, batch_format="pyarrow")
+             .to_pandas())
+    write_marker(store_dir, inc_id, {"buckets": int(len(stats))})
+    return ray.data.from_arrow(pa.Table.from_pandas(stats,
+                                                    preserve_index=False))
 
 
 def read_current(store_dir: str, key_col: str, order_col: str,
@@ -156,62 +131,28 @@ def read_current(store_dir: str, key_col: str, order_col: str,
     import ray
     import ray.data
 
-    for d in _bucket_dirs(store_dir):
-        _recover_bucket(d)
-    # only buckets with at least one run (always true post-write; a
-    # fully-tombstoned compacted bucket holds a 0-row run with schema)
-    dirs = [d for d in _bucket_dirs(store_dir) if _bucket_runs(d)]
-    if not dirs:
+    done = complete_increments(store_dir)
+    # only buckets with at least one run (a fully-tombstoned compacted
+    # bucket holds a 0-row run with schema)
+    sets = [s for s in (read_set(store_dir, [d], done=done) for d in
+                        sorted(glob.glob(os.path.join(store_dir, "p=*"))))
+            if s]
+    if not sets:
         return ray.data.from_items([])
 
     @ray.remote
-    def _one(pdir: str) -> pa.Table:
-        tbl = _merge_bucket(pdir, key_col, order_col)
-        if tombstone_col is not None:
-            import pyarrow.compute as pc
+    def _one(files: list) -> pa.Table:
+        tbl = pa.concat_tables([pq.read_table(f) for f in files])
+        return _live(tbl, key_col, order_col,
+                     tombstone_col).drop_columns(["_inc"])
 
-            tbl = tbl.filter(pc.invert(pc.fill_null(
-                tbl.column(tombstone_col).cast(pa.bool_()), False)))
-        return tbl.drop_columns(["_inc"])
-
-    return ray.data.from_arrow_refs([_one.remote(d) for d in dirs])
+    return ray.data.from_arrow_refs([_one.remote(s) for s in sets])
 
 
 def compact_store(store_dir: str, key_col: str, order_col: str,
                   tombstone_col: str | None = None) -> dict:
-    """Merge every bucket's runs into one (winners only; tombstones
-    dropped — full-bucket compaction leaves nothing for them to mask).
-    Atomic per bucket via scratch-dir swap; crash leaves old runs."""
-    import ray
-
-    @ray.remote
-    def _one(pdir: str) -> tuple:
-        _recover_bucket(pdir)
-        tbl = _merge_bucket(pdir, key_col, order_col)
-        if tbl is None:
-            return (0, 0)
-        n_in = len(_bucket_runs(pdir))
-        if tombstone_col is not None:
-            import pyarrow.compute as pc
-
-            tbl = tbl.filter(pc.invert(pc.fill_null(
-                tbl.column(tombstone_col).cast(pa.bool_()), False)))
-        top = int(tbl.column("_inc").to_numpy(zero_copy_only=False).max()) \
-            if tbl.num_rows else 0
-        tmp = pdir + ".compact"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp)
-        # RESERVED name — upsert_write only ever writes run_inc<id>, so
-        # a rerun of increment `top` can never os.replace this file and
-        # silently drop every other key's compacted history
-        pq.write_table(tbl, os.path.join(tmp, f"run_compact{top}.parquet"))
-        old = pdir + ".old"
-        shutil.rmtree(old, ignore_errors=True)
-        os.rename(pdir, old)
-        os.rename(tmp, pdir)
-        shutil.rmtree(old, ignore_errors=True)
-        return (n_in, 1)
-
-    res = ray.get([_one.remote(d) for d in _bucket_dirs(store_dir)])
-    return {"runs_in": sum(r[0] for r in res),
-            "runs_out": sum(r[1] for r in res)}
+    """Fold every bucket's runs into one (winners only; tombstones
+    dropped) — :func:`store_fold.fold` with the live-view reduce."""
+    res = fold(store_dir, "p=*", reduce=lambda t: _live(
+        t, key_col, order_col, tombstone_col))
+    return {"runs_in": res["files_in"], "runs_out": res["files_out"]}

@@ -217,11 +217,11 @@ def test_ann_store_delete_logical_then_physical(ray_session, tmp_path):
     # crash window: a tombstone file without its marker is invisible
     ann_delete(store, [1], del_id=3)
     os.remove(os.path.join(store, "_deletes", "_done_del3.json"))
-    from sylk.stages.ann_store import _delete_files
-    assert not any("del3" in f for f in _delete_files(store))
+    from sylk.stages.store_fold import delete_files
+    assert not any("del3" in f for f in delete_files(store))
     assert _query_df(store, queries, k=5, nprobe=4).equals(ref)
     ann_delete(store, [1], del_id=3)
-    assert any("del3" in f for f in _delete_files(store))
+    assert any("del3" in f for f in delete_files(store))
     assert 1 not in set(_query_df(store, queries, k=5, nprobe=4).vec_id)
 
 

@@ -230,38 +230,67 @@ def test_upsert_write_rerun_idempotent(ray_session, tmp_path):
 
 
 def test_upsert_compaction_crash_recovery(ray_session, tmp_path):
-    """Crash between compaction's two renames (live dir renamed away,
-    scratch complete): read_current rolls the bucket forward — no data
-    loss, scratch/old dirs cleaned."""
-    import glob as _glob
+    """Crash windows of the shared fold on an upsert store: a leftover
+    tmp file (crash before the rename) and source runs still on disk
+    with no watermark (crash after the rename, before the deletes) both
+    leave the live view unchanged, and the next compaction converges."""
+    import json
     import shutil
 
     import ray.data
 
-    from sylk.stages.upsert_store import read_current, upsert_write
+    from sylk.stages.upsert_store import (compact_store, read_current,
+                                          upsert_write)
 
     store = str(tmp_path / "store")
-    t = pa.table({"user_id": pa.array([1, 2, 3], pa.int64()),
-                  "event_id": pa.array([10, 11, 12], pa.int64()),
-                  "val": pa.array(["a", "b", "c"]),
-                  "_del": pa.array([False, False, False])})
-    upsert_write(ray.data.from_arrow(t), store, "user_id", "event_id",
-                 inc_id=1).materialize()
-    before = read_current(store, "user_id", "event_id",
-                          tombstone_col="_del").to_pandas()
-    # hand-build the worst crash window for one bucket: live -> .old,
-    # scratch .compact complete, live missing
-    pdir = sorted(_glob.glob(os.path.join(store, "p=*")))[0]
-    shutil.copytree(pdir, pdir + ".compact")
-    os.rename(pdir, pdir + ".old")
-    assert not os.path.isdir(pdir)
-    after = read_current(store, "user_id", "event_id",
+
+    def _t(rows):
+        return pa.table({
+            "user_id": pa.array([r[0] for r in rows], pa.int64()),
+            "event_id": pa.array([r[1] for r in rows], pa.int64()),
+            "val": pa.array([r[2] for r in rows], pa.string()),
+            "_del": pa.array([r[3] for r in rows], pa.bool_())})
+
+    def _live():
+        t = read_current(store, "user_id", "event_id",
                          tombstone_col="_del").to_pandas()
-    assert (sorted(zip(after.user_id, after.val))
-            == sorted(zip(before.user_id, before.val)))
-    assert os.path.isdir(pdir)
-    assert not os.path.isdir(pdir + ".old")
-    assert not os.path.isdir(pdir + ".compact")
+        return sorted(zip(t.user_id, t.val))
+
+    upsert_write(ray.data.from_arrow(_t([
+        (1, 10, "a", False), (2, 11, "b", False), (3, 12, "c", False)])),
+        store, "user_id", "event_id", inc_id=1)
+    upsert_write(ray.data.from_arrow(_t([
+        (1, 20, "a2", False), (2, 21, "", True)])),
+        store, "user_id", "event_id", inc_id=2)
+    want = _live()
+    assert want == [(1, "a2"), (3, "c")]
+
+    runs = sorted(glob.glob(os.path.join(store, "p=*", "inc*.parquet")))
+    saved = str(tmp_path / "saved")
+    for f in runs:
+        dst = os.path.join(saved, os.path.relpath(f, store))
+        os.makedirs(os.path.dirname(dst), exist_ok=True)
+        shutil.copy(f, dst)
+    # crash before the rename: a half-written tmp is never read
+    pdir = os.path.dirname(runs[0])
+    with open(os.path.join(pdir, "compact2.parquet.tmp"), "wb") as f:
+        f.write(b"partial")
+    assert _live() == want
+    compact_store(store, "user_id", "event_id", tombstone_col="_del")
+    # crash after the rename, before the deletes and the watermark
+    for f in runs:
+        shutil.copy(os.path.join(saved, os.path.relpath(f, store)), f)
+    os.remove(os.path.join(store, "_compact.json"))
+    assert _live() == want
+    stats = compact_store(store, "user_id", "event_id",
+                          tombstone_col="_del")
+    assert stats["runs_out"] < stats["runs_in"]
+    assert not glob.glob(os.path.join(store, "p=*", "inc*.parquet"))
+    assert {os.path.basename(f) for f in glob.glob(
+        os.path.join(store, "p=*", "*.parquet"))} == {"compact2.parquet"}
+    with open(os.path.join(store, "_compact.json")) as f:
+        assert json.load(f)["upto"] == 2
+    assert _live() == want
 
 
 def test_upsert_store_model_based(ray_session, tmp_path):
@@ -408,7 +437,7 @@ def test_upsert_compaction_survives_increment_rerun(ray_session, tmp_path):
                  store, "user_id", "event_id", inc_id=2).materialize()
     compact_store(store, "user_id", "event_id", tombstone_col="_del")
     # the compacted run must be un-clobberable by any increment rerun
-    assert glob.glob(os.path.join(store, "p=*", "run_compact*.parquet"))
+    assert glob.glob(os.path.join(store, "p=*", "compact*.parquet"))
     upsert_write(ray.data.from_arrow(_t([(k2, 20, "k2v1", False)])),
                  store, "user_id", "event_id", inc_id=2).materialize()
     live = read_current(store, "user_id", "event_id",
@@ -479,7 +508,7 @@ def test_compact_ingest_store_exact(ray_session, tmp_path):
     assert sorted(read_accepted(out).to_pandas().event_id) == [1, 2, 3, 5]
 
     n_before = len(glob.glob(os.path.join(store, "p=*", "*.parquet")))
-    stats = compact_ingest_store(store, out)
+    stats = compact_ingest_store(store)
     assert stats["upto"] == 3 and stats["files_out"] < stats["files_in"]
     # every bucket now holds at most one file, all reserved-name
     for d in glob.glob(os.path.join(store, "p=*")):
@@ -502,9 +531,9 @@ def test_compact_ingest_store_exact(ray_session, tmp_path):
                      out, "key", "event_id", inc_id=2)
 
     # idempotence: compacting again folds inc4 in and converges
-    stats2 = compact_ingest_store(store, out)
+    stats2 = compact_ingest_store(store)
     assert stats2["upto"] == 4
-    stats3 = compact_ingest_store(store, out)
+    stats3 = compact_ingest_store(store)
     assert stats3["files_in"] == stats3["files_out"]
 
 
@@ -523,7 +552,7 @@ def test_compact_ingest_store_crash_window(ray_session, tmp_path):
     for inc, rows in ((1, [(1, "alpha")]), (2, [(2, "beta")])):
         dedup_ingest(ray.data.from_arrow(_inc(rows)), store, out,
                      "key", "event_id", inc_id=inc).materialize()
-    compact_ingest_store(store, out)
+    compact_ingest_store(store)
     # simulate the crash window: duplicate a compact file's content
     # back as a leftover source file in one bucket
     for d in glob.glob(os.path.join(store, "p=*")):
@@ -537,7 +566,7 @@ def test_compact_ingest_store_crash_window(ray_session, tmp_path):
         "key", "event_id", inc_id=3).materialize().to_pandas()
     assert int(s3.accepted.sum()) == 1 and int(s3.rejected.sum()) == 1
     # next compaction folds the leftover away
-    compact_ingest_store(store, out)
+    compact_ingest_store(store)
     for d in glob.glob(os.path.join(store, "p=*")):
         assert not glob.glob(os.path.join(d, "inc*.parquet"))
     assert sorted(read_accepted(out).to_pandas().event_id) == [1, 2, 4]
@@ -559,7 +588,7 @@ def test_compact_ingest_store_neardup_bands(ray_session, tmp_path):
     neardup_ingest(ray.data.from_arrow(_docs(
         [(5, "yet another unrelated set of words for the corpus")])),
         store, out, inc_id=2, threshold=0.7)
-    compact_ingest_store(store, out)
+    compact_ingest_store(store)
     for d in glob.glob(os.path.join(store, "p=*")):
         assert not glob.glob(os.path.join(d, "inc*.parquet"))
     s3 = neardup_ingest(ray.data.from_arrow(_docs(
@@ -587,8 +616,7 @@ def test_compact_cli(ray_session, tmp_path, capsys):
     for inc, rows in ((1, [(1, "a")]), (2, [(2, "b"), (3, "a")])):
         dedup_ingest(ray.data.from_arrow(_inc(rows)), store, out,
                      "key", "event_id", inc_id=inc).materialize()
-    rc = main(["compact", "--kind", "ingest", "--store", store,
-               "--out", out])
+    rc = main(["compact", "--kind", "ingest", "--store", store])
     assert rc == 0 and ray.is_initialized()
     stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert stats["upto"] == 2

@@ -381,29 +381,26 @@ def test_deterministic_sample(ray_session):
 
 
 def test_ivf_partitioned_store(ray_session, tmp_path):
-    """Cell-partitioned IVF store: scan pruning reads only probed cell
-    dirs; recall vs brute force stays high."""
+    """Cell-partitioned IVF store (ann_store): scan pruning reads only
+    probed cell dirs; recall vs brute force stays high."""
     import os
 
     import numpy as np
     import ray.data
 
-    from sylk.stages.similarity import (
-        ann_topk_bruteforce,
-        ann_topk_ivf_partitioned,
-        ivf_write_partitioned,
-    )
+    from sylk.stages.ann_store import ann_ingest, ann_store_query
+    from sylk.stages.similarity import ann_topk_bruteforce
 
     ds = ray.data.read_parquet("/root/testdata/sf0.01/embeddings.parquet",
                                columns=["vec_id", "embedding"])
     out = str(tmp_path / "ivf_store")
-    index = ivf_write_partitioned(ds, out, n_cells=8)
+    ann_ingest(ds, out, inc_id=1, n_cells=8)
     assert len([d for d in os.listdir(out) if d.startswith("cell=")]) >= 4
 
     q = np.vstack(ds.filter(expr="vec_id < 4").to_pandas()
                   .sort_values("vec_id")["embedding"].to_numpy())
     exact = ann_topk_bruteforce(ds, q, k=10).to_pandas()
-    approx = ann_topk_ivf_partitioned(out, index, q, k=10, nprobe=4).to_pandas()
+    approx = ann_store_query(out, q, k=10, nprobe=4).to_pandas()
     hits = 0
     for qi in range(4):
         e = set(exact[exact.query_idx == qi].vec_id)
