@@ -2,8 +2,8 @@
 
 Brand-new engine with the query/data-processing capabilities of the
 reference crate ``syslog_rfc5424`` (``/root/reference``), re-expressed as
-``ray.data.Dataset`` pipelines: vectorized parse -> actor-pool enrich ->
-hash-partitioned route -> groupby aggregate, plus training-data operators
+``ray.data.Dataset`` pipelines: vectorized parse -> task enrich ->
+range-partitioned route -> groupby aggregate, plus training-data operators
 (dedup, similarity search, text analysis) over Parquet tables.
 
 Layout:

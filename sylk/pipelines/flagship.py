@@ -4,8 +4,8 @@ The end-to-end composition the north rule names (BASELINE.json):
 
     read_parquet (transcript shards)
       -> map_batches(parse_batch)            stateless vectorized tasks
-      -> map_batches(Enricher, concurrency)  actor pool, lookup in __init__
-      -> route_and_write                     one hash-partitioned Hive write
+      -> map_batches(enrich_batch)           fused tasks, per-worker lookup
+      -> route_and_write                     range sort + one Hive write
       -> grouped counts                      two-phase shuffle-light
       -> Manifest.commit                     per-partition lineage + metrics
 
@@ -26,7 +26,7 @@ import time
 import ray.data
 
 from ..stages.aggregate import grouped_counts_local
-from ..stages.enrich import Enricher, enrich_batch
+from ..stages.enrich import enrich_batch
 from ..stages.parse import parse_batch
 from ..stages.router import route_and_write
 from ..state.manifest import Manifest
@@ -37,40 +37,21 @@ from ..state.manifest import Manifest
 _HIST_COLUMNS = ["ok", "hostname", "appname"]
 
 
-def parse_enrich(ds, enrich_concurrency=None, enrich_mode: str = "tasks"):
+def parse_enrich(ds):
     """parse + enrich stages on any transcript Dataset.
 
     ``batch_size=None`` = whole Arrow blocks per call: the parse regex
     compiles once per block instead of once per 1024 rows, and the
-    vectorized kernels amortize.
-
-    ``enrich_mode="tasks"`` (default): the enrich lookup runs as fused
+    vectorized kernels amortize.  The enrich lookup runs as fused
     stateless tasks with a per-worker cached table (see
-    ``enrich_batch``) — measured ~4x faster end-to-end than the actor
+    ``enrich_batch``) — measured ~4x faster end-to-end than an actor
     pool at this state size, because warm task workers are reused
-    across executions.  ``enrich_mode="actors"`` keeps the explicit
-    actor-pool stage (the pattern for expensive state); beware Ray
-    fuses the upstream stateless parse INTO the pool, so the pool
-    ceiling caps parse parallelism too — it defaults to the cluster
-    CPU count for that reason."""
+    across executions."""
     ds = ds.map_batches(
         parse_batch, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
-    if enrich_mode == "tasks":
-        return ds.map_batches(
-            enrich_batch, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-        )
-    if enrich_concurrency is None:
-        import ray
-
-        n = int(ray.cluster_resources().get("CPU", 8))
-        enrich_concurrency = (1, max(2, n))
     return ds.map_batches(
-        Enricher,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=None,
-        concurrency=enrich_concurrency,
+        enrich_batch, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
 
 
@@ -114,7 +95,6 @@ def run_flagship(
     input_files: list[str],
     out_dir: str,
     files_per_unit: int = 16,
-    enrich_concurrency=(1, 8),
     concurrent_units: int = 2,
     input_format: str = "parquet",
 ) -> dict:
@@ -175,7 +155,7 @@ def run_flagship(
             ds = read_syslog_lines_gz(files)
         else:
             ds = ray.data.read_parquet(files, override_num_blocks=len(files))
-        parsed = parse_enrich(ds, enrich_concurrency)
+        parsed = parse_enrich(ds)
         route_and_write(parsed, unit_dir)
 
         # per-unit metrics for the manifest come FREE from the routed

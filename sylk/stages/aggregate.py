@@ -105,6 +105,9 @@ def host_app_histogram(parsed_ds):
 _COMBINED_KEYS = ["kind", "ok", "facility", "severity", "error", "hostname", "appname"]
 _SINK_PART = ["ok", "facility", "severity", "error"]
 _HOST_PART = ["ok", "hostname", "appname"]
+# up to this many per-block partial rows the final merge runs on the
+# driver; above it, a Ray groupby finalizes
+_COMBINED_DRIVER_LIMIT = 5_000_000
 
 
 def _clean_key(col):
@@ -143,28 +146,27 @@ def _partial_combined(batch: pa.Table) -> pa.Table:
     return pa.table(stacked)
 
 
-def combined_counts(parsed_ds, distributed: bool = False):
+def combined_counts(parsed_ds):
     """Single-execution partial+final count feeding all three rollups ->
     pandas DataFrame (columns ``kind ok facility severity error hostname
     appname n``).  Use :func:`rollups_from_combined` on the result.
 
     Final merge strategy: per-block partials are O(key cardinality) rows
-    — a few hundred per block — so by default they stream to the driver
-    and merge with pyarrow's multithreaded C++ ``group_by`` (a
-    tree-reduce whose root is small).  When a key's global cardinality
-    is too large for one machine (host/app histograms over millions of
-    hosts), pass ``distributed=True`` to finalize with a Ray groupby
-    shuffle instead.
+    — a few hundred per block — so up to ``_COMBINED_DRIVER_LIMIT``
+    partial rows they collect to the driver and merge with pyarrow's
+    multithreaded C++ ``group_by`` (a tree-reduce whose root is small).
+    Above it (host/app histograms over millions of hosts) a Ray groupby
+    shuffle finalizes instead.
     """
+    from .dedup import _bounded_collect
+
     partials = parsed_ds.map_batches(
         _partial_combined, batch_format="pyarrow", batch_size=None
     )
-    if distributed:
+    partials, tbl = _bounded_collect(partials, _COMBINED_DRIVER_LIMIT)
+    if tbl is None:
         final = partials.groupby(_COMBINED_KEYS).aggregate(Sum("n", alias_name="n"))
         return final.to_pandas()
-    import ray
-
-    tbl = pa.concat_tables(ray.get(partials.to_arrow_refs()))
     merged = tbl.group_by(_COMBINED_KEYS).aggregate([("n", "sum")])
     return merged.rename_columns(_COMBINED_KEYS + ["n"]).to_pandas()
 

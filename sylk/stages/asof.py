@@ -19,14 +19,13 @@ Skew-safe two-pass shape (a hot key never occupies one task's heap):
    * **broadcast** (default under ``_DRIVER_SEED_LIMIT`` state rows):
      the driver orders the state rows and broadcasts one seed dict
      (``ray.put`` once) — O(#blocks + #keys) driver memory.
-   * **distributed** (``distributed=True`` or above the limit): state
-     rows hash into coarse co-located groups by key (a key never
-     splits), the per-run seeds come from VECTORIZED pandas
-     groupby-shift/cumsum inside each coarse group (C kernels, never a
-     per-key Python group), and the seeds reach the data through a
-     hash-join on (key, run-first-order) — one extra exchange of the
-     full dataset, the same trade the dedup edge-join makes.  Driver
-     memory is O(1).
+   * **distributed** (above the limit): state rows hash into coarse
+     co-located groups by key (a key never splits), the per-run seeds
+     come from VECTORIZED pandas groupby-shift/cumsum inside each
+     coarse group (C kernels, never a per-key Python group), and the
+     seeds reach the data through a hash-join on (key,
+     run-first-order) — one extra exchange of the full dataset, the
+     same trade the dedup edge-join makes.  Driver memory is O(1).
 
 4. pass B (``map_batches``): in-block vectorized ffill/cumsum per
    key-run; the run's seed completes the prefix.  On the distributed
@@ -90,8 +89,7 @@ def _coarse_seeds(states_ds, key: str, order_cols, seed_fn):
 
 
 def _carry(ds, key: str, order_cols, value_col: str, out_col: str,
-           state_fn, seed_fn, block_fn, finish_fn,
-           distributed: bool | None = None):
+           state_fn, seed_fn, block_fn, finish_fn):
     """Shared two-pass carry driver for fill_forward / running_total.
 
     ``state_fn(df)`` -> per-run state rows (key, *order, summary col);
@@ -107,7 +105,7 @@ def _carry(ds, key: str, order_cols, value_col: str, out_col: str,
                                       batch_size=None).materialize()
     n_states = states_ds.count()
 
-    if distributed or (distributed is None and n_states > _DRIVER_SEED_LIMIT):
+    if n_states > _DRIVER_SEED_LIMIT:
         return _carry_join(sorted_ds, states_ds, key, order_cols,
                            out_col, seed_fn, block_fn, finish_fn)
 
@@ -177,10 +175,9 @@ def _carry_join(sorted_ds, states_ds, key: str, order_cols, out_col: str,
 
 # --- fill-forward -----------------------------------------------------------
 
-def fill_forward(ds, key: str, order_cols, value_col: str, out_col: str,
-                 distributed: bool | None = None):
+def fill_forward(ds, key: str, order_cols, value_col: str, out_col: str):
     """Dataset -> same rows + ``out_col`` = last non-null ``value_col``
-    at or before each row in (key, order) order."""
+    at or before each row in (key, order) order, as float64."""
     order_cols = list(order_cols)
 
     def _state(df: pd.DataFrame) -> pd.DataFrame:
@@ -211,18 +208,19 @@ def fill_forward(ds, key: str, order_cols, value_col: str, out_col: str,
         return df.assign(_filled=df.groupby(key, sort=False)[value_col].ffill())
 
     def _finish(df: pd.DataFrame, seeds) -> pd.DataFrame:
-        out = df.assign(**{out_col: df["_filled"].fillna(
+        # float64 up front: an all-null block arrives as object dtype,
+        # and fillna's implicit object downcast is deprecated in pandas
+        out = df.assign(**{out_col: df["_filled"].astype("float64").fillna(
             pd.Series(np.asarray(seeds, dtype="float64"), index=df.index))})
         return out.drop(columns=["_filled"])
 
     return _carry(ds, key, order_cols, value_col, out_col,
-                  _state, _seed, _block, _finish, distributed)
+                  _state, _seed, _block, _finish)
 
 
 # --- running total ----------------------------------------------------------
 
-def running_total(ds, key: str, order_cols, value_col: str, out_col: str,
-                  distributed: bool | None = None):
+def running_total(ds, key: str, order_cols, value_col: str, out_col: str):
     """Per-key running total in (key, order) order — ``SUM(value) OVER
     (PARTITION BY key ORDER BY order ROWS UNBOUNDED PRECEDING)``.
 
@@ -255,11 +253,10 @@ def running_total(ds, key: str, order_cols, value_col: str, out_col: str,
         return df.assign(**{out_col: df["_cum"] + s}).drop(columns=["_cum"])
 
     return _carry(ds, key, order_cols, value_col, out_col,
-                  _state, _seed, _block, _finish, distributed)
+                  _state, _seed, _block, _finish)
 
 
-def running_max(ds, key: str, order_cols, value_col: str, out_col: str,
-                distributed: bool | None = None):
+def running_max(ds, key: str, order_cols, value_col: str, out_col: str):
     """Per-key running maximum in (key, order) order — ``MAX(value)
     OVER (PARTITION BY key ORDER BY order ROWS UNBOUNDED PRECEDING)``.
 
@@ -300,13 +297,12 @@ def running_max(ds, key: str, order_cols, value_col: str, out_col: str,
         return df.assign(**{out_col: out}).drop(columns=["_cum"])
 
     return _carry(ds, key, order_cols, value_col, out_col,
-                  _state, _seed, _block, _finish, distributed)
+                  _state, _seed, _block, _finish)
 
 
 # --- lag / lead window functions --------------------------------------------
 
-def lag(ds, key: str, order_cols, value_col: str, out_col: str,
-        distributed: bool | None = None):
+def lag(ds, key: str, order_cols, value_col: str, out_col: str):
     """``LAG(value) OVER (PARTITION BY key ORDER BY order)`` — each
     row's previous-row value within its key (null for the key's first
     row).  Values ride as float64 (ints above 2^53 would round).
@@ -348,11 +344,10 @@ def lag(ds, key: str, order_cols, value_col: str, out_col: str,
         return out.drop(columns=["_lag", "_first"])
 
     return _carry(ds, key, order_cols, value_col, out_col,
-                  _state, _seed, _block, _finish, distributed)
+                  _state, _seed, _block, _finish)
 
 
-def lead(ds, key: str, order_cols, value_col: str, out_col: str,
-         distributed: bool | None = None):
+def lead(ds, key: str, order_cols, value_col: str, out_col: str):
     """``LEAD(value) OVER (PARTITION BY key ORDER BY order)`` — lag
     over the NEGATED (numeric) order columns; requires int/float order
     columns (true for the µs-timestamp + id orders this engine uses)."""
@@ -366,7 +361,7 @@ def lead(ds, key: str, order_cols, value_col: str, out_col: str,
 
     flipped = ds.map_batches(_negate, batch_format="pandas",
                              batch_size=None)
-    out = lag(flipped, key, neg, value_col, out_col, distributed)
+    out = lag(flipped, key, neg, value_col, out_col)
 
     def _drop(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop(columns=neg)

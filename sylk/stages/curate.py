@@ -154,7 +154,6 @@ class _ShingleFlagger:
 
 
 def decontaminate(docs_ds, bench_ds, k: int = 8,
-                  distributed: bool | None = None,
                   text_col: str = "text", id_col: str = "doc_id",
                   concurrency: tuple[int, int] = (1, 16)):
     """Eval-set n-gram decontamination: flag every corpus doc sharing at
@@ -163,11 +162,11 @@ def decontaminate(docs_ds, bench_ds, k: int = 8,
     found in the benchmark — the doc set a curation pipeline would drop
     (or audit) before training.
 
-    ``distributed=None`` auto-selects: broadcast the benchmark shingles
-    (the 100-TB-corpus default — eval sets are megabytes) unless the
-    benchmark pair count exceeds ``_BENCH_BROADCAST_LIMIT``, then a
-    distributed semi-join on the shingle key (both tiers produce
-    identical output; see tests/test_curate.py)."""
+    Tiers: broadcast the benchmark shingles (the 100-TB-corpus default —
+    eval sets are megabytes) unless the benchmark pair count exceeds
+    ``_BENCH_BROADCAST_LIMIT``, then a distributed semi-join on the
+    shingle key (both tiers produce identical output; see
+    tests/test_curate.py)."""
     import ray
     from ray.data.aggregate import Count
 
@@ -179,11 +178,8 @@ def decontaminate(docs_ds, bench_ds, k: int = 8,
     bench_pairs = bench_ds.map_batches(
         lambda b: _shingle_pairs_batch(b, k, text_col, id_col),
         batch_format="pyarrow", batch_size=None).materialize()
-    if distributed is None:
-        # tier decision from metadata only — never a driver collect
-        distributed = bench_pairs.count() > _BENCH_BROADCAST_LIMIT
-
-    if distributed:
+    # tier decision from metadata only — never a driver collect
+    if bench_pairs.count() > _BENCH_BROADCAST_LIMIT:
         hits = semi_join(pairs, bench_pairs, on="shingle")
     else:
         # distinct benchmark shingles, collected bounded (we are under

@@ -26,8 +26,11 @@ north-rule):
   distributed path: explode each pair into two edge rows, hash-JOIN the
   edges with the source on doc_id (the corpus is shuffled exactly once),
   then assemble per pair with a groupby on (a, b) (only candidate-sized
-  data moves).  ``distributed=True`` forces the join path end-to-end
-  (exercised by tests/test_distributed_paths.py).
+  data moves).
+
+Every tiered operator here picks its tier from input size alone: the
+bounded collect against the module limit.  Tests reach the exchange
+tier by lowering those limits.
 
 All hashing is explicit (blake2b / seeded numpy / splitmix64), never
 Python ``hash`` (PYTHONHASHSEED varies across Ray workers).
@@ -479,23 +482,14 @@ def _coarse_grouped_pairs(rows_ds, key_fn, pairs_fn):
                                             batch_format="pyarrow")
 
 
-def _candidate_pairs(triples_ds, distributed: bool | None = None):
+def _candidate_pairs(triples_ds):
     """(doc_id, band, band_hash) Dataset -> unique candidate pairs.
 
-    Returns a pandas DataFrame (driver path) or a Dataset (distributed
-    path).  ``distributed=None`` auto-selects by triple count."""
-    import ray
-    import ray.data
-
-    if distributed is False:
-        tbl = pa.concat_tables(ray.get(triples_ds.to_arrow_refs()))
+    Returns a pandas DataFrame (driver path, up to
+    ``_DRIVER_TRIPLE_LIMIT`` triples) or a Dataset (distributed path)."""
+    triples_ds, tbl = _bounded_collect(triples_ds, _DRIVER_TRIPLE_LIMIT)
+    if tbl is not None:
         return _pairs_from_triples(tbl)
-    if distributed is None:
-        triples_ds, tbl = _bounded_collect(triples_ds, _DRIVER_TRIPLE_LIMIT)
-        if tbl is not None:
-            return _pairs_from_triples(tbl)
-    else:
-        triples_ds = triples_ds.materialize()
 
     def _bucket_key(b: pa.Table) -> np.ndarray:
         band = b.column("band").to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -652,13 +646,13 @@ def _verify_pairs_join(pairs_ds, source_ds, id_col: str, val_col: str,
 
 
 def _verify_pairs(cand, source_ds, id_col: str, val_col: str, pair_fn: Callable,
-                  out_col: str, distributed: bool | None = None):
+                  out_col: str):
     """Route a candidate set (DataFrame or Dataset) through the broadcast
     or join verification path."""
     import ray.data
 
     if isinstance(cand, pd.DataFrame):
-        if distributed or len(cand) > _DRIVER_PAIR_LIMIT:
+        if len(cand) > _DRIVER_PAIR_LIMIT:
             if len(cand) == 0:
                 return ray.data.from_pandas(
                     pd.DataFrame({"a": pd.Series([], dtype="int64"),
@@ -674,25 +668,23 @@ def _verify_pairs(cand, source_ds, id_col: str, val_col: str, pair_fn: Callable,
 
 # --- MinHash-LSH near-dup ---------------------------------------------------
 
-def minhash_dup_pairs(docs_ds, threshold: float = 0.8, text_col: str = "text",
-                      distributed: bool | None = None):
+def minhash_dup_pairs(docs_ds, threshold: float = 0.8, text_col: str = "text"):
     """MinHash-LSH near-duplicate pairs, Jaccard-verified.
 
     Returns Dataset[(a, b, jaccard)] with a < b, jaccard >= threshold.
-    ``distributed=True`` forces the groupby candidate path and the
-    edge-join verification (the corpus-scale shape)."""
+    Above ``_DRIVER_TRIPLE_LIMIT`` band triples the groupby candidate
+    path and the edge-join verification run (the corpus-scale shape)."""
     bands = docs_ds.map_batches(
         lambda b: minhash_bands_batch(b, text_col), batch_format="pyarrow",
         batch_size=None,
     )
-    cand = _candidate_pairs(bands, distributed)
+    cand = _candidate_pairs(bands)
 
     def _jac(ta, tb):
         j = ngram_jaccard(ta or "", tb or "")
         return j if j >= threshold else None
 
-    return _verify_pairs(cand, docs_ds, "doc_id", text_col, _jac, "jaccard",
-                         distributed)
+    return _verify_pairs(cand, docs_ds, "doc_id", text_col, _jac, "jaccard")
 
 
 # --- exact n-gram Jaccard (inverted shingle index) --------------------------
@@ -782,8 +774,7 @@ def positional_gram_count_rows(batch: pa.Table, text_col: str = "text",
 
 
 def dup_ngram_spans(docs_ds, k: int = 8, text_col: str = "text",
-                    id_col: str = "doc_id",
-                    distributed: bool | None = None):
+                    id_col: str = "doc_id"):
     """Cross-document duplicated k-gram span census — the exact-substring
     dedup signal of Lee et al. 2022 ("Deduplicating Training Data Makes
     Language Models Better"): for every doc with >= k tokens, how many
@@ -797,7 +788,7 @@ def dup_ngram_spans(docs_ds, k: int = 8, text_col: str = "text",
 
     Tiers: under _DRIVER_TRIPLE_LIMIT collected gram rows (24 B each,
     bounded DECISION via _bounded_collect) the census is one numpy pass
-    on the driver; above it — or with ``distributed=True`` — the
+    on the driver; above it the
     distributed plan runs three keyed exchanges, all on compact rows:
     (1) the per-(doc, gram) combiner partials (<= tokens rows/doc) into
     a grouped doc-frequency count, (2) a semi-join of the gram rows
@@ -819,18 +810,16 @@ def dup_ngram_spans(docs_ds, k: int = 8, text_col: str = "text",
                 id_col=id_col, k=k),
         batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
-    # bounded driver tier (default): gram rows are 24 B each, so small
-    # corpora census in one numpy pass instead of paying three keyed
-    # exchanges of fixed shuffle cost; the tier DECISION materializes
-    # rows into the object store first, so an over-limit fall-through
-    # reuses those blocks (no re-explode) for the distributed path.
-    if distributed is not True:
-        mrows, tbl = _bounded_collect(rows, _DRIVER_TRIPLE_LIMIT)
-        if tbl is not None:
-            import ray.data
+    # bounded driver tier: gram rows are 24 B each, so small corpora
+    # census in one numpy pass instead of paying three keyed exchanges
+    # of fixed shuffle cost; the tier DECISION materializes rows into
+    # the object store first, so an over-limit fall-through reuses
+    # those blocks (no re-explode) for the distributed path.
+    rows, tbl = _bounded_collect(rows, _DRIVER_TRIPLE_LIMIT)
+    if tbl is not None:
+        import ray.data
 
-            return ray.data.from_arrow(_gram_census_driver(tbl))
-        rows = mrows
+        return ray.data.from_arrow(_gram_census_driver(tbl))
 
     # gram document-frequency (rows are distinct per (doc, gram), so
     # count-per-gram == doc frequency); two-phase so only per-block
@@ -854,7 +843,7 @@ def dup_ngram_spans(docs_ds, k: int = 8, text_col: str = "text",
         n_in = 64
     nparts = max(4, n_in // 8)
 
-    dup_rows = semi_join(rows, dup_grams, on="g", distributed=distributed)
+    dup_rows = semi_join(rows, dup_grams, on="g")
     dup_counts = grouped_agg(
         dup_rows.select_columns(["doc_id", "cnt"]).repartition(nparts),
         ["doc_id"], ["cnt"], count_name="_nr")
@@ -954,7 +943,6 @@ def _jaccard_pairs_local(tbl: pa.Table, threshold: float,
 
 def ngram_jaccard_dup_pairs(docs_ds, threshold: float = 0.6, k: int = 3,
                             text_col: str = "text",
-                            distributed: bool | None = None,
                             score=_pair_score_jaccard,
                             out_col: str = "jaccard"):
     """EXACT all-pairs n-gram Jaccard near-dup pairs via an inverted
@@ -978,7 +966,6 @@ def ngram_jaccard_dup_pairs(docs_ds, threshold: float = 0.6, k: int = 3,
     Jaccard over 64-bit shingle hashes equals Jaccard over the shingle
     strings unless blake2b+splitmix64 collide (P ~ n_shingles^2 / 2^64;
     ~1e-10 at sf0.1) — the oracle gate would catch a collision."""
-    import ray
     import ray.data
     from ray.data.aggregate import Max, Sum
 
@@ -986,17 +973,10 @@ def ngram_jaccard_dup_pairs(docs_ds, threshold: float = 0.6, k: int = 3,
         lambda b: ngram_shingle_rows(b, text_col, k=k),
         batch_format="pyarrow", batch_size=None,
     )
-    if distributed is False:
-        tbl = pa.concat_tables(ray.get(rows.to_arrow_refs()))
+    rows, tbl = _bounded_collect(rows, _DRIVER_TRIPLE_LIMIT)
+    if tbl is not None:
         return ray.data.from_pandas(
             _jaccard_pairs_local(tbl, threshold, score, out_col))
-    if distributed is None:
-        rows, tbl = _bounded_collect(rows, _DRIVER_TRIPLE_LIMIT)
-        if tbl is not None:
-            return ray.data.from_pandas(
-                _jaccard_pairs_local(tbl, threshold, score, out_col))
-    if distributed:
-        rows = rows.materialize()
 
     def _sh_key(b: pa.Table) -> np.ndarray:
         return b.column("sh").to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -1079,8 +1059,7 @@ def _pairs_from_keyed_rows(tbl: pa.Table, key_col: str) -> pd.DataFrame:
 
 
 def ngram_containment_pairs(docs_ds, threshold: float = 0.75, k: int = 3,
-                            text_col: str = "text",
-                            distributed: bool | None = None):
+                            text_col: str = "text"):
     """Asymmetric near-SUBSET detection: max-containment
     C(a,b) = |A∩B| / min(|A|,|B|) over distinct k-gram shingles — the
     dedup lens Jaccard misses (a short doc quoted verbatim inside a
@@ -1089,15 +1068,13 @@ def ngram_containment_pairs(docs_ds, threshold: float = 0.75, k: int = 3,
     index exchange as :func:`ngram_jaccard_dup_pairs` — only the final
     vectorized score differs."""
     return ngram_jaccard_dup_pairs(docs_ds, threshold, k, text_col,
-                                   distributed,
                                    score=_pair_score_containment,
                                    out_col="containment")
 
 
 def sorted_neighborhood_pairs(docs_ds, window: int = 2, key_chars: int = 30,
                               threshold: float = 0.6, k: int = 3,
-                              text_col: str = "text",
-                              distributed: bool | None = None):
+                              text_col: str = "text"):
     """Sorted-neighborhood (SNM) blocking dedup — the SORT-based
     blocking paradigm next to the hash (exact/normalized) and
     LSH/inverted-index families: rank every doc by a domain sort key
@@ -1171,31 +1148,20 @@ def sorted_neighborhood_pairs(docs_ds, window: int = 2, key_chars: int = 30,
         jc = ngram_jaccard(ta or "", tb or "", k)
         return jc if jc >= threshold else None
 
-    import ray
-
-    if distributed is False:
-        tbl = pa.concat_tables(ray.get(rows.to_arrow_refs()))
+    rows, tbl = _bounded_collect(rows, _DRIVER_TRIPLE_LIMIT)
+    if tbl is not None:
         return _verify_pairs(_pairs(tbl), docs_ds, "doc_id", text_col,
-                             _jac, "jaccard", distributed)
-    if distributed is None:
-        rows, tbl = _bounded_collect(rows, _DRIVER_TRIPLE_LIMIT)
-        if tbl is not None:
-            return _verify_pairs(_pairs(tbl), docs_ds, "doc_id", text_col,
-                                 _jac, "jaccard", distributed)
-    else:
-        rows = rows.materialize()
+                             _jac, "jaccard")
 
     def _j_key(b: pa.Table) -> np.ndarray:
         return b.column("j").to_numpy(zero_copy_only=False).astype(np.uint64)
 
     cand = _coarse_grouped_pairs(rows, _j_key, _pairs)
-    return _verify_pairs(cand, docs_ds, "doc_id", text_col, _jac,
-                         "jaccard", distributed)
+    return _verify_pairs(cand, docs_ds, "doc_id", text_col, _jac, "jaccard")
 
 
 def ngram_jaccard_dup_pairs_prefix(docs_ds, threshold: float = 0.6,
-                                   k: int = 3, text_col: str = "text",
-                                   distributed: bool | None = None):
+                                   k: int = 3, text_col: str = "text"):
     """The 100-TB shape of :func:`ngram_jaccard_dup_pairs`: PPJoin
     prefix-filtered candidate generation (full recall by the prefix
     theorem) + exact per-pair Jaccard verification through the shared
@@ -1204,9 +1170,6 @@ def ngram_jaccard_dup_pairs_prefix(docs_ds, threshold: float = 0.6,
     shrink quadratically.  Ordering the universe by hash value (uniform)
     needs no global frequency pass; rarity-first ordering would prune
     harder at the cost of one extra count pass."""
-    import ray
-    import ray.data
-
     rows = docs_ds.map_batches(
         lambda b: ngram_prefix_rows(b, text_col, k, threshold),
         batch_format="pyarrow", batch_size=None,
@@ -1216,19 +1179,11 @@ def ngram_jaccard_dup_pairs_prefix(docs_ds, threshold: float = 0.6,
         j = ngram_jaccard(ta or "", tb or "", k)
         return j if j >= threshold else None
 
-    if distributed is False:
-        tbl = pa.concat_tables(ray.get(rows.to_arrow_refs()))
+    rows, tbl = _bounded_collect(rows, _DRIVER_TRIPLE_LIMIT)
+    if tbl is not None:
         cand = _pairs_from_keyed_rows(tbl, "sh")
         return _verify_pairs(cand, docs_ds, "doc_id", text_col, _jac,
-                             "jaccard", distributed)
-    if distributed is None:
-        rows, tbl = _bounded_collect(rows, _DRIVER_TRIPLE_LIMIT)
-        if tbl is not None:
-            cand = _pairs_from_keyed_rows(tbl, "sh")
-            return _verify_pairs(cand, docs_ds, "doc_id", text_col, _jac,
-                                 "jaccard", distributed)
-    if distributed:
-        rows = rows.materialize()
+                             "jaccard")
 
     def _sh_key(b: pa.Table) -> np.ndarray:
         return b.column("sh").to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -1236,7 +1191,7 @@ def ngram_jaccard_dup_pairs_prefix(docs_ds, threshold: float = 0.6,
     pairs = _coarse_grouped_pairs(rows, _sh_key,
                                   lambda t: _pairs_from_keyed_rows(t, "sh"))
     return _verify_pairs(pairs, docs_ds, "doc_id", text_col, _jac,
-                         "jaccard", distributed)
+                         "jaccard")
 
 
 # --- exact dedup -----------------------------------------------------------
@@ -1384,8 +1339,7 @@ def simhash_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     return batch.append_column("simhash", pa.array(np.array(vals, dtype=np.uint64)))
 
 
-def simhash_dup_pairs(docs_ds, max_hamming: int = 3, text_col: str = "text",
-                      distributed: bool | None = None):
+def simhash_dup_pairs(docs_ds, max_hamming: int = 3, text_col: str = "text"):
     """SimHash near-dups: 4x16-bit chunk banding, Hamming-verified.
     Returns Dataset[(a, b, hamming)].  Verification attaches the 64-bit
     signatures (not the text) to each candidate — the cheapest possible
@@ -1418,7 +1372,7 @@ def simhash_dup_pairs(docs_ds, max_hamming: int = 3, text_col: str = "text",
         )
 
     chunks = sig_ds.map_batches(_chunks, batch_format="pyarrow", batch_size=None)
-    cand = _candidate_pairs(chunks, distributed)
+    cand = _candidate_pairs(chunks)
 
     # VECTORIZED verification: a simhash is 8 bytes, so the full
     # (doc_id -> signature) map is bounded by #docs (not #pairs) — 16 GB
@@ -1510,17 +1464,17 @@ def _winnow_explode(batch: pa.Table, text_col: str, k: int, w: int) -> pa.Table:
 
 
 def winnow_dup_pairs(docs_ds, min_shared: int = 3, k: int = 8, w: int = 16,
-                     text_col: str = "text", distributed: bool | None = None):
+                     text_col: str = "text"):
     """Fingerprint-overlap near-dup pairs: docs sharing >= ``min_shared``
     winnowing fingerprints.  Shuffle payload = (doc_id, fingerprint)
     pairs only.  Counting shared fingerprints per candidate pair runs on
-    the collected triples below ``_DRIVER_TRIPLE_LIMIT``; above it (or
-    with ``distributed=True``) the scale path runs: hash-partition by
-    fingerprint, emit the per-bucket pairs, count per (a, b) with a
-    two-phase groupby — no driver materialization anywhere."""
+    the collected triples below ``_DRIVER_TRIPLE_LIMIT``; above it the
+    scale path runs: hash-partition by fingerprint, emit the per-bucket
+    pairs, count per (a, b) with a two-phase groupby — no driver
+    materialization anywhere.  The driver tier returns int64
+    (a, b, shared_fps) also when no pair qualifies."""
     import collections
 
-    import ray
     import ray.data
 
     exploded = docs_ds.map_batches(
@@ -1528,18 +1482,15 @@ def winnow_dup_pairs(docs_ds, min_shared: int = 3, k: int = 8, w: int = 16,
         batch_format="pyarrow", batch_size=None,
     )
 
-    if not distributed:
-        if distributed is False:
-            tbl = pa.concat_tables(ray.get(exploded.to_arrow_refs()))
-        else:
-            exploded, tbl = _bounded_collect(exploded, _DRIVER_TRIPLE_LIMIT)
-        if tbl is not None:
+    exploded, tbl = _bounded_collect(exploded, _DRIVER_TRIPLE_LIMIT)
+    if tbl is not None:
+        cnt: collections.Counter = collections.Counter()
+        if tbl.num_rows:
             fp = tbl.column("fp").to_numpy(zero_copy_only=False)
             ids = tbl.column("doc_id").to_numpy(zero_copy_only=False)
             order = np.lexsort((ids, fp))
             fp, ids = fp[order], ids[order]
             bounds = np.flatnonzero(np.diff(fp) != 0) + 1
-            cnt: collections.Counter = collections.Counter()
             for s, e in zip(np.concatenate(([0], bounds)),
                             np.concatenate((bounds, [len(fp)]))):
                 if e - s < 2:
@@ -1548,20 +1499,12 @@ def winnow_dup_pairs(docs_ds, min_shared: int = 3, k: int = 8, w: int = 16,
                 for i in range(len(run)):
                     for j in range(i + 1, len(run)):
                         cnt[(int(run[i]), int(run[j]))] += 1
-            rows = [(a, b, n) for (a, b), n in sorted(cnt.items()) if n >= min_shared]
-            if not rows:
-                return ray.data.from_items([])
-            a, b, n = zip(*rows)
-            return ray.data.from_pandas(
-                pd.DataFrame({"a": a, "b": b, "shared_fps": n}).astype(
-                    {"a": "int64", "b": "int64", "shared_fps": "int64"}
-                )
-            )
-        # fall through to the distributed path above the driver limit
+        rows = [(a, b, n) for (a, b), n in sorted(cnt.items()) if n >= min_shared]
+        cols = list(zip(*rows)) if rows else [(), (), ()]
+        return ray.data.from_pandas(pd.DataFrame(
+            {c: pd.Series(v, dtype="int64")
+             for c, v in zip(("a", "b", "shared_fps"), cols)}))
     from ray.data.aggregate import Sum
-
-    if distributed:
-        exploded = exploded.materialize()
 
     def _fp_key(b: pa.Table) -> np.ndarray:
         return b.column("fp").to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -1595,8 +1538,7 @@ def _pair_cosine(va, vb) -> float | None:
 
 def embedding_dup_pairs(emb_ds, threshold: float = 0.98, n_bands: int = 16,
                         bits_per_band: int = 8, seed: int = 42,
-                        round_to: int | None = 6,
-                        distributed: bool | None = None):
+                        round_to: int | None = 6):
     """Multi-band random-hyperplane LSH over an embedding column ->
     bucket pairs -> exact cosine verify.  Returns Dataset[(a, b, cosine)]
     with a < b, unrounded cosine >= threshold (output rounded to
@@ -1635,7 +1577,7 @@ def embedding_dup_pairs(emb_ds, threshold: float = 0.98, n_bands: int = 16,
         )
 
     buckets = emb_ds.map_batches(_bands, batch_format="pyarrow", batch_size=None)
-    cand = _candidate_pairs(buckets, distributed)
+    cand = _candidate_pairs(buckets)
 
     def _cos(va, vb):
         if va is None or vb is None:
@@ -1645,8 +1587,7 @@ def embedding_dup_pairs(emb_ds, threshold: float = 0.98, n_bands: int = 16,
             return None
         return round(c, round_to) if round_to is not None else c
 
-    if isinstance(cand, pd.DataFrame) and not distributed \
-            and len(cand) <= _DRIVER_PAIR_LIMIT:
+    if isinstance(cand, pd.DataFrame) and len(cand) <= _DRIVER_PAIR_LIMIT:
         return _verify_broadcast(cand, emb_ds, "vec_id", "embedding", _cos,
                                  "cosine")
 
@@ -1754,8 +1695,7 @@ def embedding_dup_pairs(emb_ds, threshold: float = 0.98, n_bands: int = 16,
 
 def semantic_dedup(emb_ds, threshold: float = 0.95, k: int = 8,
                    iterations: int = 2, id_col: str = "vec_id",
-                   emb_col: str = "embedding",
-                   distributed: bool | None = None):
+                   emb_col: str = "embedding"):
     """SemDeDup-style cluster-scoped semantic dedup (Abbas et al. 2023,
     "SemDeDup: Data-efficient learning at web-scale through semantic
     deduplication"): cluster the embedding space with the fixed-point
@@ -1776,7 +1716,7 @@ def semantic_dedup(emb_ds, threshold: float = 0.95, k: int = 8,
 
     Tiers: the label map collects to the driver under
     ``_DRIVER_TRIPLE_LIMIT`` rows (16 B each) and the census is one
-    numpy pass; above it — or ``distributed=True`` — pairs join their
+    numpy pass; above it pairs join their
     endpoint labels (pairs side is small), same-cluster survivors feed
     a distributed anti-join on the label Dataset.
     """
@@ -1787,31 +1727,27 @@ def semantic_dedup(emb_ds, threshold: float = 0.95, k: int = 8,
     # unmaterialized, Ray re-runs the Lloyd train per consumer
     assign = kmeans_assign(emb_ds, k=k, iterations=iterations,
                            id_col=id_col, emb_col=emb_col).materialize()
-    pairs = embedding_dup_pairs(emb_ds, threshold=threshold,
-                                distributed=distributed)
+    pairs = embedding_dup_pairs(emb_ds, threshold=threshold)
     mpairs, ptbl = _bounded_collect(pairs, _DRIVER_PAIR_LIMIT)
+    assign, atbl = _bounded_collect(assign, _DRIVER_TRIPLE_LIMIT)
+    if atbl is not None and ptbl is not None:
+        import ray.data
 
-    if distributed is not True:
-        massign, atbl = _bounded_collect(assign, _DRIVER_TRIPLE_LIMIT)
-        if atbl is not None and ptbl is not None:
-            import ray.data
-
-            ids = atbl.column(id_col).to_numpy(zero_copy_only=False)
-            cl = atbl.column("cluster").to_numpy(zero_copy_only=False)
-            order = np.argsort(ids, kind="stable")
-            ids, cl = ids[order], cl[order]
-            if ptbl.num_rows and ptbl.num_columns:
-                a = ptbl.column("a").to_numpy(zero_copy_only=False)
-                b = ptbl.column("b").to_numpy(zero_copy_only=False)
-                same = (cl[np.searchsorted(ids, a)]
-                        == cl[np.searchsorted(ids, b)])
-                keep_mask = ~np.isin(ids, np.unique(b[same]))
-            else:
-                keep_mask = np.ones(len(ids), bool)
-            return ray.data.from_arrow(pa.table({
-                id_col: pa.array(ids[keep_mask], pa.int64()),
-                "cluster": pa.array(cl[keep_mask], pa.int64())}))
-        assign = massign
+        ids = atbl.column(id_col).to_numpy(zero_copy_only=False)
+        cl = atbl.column("cluster").to_numpy(zero_copy_only=False)
+        order = np.argsort(ids, kind="stable")
+        ids, cl = ids[order], cl[order]
+        if ptbl.num_rows and ptbl.num_columns:
+            a = ptbl.column("a").to_numpy(zero_copy_only=False)
+            b = ptbl.column("b").to_numpy(zero_copy_only=False)
+            same = (cl[np.searchsorted(ids, a)]
+                    == cl[np.searchsorted(ids, b)])
+            keep_mask = ~np.isin(ids, np.unique(b[same]))
+        else:
+            keep_mask = np.ones(len(ids), bool)
+        return ray.data.from_arrow(pa.table({
+            id_col: pa.array(ids[keep_mask], pa.int64()),
+            "cluster": pa.array(cl[keep_mask], pa.int64())}))
 
     # distributed tier: label both pair endpoints (pairs side is the
     # small one), keep same-cluster pairs, anti-join the drop ids.
@@ -1843,8 +1779,7 @@ def semantic_dedup(emb_ds, threshold: float = 0.95, k: int = 8,
                 .select(["b"]))
 
     drops = j.map_batches(_same, batch_format="pyarrow", batch_size=None)
-    kept = anti_join(assign, drops, on=id_col, right_key="b",
-                     distributed=distributed)
+    kept = anti_join(assign, drops, on=id_col, right_key="b")
     return kept.sort(id_col)
 
 
@@ -1854,8 +1789,7 @@ _CC_DRIVER_EDGE_LIMIT = 2_000_000  # graph.py's pagerank bound
 
 
 def connected_components(nodes_ds, edges_ds, node_col: str = "doc_id",
-                         max_iter: int = 50,
-                         distributed: bool | None = None):
+                         max_iter: int = 50):
     """Resolve near-dup PAIRS into canonical clusters: every node gets
     ``cluster_id`` = the smallest node id reachable through the edge
     set (singletons keep their own id).  This is the step that turns a
@@ -1906,49 +1840,42 @@ def connected_components(nodes_ds, edges_ds, node_col: str = "doc_id",
     # resolves (measured 15.5 s for 68 edges).  Under the edge bound the
     # min-labels come from a vectorized numpy relax + pointer-jump over
     # the collected EDGE list only — nodes are never collected; labels
-    # broadcast once and apply per node block.  Above the bound (or
-    # ``distributed=True``) the exchange path below is unchanged.
-    if not distributed:
-        if distributed is False:
-            # forced-driver: collect WITHOUT the bound — the caller
-            # explicitly opted out of the exchange path, so honor it
-            # (mirrors the `distributed is False` branches above)
-            etbl = pa.concat_tables(ray.get(edges.to_arrow_refs()))
-        else:
-            edges, etbl = _bounded_collect(edges, _CC_DRIVER_EDGE_LIMIT)
-        if etbl is not None and etbl.num_rows:
-            src = etbl.column("src").to_numpy(zero_copy_only=False)
-            dst = etbl.column("dst").to_numpy(zero_copy_only=False)
-            uids, inv = np.unique(np.concatenate([src, dst]),
-                                  return_inverse=True)
-            lab = np.arange(len(uids), dtype=np.int64)
-            si, di = inv[: len(src)], inv[len(src):]
-            for _ in range(max_iter):
-                new = lab.copy()
-                np.minimum.at(new, si, lab[di])
-                while True:  # pointer jumping: chase labels to roots
-                    nn = new[new]
-                    if np.array_equal(nn, new):
-                        break
-                    new = nn
-                if np.array_equal(new, lab):
+    # broadcast once and apply per node block.  Above the bound the
+    # exchange path below runs.
+    edges, etbl = _bounded_collect(edges, _CC_DRIVER_EDGE_LIMIT)
+    if etbl is not None and etbl.num_rows:
+        src = etbl.column("src").to_numpy(zero_copy_only=False)
+        dst = etbl.column("dst").to_numpy(zero_copy_only=False)
+        uids, inv = np.unique(np.concatenate([src, dst]),
+                              return_inverse=True)
+        lab = np.arange(len(uids), dtype=np.int64)
+        si, di = inv[: len(src)], inv[len(src):]
+        for _ in range(max_iter):
+            new = lab.copy()
+            np.minimum.at(new, si, lab[di])
+            while True:  # pointer jumping: chase labels to roots
+                nn = new[new]
+                if np.array_equal(nn, new):
                     break
-                lab = new
-            # uids ascend, so the min label INDEX is the min node id
-            final = uids[lab]
-            ref = ray.put((uids, final))
+                new = nn
+            if np.array_equal(new, lab):
+                break
+            lab = new
+        # uids ascend, so the min label INDEX is the min node id
+        final = uids[lab]
+        ref = ray.put((uids, final))
 
-            def _apply(b: pa.Table) -> pa.Table:
-                u, f = ray.get(ref)
-                n = b.column("node").to_numpy(zero_copy_only=False)
-                pos = np.minimum(np.searchsorted(u, n), len(u) - 1)
-                inb = u[pos] == n
-                out = np.where(inb, f[pos], n)
-                return pa.table({node_col: pa.array(n, pa.int64()),
-                                 "cluster_id": pa.array(out, pa.int64())})
+        def _apply(b: pa.Table) -> pa.Table:
+            u, f = ray.get(ref)
+            n = b.column("node").to_numpy(zero_copy_only=False)
+            pos = np.minimum(np.searchsorted(u, n), len(u) - 1)
+            inb = u[pos] == n
+            out = np.where(inb, f[pos], n)
+            return pa.table({node_col: pa.array(n, pa.int64()),
+                             "cluster_id": pa.array(out, pa.int64())})
 
-            return labels.map_batches(_apply, batch_format="pyarrow",
-                                      batch_size=None)
+        return labels.map_batches(_apply, batch_format="pyarrow",
+                                  batch_size=None)
 
     for _ in range(max_iter):
         # smallest neighbor label per src (neighbor = edge dst)
@@ -2073,8 +2000,7 @@ _TFIDF_VOCAB_BROADCAST_LIMIT = 5_000_000
 
 
 def tfidf_cosine_pairs(docs_ds, threshold: float = 0.5,
-                       max_df_frac: float = 0.5, text_col: str = "text",
-                       distributed: bool | None = None):
+                       max_df_frac: float = 0.5, text_col: str = "text"):
     """All-pairs TF-IDF weighted cosine similarity join: pairs (a, b,
     cosine) with a < b and cosine >= threshold, where each doc is the
     sparse vector w(d, t) = tf(d, t) * ln(N / df(t)) over whitespace
@@ -2127,15 +2053,9 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.5,
                              "b": out["b"].to_numpy(),
                              "cosine": np.round(out["dot"].to_numpy(), 6)})
 
-    if distributed is False:
-        tbl = pa.concat_tables(ray.get(rows.to_arrow_refs()))
+    rows, tbl = _bounded_collect(rows, _DRIVER_TRIPLE_LIMIT)
+    if tbl is not None:
         return ray.data.from_pandas(_local(tbl))
-    if distributed is None:
-        rows, tbl = _bounded_collect(rows, _DRIVER_TRIPLE_LIMIT)
-        if tbl is not None:
-            return ray.data.from_pandas(_local(tbl))
-    else:
-        rows = rows.materialize()
 
     # ---- distributed tier ----
     # N: token rows are generated per block, so a doc's rows never span

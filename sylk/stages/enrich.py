@@ -1,17 +1,13 @@
-"""Enrich stage: facility/severity name lookup in an actor pool.
+"""Enrich stage: facility/severity name lookup.
 
 Mirrors the reference's enum->string surface (facility.rs:87-114
-``as_str``, severity.rs:57-68) as a broadcast lookup: the 24+8 name
-tables are built ONCE per actor in ``__init__`` and applied per batch
-with ``pyarrow.compute.take`` (null indices propagate nulls, so failed
-rows keep null names).  Usage::
+``as_str``, severity.rs:57-68) as a cached lookup: the 24+8 name
+tables are built ONCE per worker process (``Enricher.__init__``, held
+by :func:`enrich_batch`) and applied per batch with
+``pyarrow.compute.take`` (null indices propagate nulls, so failed rows
+keep null names).  Usage::
 
-    ds.map_batches(Enricher, batch_format="pyarrow", concurrency=(2, 8))
-
-This is the pipeline's stateful-stage pattern: any lookup table /
-compiled state lives in ``__init__``; for genuinely large small-sides,
-pass a ``ray.ObjectRef`` (``ray.put`` once on the driver) and
-``ray.get`` it here — never re-ship per batch.
+    ds.map_batches(enrich_batch, batch_format="pyarrow", batch_size=None)
 """
 
 from __future__ import annotations
@@ -23,15 +19,9 @@ from ..functions.reference_semantics import FACILITY_NAMES, SEVERITY_NAMES
 
 
 class Enricher:
-    def __init__(self, extra_lookup_ref=None):
+    def __init__(self):
         self._fac_names = pa.array(FACILITY_NAMES, pa.string())
         self._sev_names = pa.array(SEVERITY_NAMES, pa.string())
-        if extra_lookup_ref is not None:
-            import ray
-
-            self._extra = ray.get(extra_lookup_ref)
-        else:
-            self._extra = None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         fac = batch.column("facility")
@@ -57,9 +47,7 @@ def enrich_batch(batch: pa.Table) -> pa.Table:
     reuses WARM worker processes across Dataset executions, while an
     actor pool pays fresh process spawn + imports per execution.  The
     module-level cache gives the same build-state-once-per-worker
-    semantics the actor ``__init__`` would; reach for the ``Enricher``
-    actor-pool form only when the state is expensive enough (a model, a
-    multi-GB broadcast) to need pool-size control or GPU pinning."""
+    semantics an actor ``__init__`` would."""
     global _WORKER_ENRICHER
     if _WORKER_ENRICHER is None:
         _WORKER_ENRICHER = Enricher()

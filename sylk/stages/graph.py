@@ -37,7 +37,7 @@ _DRIVER_EDGE_LIMIT = 2_000_000
 def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
              weight_col: str | None = None, iterations: int = 5,
              damping_pct: int = 85, node_col: str = "node",
-             rank_col: str = "rank_fp", distributed: bool | None = None):
+             rank_col: str = "rank_fp"):
     """Weighted PageRank with a fixed iteration count.
 
     ``edges_ds``: Dataset[(src, dst[, weight])]; string or int node ids.
@@ -74,17 +74,12 @@ def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
 
     edges = edges_ds.map_batches(_ev, batch_format="pyarrow",
                                  batch_size=None)
-    if distributed is not True:
-        from .dedup import _bounded_collect
+    from .dedup import _bounded_collect
 
-        edges, tbl = _bounded_collect(edges, _DRIVER_EDGE_LIMIT)
-        if tbl is not None:
-            return _pagerank_driver(tbl, iterations, damping_pct,
-                                    node_col, rank_col)
-        if distributed is False:
-            raise ValueError(
-                f"distributed=False but edge count exceeds "
-                f"{_DRIVER_EDGE_LIMIT}")
+    edges, tbl = _bounded_collect(edges, _DRIVER_EDGE_LIMIT)
+    if tbl is not None:
+        return _pagerank_driver(tbl, iterations, damping_pct,
+                                node_col, rank_col)
     # per-block partial sums (pyarrow C++ group_by) BEFORE every keyed
     # Sum: the shuffle then moves O(blocks x distinct keys) partial rows
     # instead of every edge — the same combiner rule the aggregate
@@ -209,8 +204,7 @@ def _pagerank_driver(edges: pa.Table, iterations: int, damping_pct: int,
         rank_col: pa.array(r[order], pa.int64())}))
 
 
-def degree_orient(edges_ds, a_col: str = "a", b_col: str = "b",
-                  distributed: bool | None = None):
+def degree_orient(edges_ds, a_col: str = "a", b_col: str = "b"):
     """Re-orient unique undirected edges by (degree, id) rank: each
     edge comes back as (a, b) with rank(a) < rank(b) where rank =
     (degree, node id).  Any total order makes every triangle
@@ -222,8 +216,8 @@ def degree_orient(edges_ds, a_col: str = "a", b_col: str = "b",
 
     Tiers: the degree table is node-cardinality-bounded, so under
     ``_DRIVER_EDGE_LIMIT`` it broadcasts once (ray.put) and the
-    re-orient is a per-block searchsorted lookup; above the bound (or
-    ``distributed=True``) two renamed hash joins attach endpoint
+    re-orient is a per-block searchsorted lookup; above the bound two
+    renamed hash joins attach endpoint
     degrees — the pagerank tier pattern."""
     import ray
     import ray.data
@@ -245,33 +239,32 @@ def degree_orient(edges_ds, a_col: str = "a", b_col: str = "b",
         swap = (db < da) | ((db == da) & (bb < a))
         return (np.where(swap, bb, a), np.where(swap, a, bb))
 
-    if distributed is not True:
-        from .dedup import _bounded_collect
+    from .dedup import _bounded_collect
 
-        deg, dtbl = _bounded_collect(deg, _DRIVER_EDGE_LIMIT)
-        if dtbl is not None:
-            nodes = dtbl.column("node").to_numpy(
+    deg, dtbl = _bounded_collect(deg, _DRIVER_EDGE_LIMIT)
+    if dtbl is not None:
+        nodes = dtbl.column("node").to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        dn = dtbl.column("n").to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        o = np.argsort(nodes)
+        ref = ray.put((nodes[o], dn[o]))
+
+        def _orient(b: pa.Table) -> pa.Table:
+            nd, dd = ray.get(ref)
+            a = b.column(a_col).to_numpy(
                 zero_copy_only=False).astype(np.int64)
-            dn = dtbl.column("n").to_numpy(
+            bb = b.column(b_col).to_numpy(
                 zero_copy_only=False).astype(np.int64)
-            o = np.argsort(nodes)
-            ref = ray.put((nodes[o], dn[o]))
+            # every endpoint is in the degree table by construction
+            da = dd[np.searchsorted(nd, a)]
+            db = dd[np.searchsorted(nd, bb)]
+            u, v = _orient_arrays(a, bb, da, db)
+            return pa.table({a_col: pa.array(u, pa.int64()),
+                             b_col: pa.array(v, pa.int64())})
 
-            def _orient(b: pa.Table) -> pa.Table:
-                nd, dd = ray.get(ref)
-                a = b.column(a_col).to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                bb = b.column(b_col).to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                # every endpoint is in the degree table by construction
-                da = dd[np.searchsorted(nd, a)]
-                db = dd[np.searchsorted(nd, bb)]
-                u, v = _orient_arrays(a, bb, da, db)
-                return pa.table({a_col: pa.array(u, pa.int64()),
-                                 b_col: pa.array(v, pa.int64())})
-
-            return edges_ds.map_batches(_orient, batch_format="pyarrow",
-                                        batch_size=None)
+        return edges_ds.map_batches(_orient, batch_format="pyarrow",
+                                    batch_size=None)
 
     dega = deg.map_batches(
         lambda t: pa.table({"_ka": t.column("node"),

@@ -19,8 +19,8 @@ shapes, chosen by side sizes:
   verification paths: below ``_DRIVER_KEY_LIMIT`` distinct right keys,
   a broadcast key-set filter (``pyarrow.compute.is_in`` per block, no
   shuffle at all); above it, ``Dataset.join`` ``left_semi`` /
-  ``left_anti`` (``distributed=True`` forces, equivalence is tested in
-  tests/test_join.py).
+  ``left_anti`` (equivalence is tested in tests/test_join.py by
+  lowering the limit).
 
 Aggregation after a join uses :func:`grouped_agg` — per-block pyarrow
 ``group_by`` partials (combiner) then one small ``groupby`` of the
@@ -37,6 +37,28 @@ import pyarrow.compute as pc
 # below this many DISTINCT right-side keys, semi/anti joins broadcast
 # the key set instead of shuffling the left side.
 _DRIVER_KEY_LIMIT = 5_000_000
+
+
+def _check_hash_shuffle_api(op_cls, bundle_cls) -> None:
+    """Refuse to patch a Ray whose private API moved: the patch below
+    wraps ``op_cls._do_add_input_inner(self, input_bundle, input_index)``
+    and rebuilds bundles with ``bundle_cls(..., owns_blocks=, schema=)``.
+    Raises ``RuntimeError`` naming the Ray version otherwise."""
+    import inspect
+
+    import ray
+
+    params = list(inspect.signature(op_cls._do_add_input_inner).parameters)
+    bundle_params = inspect.signature(bundle_cls).parameters
+    if (params != ["self", "input_bundle", "input_index"]
+            or "owns_blocks" not in bundle_params
+            or "schema" not in bundle_params):
+        raise RuntimeError(
+            f"ray {ray.__version__}: the hash-shuffle schema-broadcast "
+            f"patch expects {op_cls.__name__}._do_add_input_inner(self, "
+            f"input_bundle, input_index) and {bundle_cls.__name__}("
+            f"owns_blocks=, schema=); got {params} and "
+            f"{list(bundle_params)}")
 
 
 def _patch_hash_shuffle_schema_broadcast() -> None:
@@ -59,6 +81,7 @@ def _patch_hash_shuffle_schema_broadcast() -> None:
     cls = _hs.HashShufflingOperatorBase
     if getattr(cls, "_sylk_schema_broadcast_patch", False):
         return
+    _check_hash_shuffle_api(cls, RefBundle)
     orig = cls._do_add_input_inner
 
     def _patched(self, input_bundle, input_index):
@@ -204,23 +227,18 @@ def hash_join(left_ds, right_ds, on, right_on=None, join_type: str = "inner",
                               batch_size=None, zero_copy_batch=True)
 
 
-def _semi_anti(left_ds, right_ds, on: str, right_key: str, anti: bool,
-               distributed: bool | None = None,
-               num_partitions: int | None = None):
+def _semi_anti(left_ds, right_ds, on: str, right_key: str, anti: bool):
     import ray
 
     # `Dataset.unique` materializes the distinct key list on the driver,
     # so the tier DECISION must be bounded too: probe the right-side ROW
     # count first (distinct keys <= rows, and count() is metadata-cheap)
-    # and only collect keys when rows are under the limit.  Forced or
-    # over-limit inputs take the native left_semi/left_anti Dataset.join.
-    if distributed is None:
-        distributed = right_ds.count() > _DRIVER_KEY_LIMIT
-    if distributed:
+    # and only collect keys when rows are under the limit.  Over-limit
+    # inputs take the native left_semi/left_anti Dataset.join.
+    if right_ds.count() > _DRIVER_KEY_LIMIT:
         jt = "left_anti" if anti else "left_semi"
         return hash_join(left_ds, right_ds.select_columns([right_key]),
-                         on=(on,), right_on=(right_key,), join_type=jt,
-                         num_partitions=num_partitions)
+                         on=(on,), right_on=(right_key,), join_type=jt)
     key_list = right_ds.select_columns([right_key]).unique(right_key)
     # SQL semi/anti semantics: a NULL right key never matches, so drop
     # Nones before sorting (mixed None/int would also crash sorted());
@@ -242,20 +260,14 @@ def _semi_anti(left_ds, right_ds, on: str, right_key: str, anti: bool,
                                zero_copy_batch=True)
 
 
-def semi_join(left_ds, right_ds, on: str, right_key: str | None = None,
-              distributed: bool | None = None,
-              num_partitions: int | None = None):
+def semi_join(left_ds, right_ds, on: str, right_key: str | None = None):
     """Rows of ``left_ds`` whose ``on`` key appears in ``right_ds``."""
-    return _semi_anti(left_ds, right_ds, on, right_key or on, anti=False,
-                      distributed=distributed, num_partitions=num_partitions)
+    return _semi_anti(left_ds, right_ds, on, right_key or on, anti=False)
 
 
-def anti_join(left_ds, right_ds, on: str, right_key: str | None = None,
-              distributed: bool | None = None,
-              num_partitions: int | None = None):
+def anti_join(left_ds, right_ds, on: str, right_key: str | None = None):
     """Rows of ``left_ds`` whose ``on`` key does NOT appear in ``right_ds``."""
-    return _semi_anti(left_ds, right_ds, on, right_key or on, anti=True,
-                      distributed=distributed, num_partitions=num_partitions)
+    return _semi_anti(left_ds, right_ds, on, right_key or on, anti=True)
 
 
 # --- post-join aggregation (two-phase) --------------------------------------

@@ -53,20 +53,18 @@ def add_route_columns(batch: pa.Table) -> pa.Table:
     return batch.append_column("route_id", route_id)
 
 
-def route_and_write(parsed_ds, out_dir: str, by_sink: bool = True, **write_kwargs):
+def route_and_write(parsed_ds, out_dir: str):
     """Write the routed fan-out in one pass.  ``parsed_ds`` must already
-    carry facility_name/severity_name (post-Enricher).
+    carry facility_name/severity_name (post-enrich).
 
-    ``by_sink=True`` (default) range-partitions on the sink key (Ray
-    ``sort`` — the Dataset-API expression of a hash-partitioned router)
-    before the Hive write, so each sink directory gets O(1) files per
-    block range instead of one file per (input block x sink): without
-    it a uniform key mixture writes blocks x 193 tiny files, which at
-    10^12 rows means millions of sub-MB objects per checkpoint unit.
+    The write range-partitions on the sink key (Ray ``sort`` — the
+    Dataset-API expression of a hash-partitioned router) first, so each
+    sink directory gets O(1) files per block range instead of one file
+    per (input block x sink): without it a uniform key mixture writes
+    blocks x 193 tiny files, which at 10^12 rows means millions of
+    sub-MB objects per checkpoint unit.
     The sort key is the dense int16 ``route_id`` (same clustering as the
-    string pair, far cheaper to exchange/compare).  Set
-    ``by_sink=False`` to skip the exchange when the input is already
-    clustered by key (e.g. re-routing previously routed data).
+    string pair, far cheaper to exchange/compare).
 
     Measured alternative (12M rows, 32 cpus, interleaved best-of-4;
     BASELINE.md round 4): ``repartition(keys=["route_id"])`` under
@@ -77,13 +75,12 @@ def route_and_write(parsed_ds, out_dir: str, by_sink: bool = True, **write_kwarg
     working when one sink is hot: ranges split a hot key across tasks,
     a hash bucket cannot."""
     ds = parsed_ds.map_batches(add_route_columns, batch_format="pyarrow")
-    if by_sink:
-        ds = ds.sort("route_id")
-    ds.write_parquet(out_dir, partition_cols=["route", "route_key"], **write_kwargs)
+    ds = ds.sort("route_id")
+    ds.write_parquet(out_dir, partition_cols=["route", "route_key"])
     return out_dir
 
 
-def route_and_write_jsonl(parsed_ds, out_dir: str, by_sink: bool = True):
+def route_and_write_jsonl(parsed_ds, out_dir: str):
     """Routed fan-out to newline-delimited JSON sinks — the shape a
     downstream log consumer (the crate's serde surface) ingests
     directly.  Same Hive layout and range-partition-by-sink policy as
@@ -96,8 +93,7 @@ def route_and_write_jsonl(parsed_ds, out_dir: str, by_sink: bool = True):
     import uuid
 
     ds = parsed_ds.map_batches(add_route_columns, batch_format="pyarrow")
-    if by_sink:
-        ds = ds.sort("route_id")
+    ds = ds.sort("route_id")
 
     def _write(df) -> "pa.Table":
         for (r, k), g in df.groupby(["route", "route_key"], sort=False):

@@ -18,3 +18,11 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+def scale_tier(monkeypatch, module, *names):
+    """Send every operator gated by the named ``_*_LIMIT`` constants of
+    ``module`` to its exchange tier: operators pick a tier from input
+    size alone, and a limit of -1 puts even an empty input above it."""
+    for name in names:
+        monkeypatch.setattr(module, name, -1)

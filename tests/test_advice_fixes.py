@@ -134,29 +134,3 @@ def test_connected_components_no_edges(ray_session):
          "b": pd.Series([], dtype="int64")}))
     out = connected_components(nodes, empty).to_pandas()
     assert (out.doc_id == out.cluster_id).all()
-
-
-def test_connected_components_forced_driver_unbounded(ray_session,
-                                                      monkeypatch):
-    """ADVICE r5: ``distributed=False`` must stay on the driver even
-    when the edge count exceeds the auto-tier bound — it used to fall
-    through silently to the exchange loop via _bounded_collect."""
-    import ray.data
-
-    from sylk.stages.dedup import connected_components
-
-    monkeypatch.setattr(dedup, "_CC_DRIVER_EDGE_LIMIT", 1)
-    calls = []
-    real = dedup._bounded_collect
-    monkeypatch.setattr(
-        dedup, "_bounded_collect",
-        lambda *a, **k: calls.append(1) or real(*a, **k))
-    nodes = ray.data.from_arrow(pa.table(
-        {"doc_id": pa.array([1, 2, 3, 4], pa.int64())}))
-    edges = ray.data.from_arrow(pa.table(
-        {"a": pa.array([1, 3], pa.int64()),
-         "b": pa.array([2, 4], pa.int64())}))
-    out = connected_components(nodes, edges, distributed=False).to_pandas()
-    assert not calls  # the bounded probe is the auto tier, not this one
-    got = dict(zip(out.doc_id, out.cluster_id))
-    assert got == {1: 1, 2: 1, 3: 3, 4: 3}

@@ -4,7 +4,9 @@ repetition signals, dataset profiling."""
 import numpy as np
 import pyarrow as pa
 import pytest
+from conftest import scale_tier
 
+from sylk.stages import curate
 from sylk.stages.curate import (
     _shingle_pairs_batch,
     decontaminate,
@@ -93,21 +95,19 @@ def _decon_datasets():
 def test_decontaminate_broadcast_flags_overlap():
     corpus, bench = _decon_datasets()
     out = {r["doc_id"]: r["n_hit"]
-           for r in decontaminate(corpus, bench, k=8,
-                                  distributed=False).take_all()}
+           for r in decontaminate(corpus, bench, k=8).take_all()}
     # doc 100 shares 2 distinct 8-grams (both windows of the 9-token
     # bench doc 0), doc 102 shares 1 (bench 1's first window), 101 none
     assert out == {100: 2, 102: 1}
 
 
-def test_decontaminate_distributed_equivalence():
+def test_decontaminate_distributed_equivalence(monkeypatch):
     corpus, bench = _decon_datasets()
     a = {(r["doc_id"], r["n_hit"])
-         for r in decontaminate(corpus, bench, k=8,
-                                distributed=False).take_all()}
+         for r in decontaminate(corpus, bench, k=8).take_all()}
+    scale_tier(monkeypatch, curate, "_BENCH_BROADCAST_LIMIT")
     b = {(r["doc_id"], r["n_hit"])
-         for r in decontaminate(corpus, bench, k=8,
-                                distributed=True).take_all()}
+         for r in decontaminate(corpus, bench, k=8).take_all()}
     assert a == b and a
 
 

@@ -1,11 +1,15 @@
 """The driver-merge aggregates all document a distributed fallback for
-larger-than-one-machine cardinality; these tests force those branches
-and assert equivalence with the default paths."""
+larger-than-one-machine cardinality; these tests reach those branches
+by lowering the tier limits and assert equivalence with the default
+paths."""
 
 import numpy as np
 import pandas as pd
 import pytest
+from conftest import scale_tier
 
+import sylk.stages.aggregate as aggregate
+import sylk.stages.asof as asof
 import sylk.stages.dedup as dedup
 from sylk.sources.transcripts import synth_batch
 from sylk.stages.aggregate import combined_counts, grouped_counts, rollups_from_combined
@@ -26,9 +30,10 @@ def _norm(df, keys):
     return df.sort_values(keys).reset_index(drop=True)
 
 
-def test_combined_counts_distributed_equals_driver_merge(parsed):
+def test_combined_counts_distributed_equals_driver_merge(parsed, monkeypatch):
     local = combined_counts(parsed)
-    dist = combined_counts(parsed, distributed=True)
+    scale_tier(monkeypatch, aggregate, "_COMBINED_DRIVER_LIMIT")
+    dist = combined_counts(parsed)
     for a, b in zip(rollups_from_combined(local), rollups_from_combined(dist)):
         keys = [c for c in a.columns if c != "n"]
         pd.testing.assert_frame_equal(
@@ -68,8 +73,8 @@ def test_minhash_distributed_branch(ray_session, monkeypatch):
     assert {(0, 1)} <= set(zip(fast.a, fast.b))
 
 
-def test_simhash_distributed_branch(ray_session):
-    """Forced groupby candidates + edge-join verification == default."""
+def test_simhash_distributed_branch(ray_session, monkeypatch):
+    """Groupby candidates (above the triple limit) == default."""
     import ray.data
 
     docs = [
@@ -79,15 +84,14 @@ def test_simhash_distributed_branch(ray_session):
         {"doc_id": 3, "text": "the quick brown fox jumps over the lazy dog today"},
     ]
     fast = dedup.simhash_dup_pairs(ray.data.from_items(docs), max_hamming=8).to_pandas()
-    dist = dedup.simhash_dup_pairs(
-        ray.data.from_items(docs), max_hamming=8, distributed=True
-    ).to_pandas()
+    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT")
+    dist = dedup.simhash_dup_pairs(ray.data.from_items(docs), max_hamming=8).to_pandas()
     key = ["a", "b"]
     pd.testing.assert_frame_equal(_norm(fast, key), _norm(dist, key), check_dtype=False)
     assert (0, 3) in set(zip(fast.a, fast.b))
 
 
-def test_winnow_distributed_branch(ray_session):
+def test_winnow_distributed_branch(ray_session, monkeypatch):
     """Distributed shared-fp counting (groupby(fp) pair emission +
     two-phase (a,b) count) == the driver Counter path."""
     import ray.data
@@ -101,9 +105,8 @@ def test_winnow_distributed_branch(ray_session):
         {"doc_id": 3, "text": base},
     ]
     fast = dedup.winnow_dup_pairs(ray.data.from_items(docs), min_shared=3).to_pandas()
-    dist = dedup.winnow_dup_pairs(
-        ray.data.from_items(docs), min_shared=3, distributed=True
-    ).to_pandas()
+    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT")
+    dist = dedup.winnow_dup_pairs(ray.data.from_items(docs), min_shared=3).to_pandas()
     key = ["a", "b"]
     pd.testing.assert_frame_equal(
         _norm(fast, key)[["a", "b", "shared_fps"]],
@@ -113,7 +116,7 @@ def test_winnow_distributed_branch(ray_session):
     assert (0, 3) in set(zip(fast.a, fast.b))
 
 
-def test_ngram_jaccard_distributed_branch(ray_session):
+def test_ngram_jaccard_distributed_branch(ray_session, monkeypatch):
     """Distributed inverted-index join (groupby(sh) pair emission +
     (a,b) aggregate) == the driver run-finder path, jaccard included."""
     import ray.data
@@ -129,8 +132,9 @@ def test_ngram_jaccard_distributed_branch(ray_session):
     ]
     fast = dedup.ngram_jaccard_dup_pairs(
         ray.data.from_items(docs), threshold=0.3).to_pandas()
+    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT")
     dist = dedup.ngram_jaccard_dup_pairs(
-        ray.data.from_items(docs), threshold=0.3, distributed=True).to_pandas()
+        ray.data.from_items(docs), threshold=0.3).to_pandas()
     key = ["a", "b"]
     pd.testing.assert_frame_equal(
         _norm(fast, key)[["a", "b", "jaccard"]],
@@ -142,9 +146,9 @@ def test_ngram_jaccard_distributed_branch(ray_session):
     assert 0.3 <= got[(0, 1)] < 1.0  # one-token edit
 
 
-def test_embedding_distributed_branch(ray_session):
-    """Forced join verification == broadcast verification for the
-    multi-band hyperplane LSH."""
+def test_embedding_distributed_branch(ray_session, monkeypatch):
+    """Join verification (above the limits) == broadcast verification
+    for the multi-band hyperplane LSH."""
     import pyarrow as pa
     import ray.data
 
@@ -158,15 +162,16 @@ def test_embedding_distributed_branch(ray_session):
     })
     fast = dedup.embedding_dup_pairs(
         ray.data.from_arrow(t), threshold=0.97).to_pandas()
+    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT", "_DRIVER_PAIR_LIMIT")
     dist = dedup.embedding_dup_pairs(
-        ray.data.from_arrow(t), threshold=0.97, distributed=True).to_pandas()
+        ray.data.from_arrow(t), threshold=0.97).to_pandas()
     key = ["a", "b"]
     pd.testing.assert_frame_equal(_norm(fast, key), _norm(dist, key), check_dtype=False)
     assert {(2, 21), (3, 13)} <= set(zip(fast.a, fast.b))
 
 
-def test_minhash_join_verify_branch(ray_session):
-    """distributed=True routes verification through the edge-join; pair
+def test_minhash_join_verify_branch(ray_session, monkeypatch):
+    """Above the limits verification runs through the edge-join; pair
     set and jaccard values match the broadcast path."""
     import ray.data
 
@@ -179,17 +184,16 @@ def test_minhash_join_verify_branch(ray_session):
         )
     ]
     fast = dedup.minhash_dup_pairs(ray.data.from_items(docs), threshold=0.5).to_pandas()
-    dist = dedup.minhash_dup_pairs(
-        ray.data.from_items(docs), threshold=0.5, distributed=True
-    ).to_pandas()
+    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT", "_DRIVER_PAIR_LIMIT")
+    dist = dedup.minhash_dup_pairs(ray.data.from_items(docs), threshold=0.5).to_pandas()
     key = ["a", "b"]
     pd.testing.assert_frame_equal(_norm(fast, key), _norm(dist, key), check_dtype=False)
     assert {(0, 1), (2, 3)} <= set(zip(fast.a, fast.b))
 
 
-def test_ngram_prefix_equals_full_index(ray_session):
+def test_ngram_prefix_equals_full_index(ray_session, monkeypatch):
     """PPJoin prefix filtering must reproduce the full inverted-index
-    answer exactly (prefix theorem), on both the driver and the forced
+    answer exactly (prefix theorem), on both the driver and the
     distributed paths, across thresholds."""
     import ray.data
 
@@ -208,9 +212,10 @@ def test_ngram_prefix_equals_full_index(ray_session):
             ray.data.from_items(docs), threshold=thr).to_pandas()
         pre = dedup.ngram_jaccard_dup_pairs_prefix(
             ray.data.from_items(docs), threshold=thr).to_pandas()
-        pre_d = dedup.ngram_jaccard_dup_pairs_prefix(
-            ray.data.from_items(docs), threshold=thr,
-            distributed=True).to_pandas()
+        with monkeypatch.context() as m:
+            scale_tier(m, dedup, "_DRIVER_TRIPLE_LIMIT", "_DRIVER_PAIR_LIMIT")
+            pre_d = dedup.ngram_jaccard_dup_pairs_prefix(
+                ray.data.from_items(docs), threshold=thr).to_pandas()
         key = ["a", "b"]
         pd.testing.assert_frame_equal(
             _norm(full, key)[["a", "b", "jaccard"]],
@@ -237,7 +242,7 @@ def test_ngram_prefix_index_is_smaller(ray_session):
     assert pre < 0.55 * full  # p/n = 1 - t + 1/n ~= 0.45 at t=0.6
 
 
-def test_fill_forward_distributed_equals_broadcast(ray_session):
+def test_fill_forward_distributed_equals_broadcast(ray_session, monkeypatch):
     """The O(1)-driver hash-join seed tier must agree with the
     broadcast seed dict on a multi-key, multi-block, null-heavy frame."""
     import ray.data
@@ -251,14 +256,14 @@ def test_fill_forward_distributed_equals_broadcast(ray_session):
     ds = ray.data.from_items(rows, override_num_blocks=16)
     base = fill_forward(ds, "k", ["o"], "v", "ff").to_pandas()
     ds2 = ray.data.from_items(rows, override_num_blocks=16)
-    dist = fill_forward(ds2, "k", ["o"], "v", "ff",
-                        distributed=True).to_pandas()
+    scale_tier(monkeypatch, asof, "_DRIVER_SEED_LIMIT")
+    dist = fill_forward(ds2, "k", ["o"], "v", "ff").to_pandas()
     key = ["k", "o"]
     pd.testing.assert_frame_equal(_norm(base, key), _norm(dist, key),
                                   check_dtype=False)
 
 
-def test_running_total_distributed_equals_broadcast(ray_session):
+def test_running_total_distributed_equals_broadcast(ray_session, monkeypatch):
     import ray.data
 
     from sylk.stages.asof import running_total
@@ -269,14 +274,14 @@ def test_running_total_distributed_equals_broadcast(ray_session):
     ds = ray.data.from_items(rows, override_num_blocks=16)
     base = running_total(ds, "k", ["o"], "v", "rt").to_pandas()
     ds2 = ray.data.from_items(rows, override_num_blocks=16)
-    dist = running_total(ds2, "k", ["o"], "v", "rt",
-                         distributed=True).to_pandas()
+    scale_tier(monkeypatch, asof, "_DRIVER_SEED_LIMIT")
+    dist = running_total(ds2, "k", ["o"], "v", "rt").to_pandas()
     key = ["k", "o"]
     pd.testing.assert_frame_equal(_norm(base, key), _norm(dist, key),
                                   check_dtype=False)
 
 
-def test_running_max_distributed_equals_broadcast(ray_session):
+def test_running_max_distributed_equals_broadcast(ray_session, monkeypatch):
     import ray.data
 
     from sylk.stages.asof import running_max
@@ -288,8 +293,8 @@ def test_running_max_distributed_equals_broadcast(ray_session):
     ds = ray.data.from_items(rows, override_num_blocks=16)
     base = running_max(ds, "k", ["o"], "v", "rm").to_pandas()
     ds2 = ray.data.from_items(rows, override_num_blocks=16)
-    dist = running_max(ds2, "k", ["o"], "v", "rm",
-                       distributed=True).to_pandas()
+    scale_tier(monkeypatch, asof, "_DRIVER_SEED_LIMIT")
+    dist = running_max(ds2, "k", ["o"], "v", "rm").to_pandas()
     key = ["k", "o"]
     pd.testing.assert_frame_equal(_norm(base, key), _norm(dist, key),
                                   check_dtype=False)
@@ -300,7 +305,7 @@ def test_running_max_distributed_equals_broadcast(ray_session):
     assert np.allclose(got, want.to_numpy())
 
 
-def test_ngram_containment_distributed_branch(ray_session):
+def test_ngram_containment_distributed_branch(ray_session, monkeypatch):
     """Containment scorer through both tiers; subset doc scores 1.0
     against its superset even though Jaccard is low."""
     import ray.data
@@ -315,9 +320,9 @@ def test_ngram_containment_distributed_branch(ray_session):
     ]
     fast = dedup.ngram_containment_pairs(
         ray.data.from_items(docs), threshold=0.9).to_pandas()
+    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT")
     dist = dedup.ngram_containment_pairs(
-        ray.data.from_items(docs), threshold=0.9,
-        distributed=True).to_pandas()
+        ray.data.from_items(docs), threshold=0.9).to_pandas()
     key = ["a", "b"]
     pd.testing.assert_frame_equal(
         _norm(fast, key)[["a", "b", "containment"]],
@@ -330,7 +335,7 @@ def test_ngram_containment_distributed_branch(ray_session):
     assert len(got) == 1
 
 
-def test_snm_distributed_equals_driver(ray_session):
+def test_snm_distributed_equals_driver(ray_session, monkeypatch):
     """Sorted-neighborhood candidates via the coarse-grouped path ==
     the driver run-finder; window semantics (rank distance <= w)."""
     import ray.data
@@ -345,9 +350,9 @@ def test_snm_distributed_equals_driver(ray_session):
     ]
     fast = dedup.sorted_neighborhood_pairs(
         ray.data.from_items(docs), window=2, threshold=0.5).to_pandas()
+    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT", "_DRIVER_PAIR_LIMIT")
     dist = dedup.sorted_neighborhood_pairs(
-        ray.data.from_items(docs), window=2, threshold=0.5,
-        distributed=True).to_pandas()
+        ray.data.from_items(docs), window=2, threshold=0.5).to_pandas()
     key = ["a", "b"]
     pd.testing.assert_frame_equal(
         _norm(fast, key)[["a", "b", "jaccard"]],
@@ -359,7 +364,7 @@ def test_snm_distributed_equals_driver(ray_session):
     assert {(10, 11), (10, 13), (11, 13)} <= got
 
 
-def test_connected_components_tier_equivalence(ray_session):
+def test_connected_components_tier_equivalence(ray_session, monkeypatch):
     """Driver-tier CC (bounded edge collect + numpy relax) must equal
     the distributed label-propagation path, including chain graphs,
     singletons, and multi-cluster mixes."""
@@ -382,13 +387,14 @@ def test_connected_components_tier_equivalence(ray_session):
     e_ds = ray.data.from_arrow(edges)
     fast = connected_components(n_ds, e_ds).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    slow = connected_components(n_ds, e_ds, distributed=True).to_pandas() \
+    scale_tier(monkeypatch, dedup, "_CC_DRIVER_EDGE_LIMIT")
+    slow = connected_components(n_ds, e_ds).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert fast.equals(slow)
     assert (fast[fast.doc_id <= 10].cluster_id == 0).all()  # chain -> 0
 
 
-def test_embedding_two_stage_near_threshold(ray_session):
+def test_embedding_two_stage_near_threshold(ray_session, monkeypatch):
     """VERDICT r4 #4 regression: the distributed tier's quantized
     stage-1 gate must never prune a TRUE pair — planted pairs sit just
     above and just below the threshold, where a sloppy bound would
@@ -416,8 +422,9 @@ def test_embedding_two_stage_near_threshold(ray_session):
     })
     fast = dedup.embedding_dup_pairs(
         ray.data.from_arrow(t), threshold=0.97).to_pandas()
+    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT", "_DRIVER_PAIR_LIMIT")
     dist = dedup.embedding_dup_pairs(
-        ray.data.from_arrow(t), threshold=0.97, distributed=True).to_pandas()
+        ray.data.from_arrow(t), threshold=0.97).to_pandas()
     key = ["a", "b"]
     pd.testing.assert_frame_equal(_norm(fast, key), _norm(dist, key),
                                   check_dtype=False)

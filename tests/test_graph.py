@@ -3,7 +3,9 @@
 import numpy as np
 import pyarrow as pa
 import pytest
+from conftest import scale_tier
 
+from sylk.stages import graph
 from sylk.stages.text import chunk_documents_batch
 
 
@@ -11,7 +13,7 @@ def _ranks(ds):
     return {r["node"]: r["rank_fp"] for r in ds.take_all()}
 
 
-def test_pagerank_tiers_bit_identical(ray_session):
+def test_pagerank_tiers_bit_identical(ray_session, monkeypatch):
     import ray.data
 
     from sylk.stages.graph import pagerank
@@ -20,8 +22,9 @@ def test_pagerank_tiers_bit_identical(ray_session):
              ("d", "a", 5)]
     ds = ray.data.from_items(
         [{"src": s, "dst": d, "w": w} for s, d, w in edges])
-    drv = _ranks(pagerank(ds, weight_col="w", distributed=False))
-    dist = _ranks(pagerank(ds, weight_col="w", distributed=True))
+    drv = _ranks(pagerank(ds, weight_col="w"))
+    scale_tier(monkeypatch, graph, "_DRIVER_EDGE_LIMIT")
+    dist = _ranks(pagerank(ds, weight_col="w"))
     assert drv == dist
     assert set(drv) == {"a", "b", "c", "d"}
     # sink-heavy node 'a' (two in-edges incl. the weight-5 one) should
@@ -176,7 +179,8 @@ def test_kmeans_empty_cluster_keeps_centroid(ray_session):
     assert rows[1]["qc"] == 10_000_000
 
 
-def test_triangle_degree_orientation_bounds_hot_vertex(ray_session):
+def test_triangle_degree_orientation_bounds_hot_vertex(ray_session,
+                                                       monkeypatch):
     """VERDICT r4 #3: degree-ordering the orientation caps a hot
     low-id vertex's wedge fan-out.  Star 0-{1..40} plus two closing
     edges: id-order orientation gives hub 0 an oriented out-degree of
@@ -201,8 +205,11 @@ def test_triangle_degree_orientation_bounds_hot_vertex(ray_session):
     # both orientations enumerate the same undirected edge set
     assert (set(map(tuple, np.sort(oriented[["a", "b"]].to_numpy(), axis=1)))
             == {(0, i) for i in range(1, 41)} | {(1, 2), (3, 4)})
-    # forced-distributed tier agrees with the broadcast tier
-    od = degree_orient(eds, distributed=True).to_pandas()
+    # the hash-join tier (above the edge limit) agrees with the
+    # broadcast tier
+    with monkeypatch.context() as m:
+        scale_tier(m, graph, "_DRIVER_EDGE_LIMIT")
+        od = degree_orient(eds).to_pandas()
     assert (sorted(map(tuple, od[["a", "b"]].to_numpy()))
             == sorted(map(tuple, oriented[["a", "b"]].to_numpy())))
 

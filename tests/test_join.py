@@ -4,6 +4,7 @@ tiering, post-join two-phase aggregation."""
 import pandas as pd
 import pyarrow as pa
 import pytest
+from conftest import scale_tier
 
 from sylk.stages import join as J
 
@@ -36,15 +37,16 @@ def test_broadcast_equals_hash_join(tables):
     assert set(b.k) == {0, 1, 2}  # inner join drops keys 3, 4 and right-only 7
 
 
-def test_semi_anti_tiering(tables):
+def test_semi_anti_tiering(tables, monkeypatch):
     import ray.data
 
     left, right = tables
     rds = ray.data.from_arrow(right)
     semi_b = J.semi_join(left, rds, on="k").to_pandas()
-    semi_d = J.semi_join(left, rds, on="k", distributed=True).to_pandas()
     anti_b = J.anti_join(left, rds, on="k").to_pandas()
-    anti_d = J.anti_join(left, rds, on="k", distributed=True).to_pandas()
+    scale_tier(monkeypatch, J, "_DRIVER_KEY_LIMIT")
+    semi_d = J.semi_join(left, rds, on="k").to_pandas()
+    anti_d = J.anti_join(left, rds, on="k").to_pandas()
     key = ["k", "v"]
     pd.testing.assert_frame_equal(_norm(semi_b[key], key), _norm(semi_d[key], key))
     pd.testing.assert_frame_equal(_norm(anti_b[key], key), _norm(anti_d[key], key))
@@ -52,7 +54,7 @@ def test_semi_anti_tiering(tables):
     assert set(anti_b.k) == {3, 4}
     # semi/anti never duplicate left rows even with duplicate right keys
     dup_right = ray.data.from_items([{"k": 0}] * 7)
-    semi_dup = J.semi_join(left, dup_right, on="k", distributed=True).to_pandas()
+    semi_dup = J.semi_join(left, dup_right, on="k").to_pandas()
     assert len(semi_dup) == 8  # 40 rows / 5 keys, key 0 only
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from conftest import scale_tier
 
 
 def _asof_expected(left: pd.DataFrame, right: pd.DataFrame) -> pd.Series:
@@ -138,9 +139,10 @@ def test_lag_lead_match_pandas(ray_session):
         exp_lead.reset_index(drop=True), check_names=False)
 
 
-def test_lag_distributed_equals_broadcast(ray_session):
+def test_lag_distributed_equals_broadcast(ray_session, monkeypatch):
     import ray.data
 
+    from sylk.stages import asof
     from sylk.stages.asof import lag
 
     rng = np.random.default_rng(43)
@@ -148,8 +150,9 @@ def test_lag_distributed_equals_broadcast(ray_session):
                        "v": rng.standard_normal(500)})
     base = lag(ray.data.from_pandas(df).repartition(8),
                "k", ["o"], "v", "lg").to_pandas()
+    scale_tier(monkeypatch, asof, "_DRIVER_SEED_LIMIT")
     dist = lag(ray.data.from_pandas(df).repartition(8),
-               "k", ["o"], "v", "lg", distributed=True).to_pandas()
+               "k", ["o"], "v", "lg").to_pandas()
     key = ["k", "o"]
     b = base.sort_values(key).reset_index(drop=True)
     d = dist.sort_values(key).reset_index(drop=True)

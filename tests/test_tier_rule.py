@@ -1,0 +1,113 @@
+"""One tier rule: tiered operators pick their driver or exchange tier
+from input size alone, with typed results and no flag to override it;
+plus the guard on the private Ray API that join.py patches."""
+
+import importlib
+import inspect
+import pkgutil
+import re
+import warnings
+
+import pytest
+
+
+def _public_callables(package):
+    for info in pkgutil.iter_modules(package.__path__):
+        if info.name.startswith("_"):
+            continue
+        mod = importlib.import_module(f"{package.__name__}.{info.name}")
+        for name, obj in vars(mod).items():
+            if (not name.startswith("_") and callable(obj)
+                    and getattr(obj, "__module__", None) == mod.__name__):
+                yield f"{mod.__name__}.{name}", obj
+
+
+def test_no_operator_takes_a_distributed_flag():
+    import sylk.pipelines
+    import sylk.stages
+
+    flagged = []
+    for package in (sylk.stages, sylk.pipelines):
+        for qualname, obj in _public_callables(package):
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):
+                continue
+            if "distributed" in params:
+                flagged.append(qualname)
+    assert not flagged, f"tier override parameters: {flagged}"
+
+
+def test_winnow_no_shared_fingerprint_is_typed_empty(ray_session):
+    import ray.data
+
+    from sylk.stages.dedup import winnow_dup_pairs
+
+    docs = [
+        {"doc_id": 0, "text": "alpha beta gamma delta epsilon zeta eta"},
+        {"doc_id": 1, "text": "one two three four five six seven eight"},
+    ]
+    out = winnow_dup_pairs(ray.data.from_items(docs), min_shared=1)
+    schema = out.schema()
+    assert schema is not None
+    assert list(schema.names) == ["a", "b", "shared_fps"]
+    assert [str(t) for t in schema.types] == ["int64"] * 3
+    assert out.count() == 0
+
+
+def test_hash_shuffle_patch_guard_rejects_moved_api():
+    import ray
+    from ray.data._internal.execution.interfaces.ref_bundle import RefBundle
+
+    from sylk.stages.join import _check_hash_shuffle_api
+
+    class _Op:
+        def _do_add_input_inner(self, input_bundle, input_index):
+            pass
+
+    class _MovedOp:
+        def _do_add_input_inner(self, bundle, input_index, ctx=None):
+            pass
+
+    class _OldBundle:
+        def __init__(self, blocks, owns_blocks):
+            pass
+
+    version = re.escape(ray.__version__)
+    with pytest.raises(RuntimeError, match=version):
+        _check_hash_shuffle_api(_MovedOp, RefBundle)
+    with pytest.raises(RuntimeError, match=version):
+        _check_hash_shuffle_api(_Op, _OldBundle)
+    _check_hash_shuffle_api(_Op, RefBundle)  # the installed Ray passes
+
+
+def test_fill_forward_raises_no_future_warning(ray_session):
+    """An all-null block reaches ``_fill`` as object dtype; pandas
+    deprecates the implicit downcast its fillna used to do.  Warning
+    filters set in the driver do not reach Ray workers, so the task that
+    runs the pipeline carries the same rule in PYTHONWARNINGS, and the
+    Ray Data tasks it starts inherit that environment."""
+    import ray
+
+    rule = "error:Downcasting object dtype arrays:FutureWarning"
+
+    @ray.remote(runtime_env={"env_vars": {"PYTHONWARNINGS": rule}})
+    def _run():
+        import ray.data
+
+        from sylk.stages.asof import fill_forward
+
+        rows = [{"k": 1, "t": t, "v": float(t) if t in (100, 700) else None}
+                for t in range(1000)]
+        rows += [{"k": 2, "t": t, "v": None} for t in range(50)]
+        ds = ray.data.from_items(rows, override_num_blocks=16)
+        return fill_forward(ds, "k", ["t"], "v", "ff").to_pandas()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FutureWarning)
+        out = ray.get(_run.remote())
+    hot = out[out.k == 1].sort_values("t")
+    assert hot.ff[hot.t < 100].isna().all()
+    assert (hot.ff[(hot.t >= 100) & (hot.t < 700)] == 100.0).all()
+    assert (hot.ff[hot.t >= 700] == 700.0).all()
+    assert out[out.k == 2].ff.isna().all()

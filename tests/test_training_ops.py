@@ -4,7 +4,10 @@ search, multimodal plumbing."""
 import numpy as np
 import pyarrow as pa
 import pytest
+from conftest import scale_tier
 
+from sylk.stages import dedup as D
+from sylk.stages import join as J
 from sylk.stages.dedup import (
     embedding_dup_pairs,
     exact_dedup,
@@ -617,7 +620,7 @@ def test_ivf_train_unbiased_on_clustered_store(ray_session):
         assert len(e & a) / 5 >= 0.8, (qi, e, a)
 
 
-def test_tfidf_cosine_pairs(ray_session):
+def test_tfidf_cosine_pairs(ray_session, monkeypatch):
     """TF-IDF weighted cosine join: near-dup pair found with high
     cosine; docs sharing only high-df boilerplate never pair (the df
     cap strips it); unrelated doc pairs with nothing."""
@@ -643,9 +646,11 @@ def test_tfidf_cosine_pairs(ray_session):
     assert abs(out.cosine.iloc[0] - 7 * np.log(2) ** 2
                / (7 * np.log(2) ** 2 + np.log(4) ** 2)) < 1e-6
 
-    # forced-distributed tier must produce the identical pair set
-    out_d = tfidf_cosine_pairs(ray.data.from_items(docs), threshold=0.5,
-                               distributed=True).to_pandas()
+    # the distributed tier (above the token-row limit) must produce the
+    # identical pair set
+    scale_tier(monkeypatch, D, "_DRIVER_TRIPLE_LIMIT")
+    out_d = tfidf_cosine_pairs(ray.data.from_items(docs),
+                               threshold=0.5).to_pandas()
     assert (sorted(zip(out_d.a, out_d.b, out_d.cosine))
             == sorted(zip(out.a, out.b, out.cosine)))
 
@@ -668,8 +673,6 @@ def test_tfidf_vocab_join_fallback(ray_session, monkeypatch):
     must produce the identical pair set."""
     import ray.data
 
-    from sylk.stages import dedup as D
-
     boiler = "terms and conditions apply all rights reserved contact us"
     docs = [
         {"doc_id": 0, "text": boiler + " zephyr quasar nebula pulsar quark gluon meson hadron"},
@@ -677,16 +680,17 @@ def test_tfidf_vocab_join_fallback(ray_session, monkeypatch):
         {"doc_id": 2, "text": boiler + " aardvark bison caribou dingo"},
         {"doc_id": 3, "text": boiler + " einkorn farro spelt teff"},
     ]
-    base = D.tfidf_cosine_pairs(ray.data.from_items(docs), threshold=0.5,
-                                distributed=True).to_pandas()
+    scale_tier(monkeypatch, D, "_DRIVER_TRIPLE_LIMIT")
+    base = D.tfidf_cosine_pairs(ray.data.from_items(docs),
+                                threshold=0.5).to_pandas()
     monkeypatch.setattr(D, "_TFIDF_VOCAB_BROADCAST_LIMIT", 0)
-    fb = D.tfidf_cosine_pairs(ray.data.from_items(docs), threshold=0.5,
-                              distributed=True).to_pandas()
+    fb = D.tfidf_cosine_pairs(ray.data.from_items(docs),
+                              threshold=0.5).to_pandas()
     assert (sorted(zip(fb.a, fb.b, fb.cosine))
             == sorted(zip(base.a, base.b, base.cosine)) != [])
 
 
-def test_dup_ngram_spans_planted(ray_session):
+def test_dup_ngram_spans_planted(ray_session, monkeypatch):
     """Planted duplicated-8-gram census: a shared 8-gram window between
     two docs, within-doc positional repeats, a short (<8-token) doc
     excluded, and a dup-free doc reported with n_dup_grams = 0."""
@@ -710,10 +714,11 @@ def test_dup_ngram_spans_planted(ray_session):
     ]
     out = (dup_ngram_spans(ray.data.from_items(docs), k=8)
            .to_pandas().set_index("doc_id"))
-    # the forced-distributed tier (semi-join + union-sum exchanges)
-    # must census identically to the driver numpy pass
-    dist = (dup_ngram_spans(ray.data.from_items(docs), k=8,
-                            distributed=True)
+    # the distributed tier (semi-join + union-sum exchanges) must
+    # census identically to the driver numpy pass
+    scale_tier(monkeypatch, D, "_DRIVER_TRIPLE_LIMIT")
+    scale_tier(monkeypatch, J, "_DRIVER_KEY_LIMIT")
+    dist = (dup_ngram_spans(ray.data.from_items(docs), k=8)
             .to_pandas().set_index("doc_id").sort_index())
     assert dist.equals(out.sort_index())
     assert sorted(out.index) == [0, 1, 2]  # 3 and 4 emit no windows
@@ -777,8 +782,8 @@ def test_semantic_dedup_cluster_scoped(ray_session):
     assert out.cluster.to_dict() == {0: 0, 1: 1, 3: 0, 4: 1}
 
 
-def test_semantic_dedup_distributed_tier(ray_session):
-    """Forced-distributed (label joins + anti-join) must reproduce the
+def test_semantic_dedup_distributed_tier(ray_session, monkeypatch):
+    """The distributed tier (label joins + anti-join) must reproduce the
     driver numpy census, including on a pair-free corpus (the
     zero-block join guard)."""
     import ray.data
@@ -788,7 +793,9 @@ def test_semantic_dedup_distributed_tier(ray_session):
     ds = ray.data.from_arrow(_semdedup_table())
     base = (semantic_dedup(ds, threshold=0.95, k=2)
             .to_pandas().sort_values("vec_id").reset_index(drop=True))
-    dist = (semantic_dedup(ds, threshold=0.95, k=2, distributed=True)
+    scale_tier(monkeypatch, D, "_DRIVER_TRIPLE_LIMIT", "_DRIVER_PAIR_LIMIT")
+    scale_tier(monkeypatch, J, "_DRIVER_KEY_LIMIT")
+    dist = (semantic_dedup(ds, threshold=0.95, k=2)
             .to_pandas().sort_values("vec_id").reset_index(drop=True))
     assert dist.equals(base)
 
@@ -797,7 +804,7 @@ def test_semantic_dedup_distributed_tier(ray_session):
         "embedding": pa.array([[1.0, 0.0], [0.0, 1.0]],
                               pa.list_(pa.float32())),
     }))
-    kept = (semantic_dedup(lone, threshold=0.95, k=2, distributed=True)
+    kept = (semantic_dedup(lone, threshold=0.95, k=2)
             .to_pandas())
     assert sorted(kept.vec_id) == [0, 1]
 
