@@ -5,13 +5,18 @@ The end-to-end composition the north rule names (BASELINE.json):
     read_parquet (transcript shards)
       -> map_batches(parse_batch)            stateless vectorized tasks
       -> map_batches(enrich_batch)           fused tasks, per-worker lookup
-      -> route_and_write                     range sort + one Hive write
-      -> grouped counts                      two-phase shuffle-light
-      -> Manifest.commit                     per-partition lineage + metrics
+      -> route_and_write                     range sort + one Hive write;
+                                             the write tasks count the rows
+                                             they write (sink, reject and
+                                             host/app counts)
+      -> Manifest.commit                     per-partition lineage + counts
+      -> rollups                             merged from the manifest lines
 
 Checkpoint granularity is a *partition unit* (a group of input files):
 each unit streams through the full pipeline with whole-cluster
-parallelism, then commits one manifest line.  A resumed run skips
+parallelism, then commits one manifest line carrying its counts.  The
+run's sink, reject and host/app rollups merge those lines, so neither a
+fresh nor a resumed run reads any routed data back.  A resumed run skips
 committed units; a crashed unit's deterministic output dir is
 overwritten on retry (idempotent).
 """
@@ -20,21 +25,18 @@ from __future__ import annotations
 
 import glob
 import os
-import shutil
 import time
 
 import ray.data
 
-from ..stages.aggregate import grouped_counts_local
+from ..functions.reference_semantics import FACILITY_NAMES, SEVERITY_NAMES
 from ..stages.enrich import enrich_batch
 from ..stages.parse import parse_batch
 from ..stages.router import route_and_write
 from ..state.manifest import Manifest
 
-# Columns the host/app histogram needs when re-reading routed output
-# (prune at the read — never re-scan msg/sd for a count).  Sink and
-# reject counters never re-read anything: they merge from the manifest.
-_HIST_COLUMNS = ["ok", "hostname", "appname"]
+_FAC_ID = {n: i for i, n in enumerate(FACILITY_NAMES)}
+_SEV_ID = {n: i for i, n in enumerate(SEVERITY_NAMES)}
 
 
 def parse_enrich(ds):
@@ -55,40 +57,19 @@ def parse_enrich(ds):
     )
 
 
-def _unit_counts_from_footers(unit_dir: str):
-    """(sink_counts "fac/sev" -> n, reject_by_error -> n) from the Hive
-    layout + parquet footer metadata only — zero data pages read."""
-    import pyarrow.parquet as pq
-
-    from ..functions.reference_semantics import FACILITY_NAMES, SEVERITY_NAMES
-
-    fac_id = {n: i for i, n in enumerate(FACILITY_NAMES)}
-    sev_id = {n: i for i, n in enumerate(SEVERITY_NAMES)}
+def _unit_counts(route_counts, host_app_counts):
+    """Manifest fields of one unit from the router's count tables:
+    (sink_counts "fac/sev" -> n, reject_by_error -> n,
+    host_app [[hostname, appname, n], ...])."""
     sinks: dict = {}
     rejects: dict = {}
-    for f in glob.glob(os.path.join(unit_dir, "**", "*.parquet"), recursive=True):
-        parts = dict(
-            seg.split("=", 1)
-            for seg in f.split(os.sep)
-            if "=" in seg and not seg.endswith(".parquet")
-        )
-        n = pq.ParquetFile(f).metadata.num_rows
-        route, key = parts["route"], parts["route_key"]
+    for route, key, n in zip(*route_counts.to_pydict().values()):
         if route == "reject":
-            rejects[key] = rejects.get(key, 0) + n
+            rejects[key] = n
         else:
-            k = f"{fac_id[route]}/{sev_id[key]}"
-            sinks[k] = sinks.get(k, 0) + n
-    return sinks, rejects
-
-
-def _merge_counts(acc: dict, pdf, keys):
-    for row in pdf.itertuples(index=False):
-        k = tuple(getattr(row, c) for c in keys)
-        if len(keys) == 1:
-            k = k[0]
-        acc[k] = acc.get(k, 0) + int(row.n)
-    return acc
+            sinks[f"{_FAC_ID[route]}/{_SEV_ID[key]}"] = n
+    host_app = sorted(map(list, zip(*host_app_counts.to_pydict().values())))
+    return sinks, rejects, host_app
 
 
 def run_flagship(
@@ -101,7 +82,8 @@ def run_flagship(
     """Run the full pipeline over ``input_files`` with checkpoint/resume.
 
     Returns a summary dict: total rows, parse_ok, per-sink counts,
-    reject counts, host/app histogram sizes, units run vs skipped.
+    reject counts, the host/app histogram, units run vs skipped.  All
+    three rollups merge from the manifest lines of the run's units.
 
     ``concurrent_units`` > 1 overlaps that many unit pipelines (each a
     full Ray Data execution) from driver threads: units are independent
@@ -119,14 +101,13 @@ def run_flagship(
         for ui, i in enumerate(range(0, len(input_files), files_per_unit))
     ]
     totals = {"rows": 0, "parse_ok": 0, "units_run": 0, "units_skipped": 0}
-    unit_dirs = []
     pending = []
 
     for uid, files in units:
-        unit_dir = os.path.join(out_dir, "data", f"unit={uid}")
-        unit_dirs.append(unit_dir)
-        if uid in done and done[uid].get("input_files") == files:
-            rec = done[uid]
+        rec = done.get(uid)
+        # a line from an older run without the host_app counts cannot
+        # feed the rollups: treat it as not committed and re-run the unit
+        if rec and rec.get("input_files") == files and "host_app" in rec:
             totals["units_skipped"] += 1
             totals["rows"] += rec["rows"]
             totals["parse_ok"] += rec["parse_ok"]
@@ -134,15 +115,11 @@ def run_flagship(
         # uid absent, or committed under a DIFFERENT file list (the unit
         # boundaries moved: files_per_unit or the input set changed) —
         # reusing the stale output would corrupt the global aggregates,
-        # so wipe and re-run; the fresh commit line supersedes the old
-        pending.append((uid, files, unit_dir))
+        # so re-run; the fresh commit line supersedes the old
+        pending.append((uid, files, os.path.join(out_dir, "data", f"unit={uid}")))
 
     def _run_unit(uid, files, unit_dir):
         t0 = time.time()
-        # a unit present on disk but absent from the manifest is a
-        # crashed partial write: wipe it so the retry is idempotent
-        # (Ray writes uniquely-named files; append would duplicate)
-        shutil.rmtree(unit_dir, ignore_errors=True)
         # one block per input file -> the planner fuses the read into the
         # parse/enrich/route chain (no SplitBlocks, no extra plasma hop)
         if input_format == "text":
@@ -155,15 +132,13 @@ def run_flagship(
             ds = read_syslog_lines_gz(files)
         else:
             ds = ray.data.read_parquet(files, override_num_blocks=len(files))
-        parsed = parse_enrich(ds)
-        route_and_write(parsed, unit_dir)
-
-        # per-unit metrics for the manifest come FREE from the routed
-        # layout: the Hive dirs encode (route, route_key) and parquet
-        # footers carry row counts — a footer scan, no data re-read
-        sink_counts, reject_counts = _unit_counts_from_footers(unit_dir)
-        rows = sum(sink_counts.values()) + sum(reject_counts.values())
+        # the router replaces whatever a crashed earlier attempt left in
+        # unit_dir and returns the counts of the rows it wrote: the
+        # unit's manifest metrics cost no read of the routed output
+        sink_counts, reject_counts, host_app = _unit_counts(
+            *route_and_write(parse_enrich(ds), unit_dir))
         ok_rows = sum(sink_counts.values())
+        rows = ok_rows + sum(reject_counts.values())
         mf.commit(
             uid,
             input_files=files,
@@ -171,6 +146,7 @@ def run_flagship(
             parse_ok=ok_rows,
             sink_counts=sink_counts,
             reject_by_error=reject_counts,
+            host_app=host_app,
             output_path=unit_dir,
             wall_s=round(time.time() - t0, 3),
         )
@@ -183,34 +159,22 @@ def run_flagship(
                 totals["parse_ok"] += ok_rows
                 totals["units_run"] += 1
 
-    # global sink/reject counters come from the MANIFEST — every unit in
-    # this run (fresh or resumed) committed its per-unit counts, so a
-    # resumed run re-reads ZERO bytes for them
+    # every rollup comes from the MANIFEST — every unit in this run
+    # (fresh or resumed) committed its per-unit counts, so no run
+    # re-reads any routed bytes for them
     done = mf.completed()
     sink: dict = {}
     rejects: dict = {}
+    hostapp: dict = {}
     for uid, _files in units:
         rec = done[uid]
-        for k, n in rec.get("sink_counts", {}).items():
-            fac, sev = (int(x) for x in k.split("/"))
-            key = (fac, sev)
+        for k, n in rec["sink_counts"].items():
+            key = tuple(int(x) for x in k.split("/"))
             sink[key] = sink.get(key, 0) + int(n)
-        for err, n in rec.get("reject_by_error", {}).items():
+        for err, n in rec["reject_by_error"].items():
             rejects[err] = rejects.get(err, 0) + int(n)
-
-    # only the host/app histogram genuinely needs the routed rows again
-    # (its key is not in the Hive layout): one columnar re-read pruned to
-    # three narrow columns (this Ray version's read_parquet takes a list
-    # of FILES, not dirs)
-    all_files = [
-        f
-        for d in unit_dirs
-        for f in sorted(glob.glob(os.path.join(d, "**", "*.parquet"), recursive=True))
-    ]
-    back = ray.data.read_parquet(all_files, columns=_HIST_COLUMNS)
-    ha = grouped_counts_local(back, ["hostname", "appname"], ok_filter=True)
-    hostapp: dict = {}
-    _merge_counts(hostapp, ha.to_pandas(), ["hostname", "appname"])
+        for host, app, n in rec["host_app"]:
+            hostapp[(host, app)] = hostapp.get((host, app), 0) + int(n)
     return {
         **totals,
         "sink_counts": sink,

@@ -4,9 +4,21 @@ A pipeline run over N input shards is driven as a sequence of partition
 units (one or more input files each).  After a unit's outputs are fully
 written, one JSON line is appended to ``manifest.jsonl``:
 
-    {"partition_id": ..., "input_files": [...], "rows": ...,
-     "parse_ok": ..., "reject_by_error": {...}, "output_path": ...,
-     "wall_s": ...}
+    {"partition_id": "u00000", "committed_at": <unix s>,
+     "input_files": [...], "rows": <int>, "parse_ok": <int>,
+     "sink_counts": {"<facility>/<severity>": <int>, ...},
+     "reject_by_error": {"<ParseErr variant>": <int>, ...},
+     "host_app": [[<hostname>, <appname>, <int>], ...],
+     "output_path": <unit dir>, "wall_s": <float>}
+
+``rows`` counts every input row of the unit and ``parse_ok`` its
+accepted rows.  ``sink_counts`` keys are the numeric facility/severity
+ids of the routed ok rows; ``reject_by_error`` counts the failed rows
+per variant; ``host_app`` counts the ok rows per (hostname, appname),
+with a nil term as "".  All three come from the routed write itself,
+and a run's rollups merge them across its units' lines.  A line without
+``host_app`` (written by an older version) counts as not committed: its
+unit re-runs.
 
 Appending the line is the commit point: a resumed run skips every
 partition already present, so a crash mid-partition re-processes only

@@ -171,10 +171,10 @@ def test_resume_reruns_on_changed_unit_boundaries(ray_session, corpus_dir, tmp_p
 
 
 def test_rollup_counters_come_from_manifest(ray_session, corpus_dir, tmp_path_factory):
-    """Sink/reject counters merge from manifest commits (zero re-read);
-    corrupting a routed data file after commit does not change them,
-    while the histogram (which must re-read) sees the difference only
-    through its three pruned columns."""
+    """Sink/reject counters and the host/app histogram all merge from
+    manifest commits (zero re-read): tampered manifest counts show up in
+    a resumed run, and a resumed run whose routed data is gone returns
+    the same rollups."""
     import json
 
     out = str(tmp_path_factory.mktemp("manifestroll"))
@@ -182,14 +182,27 @@ def test_rollup_counters_come_from_manifest(ray_session, corpus_dir, tmp_path_fa
     r1 = run_flagship(files, out, files_per_unit=2)
     # tamper with the manifest's counters and re-run (resume: unit skips)
     mpath = os.path.join(out, "manifest.jsonl")
-    rec = json.loads(open(mpath).read().strip())
+    pristine = open(mpath).read()
+    rec = json.loads(pristine.strip())
     key = next(iter(rec["sink_counts"]))
     rec["sink_counts"][key] += 7
+    host, app, _n = rec["host_app"][0]
+    rec["host_app"][0][2] += 5
     open(mpath, "w").write(json.dumps(rec) + "\n")
     r2 = run_flagship(files, out, files_per_unit=2)
     assert r2["units_skipped"] == 1
     fac, sev = (int(x) for x in key.split("/"))
     assert r2["sink_counts"][(fac, sev)] == r1["sink_counts"][(fac, sev)] + 7
+    assert r2["host_app_histogram"][(host, app)] == \
+        r1["host_app_histogram"][(host, app)] + 5
+    # the rollups never touch the routed output: drop it and resume
+    open(mpath, "w").write(pristine)
+    shutil.rmtree(os.path.join(out, "data"))
+    r3 = run_flagship(files, out, files_per_unit=2)
+    assert r3["units_skipped"] == 1 and r3["units_run"] == 0
+    assert r3["sink_counts"] == r1["sink_counts"]
+    assert r3["reject_by_error"] == r1["reject_by_error"]
+    assert r3["host_app_histogram"] == r1["host_app_histogram"]
 
 
 def test_raw_text_source_matches_parquet_path(ray_session, tmp_path):
