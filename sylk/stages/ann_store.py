@@ -32,8 +32,14 @@ are the shared :mod:`store_fold` contract.
 Distribution: one hash-shuffle of the increment by cell
 (``groupby(cell).map_groups``), then each cell task writes its file
 independently; no driver state scales with the data (the stats table
-is n_cells rows).  The query is the existing pruned brute-force:
-``read_parquet`` over probed cells only -> per-block matmul top-k.
+is n_cells rows).  The query is a pruned brute-force over the probed
+cells' files only, in one of two tiers picked from the on-disk size of
+that read set plus the tombstone files alone
+(``store_fold._DRIVER_READ_LIMIT``, 64 MiB): below it, the driver
+reads the files with pyarrow, masks tombstones and runs the matmul
+top-k kernel (``similarity._topk_partial``) once over the one table;
+above it, ``read_parquet`` -> tombstone anti-join -> the same kernel
+per block -> a per-query merge (:func:`similarity.ann_topk_bruteforce`).
 """
 
 from __future__ import annotations
@@ -44,10 +50,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .similarity import IVFIndex, ann_topk_bruteforce, _normalize
+from .similarity import (IVFIndex, ann_topk_bruteforce, _normalize,
+                         _topk_partial)
 from .store_fold import (atomic_write, check_as_of, check_watermark,
-                         delete_files, fold, purge, read_set,
-                         write_marker, write_tombstones)
+                         delete_files, driver_read, fold, purge, read_set,
+                         typed_result, write_marker, write_tombstones)
 
 
 def _load_index(store_dir: str) -> IVFIndex:
@@ -139,31 +146,37 @@ def ann_store_query(store_dir: str, queries: np.ndarray, k: int = 10,
     ``nprobe`` nearest cells, open ONLY those cells' files (union over
     queries), brute-force inside.  ``nprobe == n_cells`` degrades to an
     exact full scan of the union of all increments — the oracle mode.
-    Tombstoned vec_ids are masked from the candidate set with the
-    tiered anti-join (cost scales with the PROBED cells, not the
-    store).
+    Tombstoned vec_ids are masked from the candidate set (cost scales
+    with the PROBED cells, not the store).
 
     ``as_of`` = snapshot read at an ingest horizon: only increments <=
     as_of are scanned (refused below the compaction watermark).  No
     corpus stats exist here, so the horizon is purely a scan cut —
     centroids are trained by increment 1 and never move, so routing is
     identical at every horizon.  Tombstones still apply in full
-    (right-to-be-forgotten wins over time travel).  A probe that finds
-    no file returns a typed empty (query_idx, vec_id, cosine) Dataset."""
+    (right-to-be-forgotten wins over time travel).  An empty answer
+    (no file in the read set, or every probed vector tombstoned) is a
+    typed (query_idx int32, vec_id int64, cosine float64) Dataset."""
     import ray.data
 
     check_as_of(store_dir, as_of)
     index = _load_index(store_dir)
-    q = _normalize(np.asarray(queries, dtype=np.float64))
+    qm = np.asarray(queries, dtype=np.float64)
+    q = _normalize(qm)
     probe = np.argsort(-(q @ index.centroids.T), axis=1)[:, :nprobe]
     files = probe_files(store_dir,
                         {int(c) for row in probe for c in row},
                         as_of=as_of)
+    empty = _topk_partial(pa.table({}), q, k)    # typed, zero rows
     if not files:
-        return ray.data.from_arrow(pa.table({
-            "query_idx": pa.array([], pa.int32()),
-            "vec_id": pa.array([], pa.int64()),
-            "cosine": pa.array([], pa.float64())}))
+        return ray.data.from_arrow(empty)
+    tbl = driver_read(store_dir, files, ["vec_id", "embedding"], "vec_id")
+    if tbl is not None:
+        top = _topk_partial(tbl, qm, k)
+        if round_to is not None:
+            top = top.set_column(2, "cosine", pa.array(np.round(
+                top.column("cosine").to_numpy(), round_to), pa.float64()))
+        return ray.data.from_arrow(top)
     pruned = ray.data.read_parquet(files, columns=["vec_id", "embedding"])
     del_files = delete_files(store_dir)
     if del_files:
@@ -172,8 +185,8 @@ def ann_store_query(store_dir: str, queries: np.ndarray, k: int = 10,
         pruned = anti_join(
             pruned, ray.data.read_parquet(del_files, columns=["vec_id"]),
             on="vec_id")
-    return ann_topk_bruteforce(pruned, np.asarray(queries), k=k,
-                               round_to=round_to)
+    return typed_result(ann_topk_bruteforce(pruned, qm, k=k,
+                                            round_to=round_to), empty)
 
 
 def compact_ann_store(store_dir: str) -> dict:

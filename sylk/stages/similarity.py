@@ -26,6 +26,39 @@ def _normalize(mat: np.ndarray) -> np.ndarray:
     return mat / (np.linalg.norm(mat, axis=1, keepdims=True) + 1e-12)
 
 
+def _topk_partial(batch: pa.Table, qm: np.ndarray, k: int) -> pa.Table:
+    """One block's cosine top-k per query row of ``qm``: (query_idx,
+    vec_id, cosine), ranked by (-cosine, vec_id)."""
+    if batch.num_rows == 0:
+        return pa.table({"query_idx": pa.array([], pa.int32()),
+                         "vec_id": pa.array([], pa.int64()),
+                         "cosine": pa.array([], pa.float64())})
+    vecs = list_column_matrix(batch["embedding"])
+    ids = batch["vec_id"].to_numpy(zero_copy_only=False)
+    # dot / sqrt(|a|^2 * |b|^2): exact 1.0 on identical vectors and
+    # bit-compatible with DuckDB's list_cosine_similarity
+    qq = (qm * qm).sum(axis=1)
+    vv = (vecs * vecs).sum(axis=1)
+    sims = (qm @ vecs.T) / np.sqrt(qq[:, None] * vv[None, :])  # (nq, nb)
+    nq, nb = sims.shape
+    kk = min(k, nb)
+    out_q, out_id, out_s = [], [], []
+    for qi in range(nq):
+        row = sims[qi]
+        # deterministic: sort by (-sim, vec_id)
+        order = np.lexsort((ids, -row))[:kk]
+        out_q.extend([qi] * kk)
+        out_id.extend(ids[order].tolist())
+        out_s.extend(row[order].tolist())
+    return pa.table(
+        {
+            "query_idx": pa.array(out_q, pa.int32()),
+            "vec_id": pa.array(out_id, pa.int64()),
+            "cosine": pa.array(out_s, pa.float64()),
+        }
+    )
+
+
 def ann_topk_bruteforce(emb_ds, queries: np.ndarray, k: int = 10, round_to: int | None = 6):
     """Exact cosine top-k for each query row.
 
@@ -39,31 +72,7 @@ def ann_topk_bruteforce(emb_ds, queries: np.ndarray, k: int = 10, round_to: int 
     q_ref = ray.put(q)
 
     def _partial(batch: pa.Table) -> pa.Table:
-        qm = ray.get(q_ref)
-        vecs = list_column_matrix(batch["embedding"])
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        # dot / sqrt(|a|^2 * |b|^2): exact 1.0 on identical vectors and
-        # bit-compatible with DuckDB's list_cosine_similarity
-        qq = (qm * qm).sum(axis=1)
-        vv = (vecs * vecs).sum(axis=1)
-        sims = (qm @ vecs.T) / np.sqrt(qq[:, None] * vv[None, :])  # (nq, nb)
-        nq, nb = sims.shape
-        kk = min(k, nb)
-        out_q, out_id, out_s = [], [], []
-        for qi in range(nq):
-            row = sims[qi]
-            # deterministic: sort by (-sim, vec_id)
-            order = np.lexsort((ids, -row))[:kk]
-            out_q.extend([qi] * kk)
-            out_id.extend(ids[order].tolist())
-            out_s.extend(row[order].tolist())
-        return pa.table(
-            {
-                "query_idx": pa.array(out_q, pa.int32()),
-                "vec_id": pa.array(out_id, pa.int64()),
-                "cosine": pa.array(out_s, pa.float64()),
-            }
-        )
+        return _topk_partial(batch, ray.get(q_ref), k)
 
     partials = emb_ds.map_batches(_partial, batch_format="pyarrow")
 

@@ -33,6 +33,13 @@ Contract:
   rerun never overwrites folded history.
 * Tombstones follow the same marker-last rule; the fold's ``reduce``
   hook (:func:`purge`) is where tombstoned rows stop existing on disk.
+  The purge and :func:`driver_read` share one tombstone reader.
+* Probes pick their tier from the on-disk size of what they open,
+  alone: :func:`driver_read` sums the ``os.stat`` sizes of a read set
+  plus the marker-complete tombstone files, and up to
+  ``_DRIVER_READ_LIMIT`` bytes of Parquet returns the read set as one
+  driver table with tombstoned ids already dropped (no Ray Data plan);
+  above it, it returns None and the probe builds its exchange plan.
 
 Single writer: ingests, deletes and folds run one at a time."""
 
@@ -48,8 +55,12 @@ import pyarrow.parquet as pq
 
 __all__ = ["atomic_write", "atomic_json", "complete_increments",
            "write_marker", "read_set", "watermark", "check_watermark",
-           "check_as_of", "delete_files", "write_tombstones", "purge",
-           "fold"]
+           "check_as_of", "delete_files", "write_tombstones",
+           "driver_read", "typed_result", "purge", "fold"]
+
+# bytes of Parquet (read set + tombstones) up to which a probe reads its
+# files in the driver; the full-size benchmark stores hold 2-6 MB
+_DRIVER_READ_LIMIT = 64 << 20
 
 
 def atomic_write(path: str, write_fn) -> None:
@@ -161,6 +172,42 @@ def write_tombstones(store_dir: str, del_id: int, ids: pa.Table,
     atomic_json(os.path.join(ddir, f"_done_del{del_id}.json"), info)
 
 
+def _drop_tombstoned(tbl: pa.Table, files: list[str],
+                     id_col: str) -> pa.Table:
+    """``tbl`` without the rows whose ``id_col`` one of the tombstone
+    ``files`` holds: the store core's one tombstone reader."""
+    ids = pa.concat_tables([pq.read_table(f, columns=[id_col])
+                            for f in files]).column(id_col)
+    return tbl.filter(pc.invert(pc.is_in(
+        tbl.column(id_col), value_set=ids.combine_chunks())))
+
+
+def driver_read(store_dir: str, files: list[str], columns: list[str],
+                id_col: str, exclude: int | None = None) -> pa.Table | None:
+    """The driver tier of a store read: ``files`` (a non-empty read set)
+    concatenated into one table of ``columns``, without the rows whose
+    ``id_col`` a marker-complete tombstone (other than ``exclude``)
+    holds.  None when the read set plus those tombstone files exceed
+    ``_DRIVER_READ_LIMIT`` bytes on disk; the sizes come from
+    ``os.stat`` alone, so the tier is chosen before anything is read."""
+    dels = delete_files(store_dir, exclude=exclude)
+    if sum(os.stat(f).st_size for f in files + dels) > _DRIVER_READ_LIMIT:
+        return None
+    tbl = pa.concat_tables([pq.read_table(f, columns=columns)
+                            for f in files])
+    return _drop_tombstoned(tbl, dels, id_col) if dels else tbl
+
+
+def typed_result(ds, empty: pa.Table):
+    """An exchange-tier probe answer that keeps its schema when empty:
+    Ray drops the schema of an all-empty result, so the plan is
+    materialized here and an empty answer becomes ``empty``."""
+    import ray.data
+
+    ds = ds.materialize()
+    return ds if ds.count() else ray.data.from_arrow(empty)
+
+
 def purge(store_dir: str, id_col: str):
     """The fold's tombstone purge: a ``reduce`` dropping every row whose
     ``id_col`` is in a marker-complete tombstone file, or None when
@@ -171,10 +218,7 @@ def purge(store_dir: str, id_col: str):
         return None
 
     def _purge(tbl: pa.Table) -> pa.Table:
-        ids = pa.concat_tables([pq.read_table(f, columns=[id_col])
-                                for f in files]).column(id_col)
-        return tbl.filter(pc.invert(pc.is_in(
-            tbl.column(id_col), value_set=ids.combine_chunks())))
+        return _drop_tombstoned(tbl, files, id_col)
     return _purge
 
 

@@ -35,9 +35,17 @@ increment agrees on the bucket of a term.
 Scale shape: ingest is one ``map_batches`` explode (the vectorized
 ``term_tf_rows`` factorize kernel) + ONE hash shuffle by bucket per
 increment; each bucket task writes its file independently and no
-driver state scales with the data.  The probe's df reduce is bounded
-by |query terms|; scoring is a per-row broadcast-scalar kernel + one
-``groupby(doc_id)`` over candidate docs only.
+driver state scales with the data.  Probes (BM25, AND, phrase and
+``index_delete``'s candidate lookup) have two tiers, picked from the
+on-disk size of the read set plus the tombstone files alone
+(``store_fold._DRIVER_READ_LIMIT``, 64 MiB of Parquet): below it the
+driver reads the pruned files with pyarrow
+(:func:`store_fold.driver_read`, tombstones already masked) and runs
+the block kernels (``_df``, ``_contrib``, ``_hits``, ``_slots``) once
+over the one table, so a probe starts no Ray read; above it the same
+kernels run per block in a Ray Data plan, with one ``groupby(doc_id)``
+over candidate docs only.  Either way the df reduce is bounded by
+|query terms| and the answer is a Dataset.
 
 Append-only contract: a doc_id is ingested by exactly ONE increment
 (the dedup_ingest store is the upstream that guarantees novelty), so a
@@ -51,7 +59,8 @@ doc_id batch — it resolves the batch against the doc-length partition
 (dropping never-ingested and already-deleted ids so stats deltas never
 double-count), writes the id list + an exact (n_docs, n_tokens) delta,
 and from that moment every probe masks the docs LOGICALLY (an
-anti-join on the tombstones, broadcast/hash-tiered) and corrects
+``is_in`` filter in the driver tier, an anti-join in the exchange
+tier) and corrects
 N/avgdl/df from the deltas.  :func:`compact_text_index` purges them
 PHYSICALLY (the fold's ``reduce`` hook) — compaction is already the
 moment every surviving row is rewritten, so the purge is free.
@@ -62,8 +71,9 @@ violation (probes would mask its rows while ingest markers count it).
 
 BM25 parity: idf and the per-term contribution reuse the exact IEEE op
 order of :func:`text.bm25_scores` (ln((N-df+0.5)/(df+0.5)+1),
-tf*(k1+1) / (tf + k1*((1-b) + (b*dl)/avgdl))); only the cross-term sum
-order differs from the SQL left-fold, absorbed by the 6dp rounding
+tf*(k1+1) / (tf + k1*((1-b) + (b*dl)/avgdl))), and a term repeated in
+the query counts once per occurrence, as there; only the cross-term
+sum order differs from the SQL left-fold, absorbed by the 6dp rounding
 both sides (the BM25/ANN ln-ulp protocol)."""
 
 from __future__ import annotations
@@ -80,8 +90,9 @@ import pyarrow.parquet as pq
 
 from .sample import content_hash64
 from .store_fold import (atomic_json, atomic_write, check_as_of,
-                         check_watermark, delete_files, fold, purge,
-                         read_set, write_marker, write_tombstones)
+                         check_watermark, delete_files, driver_read, fold,
+                         purge, read_set, typed_result, write_marker,
+                         write_tombstones)
 
 
 def _term_buckets(terms, n_buckets: int) -> np.ndarray:
@@ -279,9 +290,9 @@ def index_delete(store_dir: str, doc_ids, del_id: int) -> dict:
     the batch against the doc-length partition — never-ingested ids and
     already-tombstoned ids are dropped, so the (n_docs, n_tokens) stats
     delta can never double-count no matter how often an id is
-    submitted.  Logical effect is immediate (probes anti-join the
-    tombstones and correct N/avgdl/df from the deltas); the physical
-    purge rides the next :func:`compact_text_index`.
+    submitted.  Logical effect is immediate (probes mask the tombstones
+    and correct N/avgdl/df from the deltas); the physical purge rides
+    the next :func:`compact_text_index`.
 
     Idempotence: deterministic ``del<id>.parquet`` name written tmp ->
     rename, marker LAST; a crash-recovery rerun recomputes the same
@@ -292,24 +303,36 @@ def index_delete(store_dir: str, doc_ids, del_id: int) -> dict:
     so the rerun window always sees them.
     The resolved id list is collected on the driver — bounded by the
     delete-batch size, which the CALLER controls (split a mass purge
-    into several del_ids).  Single-writer, like the other stores."""
+    into several del_ids); below the store's driver read limit the
+    doc-length partition is resolved in the driver too
+    (:func:`store_fold.driver_read`).  Single-writer, like the other
+    stores."""
+    import ray
     import ray.data
 
-    from .join import anti_join, semi_join
-
+    ids = None
     if not isinstance(doc_ids, ray.data.Dataset):
-        doc_ids = ray.data.from_arrow(pa.table({
-            "doc_id": pa.array(sorted(set(int(i) for i in doc_ids)),
-                               pa.int64())}))
+        ids = pa.array(sorted(set(int(i) for i in doc_ids)), pa.int64())
     dl_files = _doclen_files(store_dir)
-    empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                      "dl": pa.array([], pa.int64()),
-                      "_inc": pa.array([], pa.int64())})
-    if dl_files:
-        cand = semi_join(
-            ray.data.read_parquet(dl_files,
-                                  columns=["doc_id", "dl", "_inc"]),
-            doc_ids, on="doc_id")
+    cols = ["doc_id", "dl", "_inc"]
+    eff = pa.table({c: pa.array([], pa.int64()) for c in cols})
+    dl = driver_read(store_dir, dl_files, cols, "doc_id",
+                     exclude=del_id) if dl_files else None
+    if dl is not None:
+        if ids is None:
+            blocks = [t for t in ray.get(doc_ids.select_columns(
+                ["doc_id"]).to_arrow_refs()) if t.num_columns > 0]
+            ids = (pa.concat_tables(blocks).column("doc_id")
+                   .combine_chunks().cast(pa.int64()) if blocks
+                   else pa.array([], pa.int64()))
+        eff = dl.filter(pc.is_in(dl.column("doc_id"), value_set=ids))
+    elif dl_files:
+        from .join import anti_join, semi_join
+
+        if ids is not None:
+            doc_ids = ray.data.from_arrow(pa.table({"doc_id": ids}))
+        cand = semi_join(ray.data.read_parquet(dl_files, columns=cols),
+                         doc_ids, on="doc_id")
         prior = delete_files(store_dir, exclude=del_id)
         if prior:
             cand = anti_join(cand,
@@ -318,9 +341,8 @@ def index_delete(store_dir: str, doc_ids, del_id: int) -> dict:
                              on="doc_id")
         kept = [t for t in ray.get(cand.to_arrow_refs())
                 if t.num_columns > 0]
-        eff = pa.concat_tables(kept) if kept else empty
-    else:
-        eff = empty
+        if kept:
+            eff = pa.concat_tables(kept)
     n_docs = eff.num_rows
     n_tokens = int(pc.sum(eff.column("dl")).as_py() or 0)
     # per-source-increment delta breakdown: as_of probes subtract only
@@ -338,8 +360,8 @@ def index_delete(store_dir: str, doc_ids, del_id: int) -> dict:
                      eff.select(["doc_id"]).sort_by("doc_id"),
                      {"n_docs": n_docs, "n_tokens": n_tokens,
                       "by_inc": by_inc})
-    return {"requested": doc_ids.count(), "deleted": n_docs,
-            "tokens": n_tokens}
+    return {"requested": doc_ids.count() if ids is None else len(ids),
+            "deleted": n_docs, "tokens": n_tokens}
 
 
 def probe_files(store_dir: str, terms,
@@ -357,10 +379,12 @@ def probe_files(store_dir: str, terms,
 def _pruned_postings(store_dir: str, terms, columns,
                      as_of: int | None = None):
     """Shared probe front end: pruned read of the query terms' buckets
-    (inc files cut at ``as_of``), is_in term filter, tombstone
-    anti-join (ALL tombstones, regardless of as_of — a forgotten doc
-    is not resurrectable by time travel).  Returns a Dataset or None
-    when nothing can match."""
+    (inc files cut at ``as_of``), is_in term filter, tombstone mask
+    (ALL tombstones, regardless of as_of — a forgotten doc is not
+    resurrectable by time travel).  Returns a driver ``pa.Table`` when
+    the read set is under the store's driver read limit
+    (:func:`store_fold.driver_read`), else a Dataset; None when nothing
+    can match."""
     import ray.data
 
     check_as_of(store_dir, as_of)
@@ -368,12 +392,15 @@ def _pruned_postings(store_dir: str, terms, columns,
     if not files:
         return None
     term_arr = pa.array(sorted(set(terms)), pa.string())
-    postings = (ray.data
-                .read_parquet(files, columns=columns)
-                .map_batches(
-                    lambda t: t.filter(pc.is_in(t.column("term"),
-                                                value_set=term_arr)),
-                    batch_format="pyarrow", batch_size=None))
+
+    def _keep(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_in(t.column("term"), value_set=term_arr))
+
+    tbl = driver_read(store_dir, files, columns, "doc_id")
+    if tbl is not None:
+        return _keep(tbl)
+    postings = ray.data.read_parquet(files, columns=columns).map_batches(
+        _keep, batch_format="pyarrow", batch_size=None)
     del_files = delete_files(store_dir)
     if del_files:
         # logical delete mask: tombstoned docs leave df, scores and the
@@ -388,15 +415,90 @@ def _pruned_postings(store_dir: str, terms, columns,
     return postings
 
 
+def _df(t: pa.Table) -> pa.Table:
+    """Per-term posting counts of one block: under the append-only
+    contract a (term, doc) posting is one row store-wide, so summed
+    over blocks this is df."""
+    g = t.group_by("term").aggregate([("doc_id", "count")])
+    return pa.table({"term": g.column("term"),
+                     "df": g.column("doc_id_count")})
+
+
+def _contrib(t: pa.Table, term_arr: pa.Array, idf: np.ndarray,
+             mult: np.ndarray, k1: float, b: float,
+             avgdl: float) -> pa.Table:
+    """One block's per-doc BM25 partial sums: each posting row scores
+    ``mult * idf * tf-part`` of its query term (``mult`` = the term's
+    multiplicity in the query, which text.bm25_scores sums once per
+    occurrence), combined per doc inside the block."""
+    i = pc.index_in(t.column("term"), value_set=term_arr) \
+        .to_numpy(zero_copy_only=False)
+    tf = t.column("tf").to_numpy(zero_copy_only=False).astype(np.float64)
+    dl = t.column("dl").to_numpy(zero_copy_only=False).astype(np.float64)
+    # the exact per-term expression of text.bm25_scores._score
+    denom_base = k1 * ((1.0 - b) + (b * dl) / avgdl)
+    part = mult[i] * (idf[i] * ((tf * (k1 + 1)) / (tf + denom_base)))
+    # block-local combine (aggregate.py shape): the exchange tier's
+    # shuffle carries one row per (block, doc), not per posting
+    doc = t.column("doc_id").to_numpy(zero_copy_only=False)
+    uniq, inv = np.unique(doc, return_inverse=True)
+    acc = np.zeros(len(uniq), dtype=np.float64)
+    np.add.at(acc, inv, part)
+    return pa.table({"doc_id": pa.array(uniq.astype(np.int64), pa.int64()),
+                     "part": pa.array(acc, pa.float64())})
+
+
+def _bm25(t: pa.Table, round_to: int | None) -> pa.Table:
+    s = t.column("part").to_numpy(zero_copy_only=False)
+    if round_to is not None:
+        s = np.round(s, round_to)
+    return pa.table({"doc_id": t.column("doc_id"),
+                     "bm25": pa.array(s, pa.float64())})
+
+
+def _hits(t: pa.Table) -> pa.Table:
+    """One block's per-doc posting counts (the _contrib combine)."""
+    doc = t.column("doc_id").to_numpy(zero_copy_only=False)
+    uniq, counts = np.unique(doc, return_counts=True)
+    return pa.table({"doc_id": pa.array(uniq.astype(np.int64), pa.int64()),
+                     "hits": pa.array(counts.astype(np.int64))})
+
+
+def _slots(t: pa.Table, phrase: list) -> pa.Table:
+    """One block's phrase start candidates: slot ``i`` emits
+    (doc_id, p = pos - i) for every position of term_i."""
+    docs_out, p_out = [], []
+    # an emptied exchange block may carry no columns at all
+    for i, ti in enumerate(phrase if t.num_rows else []):
+        sub = t.filter(pc.equal(t.column("term"), ti))
+        if sub.num_rows == 0:
+            continue
+        plist = sub.column("positions").combine_chunks()
+        flat = pc.list_flatten(plist).to_numpy(zero_copy_only=False)
+        parent = pc.list_parent_indices(plist) \
+            .to_numpy(zero_copy_only=False)
+        doc = sub.column("doc_id").to_numpy(zero_copy_only=False)
+        docs_out.append(doc[parent])
+        p_out.append(flat - i)
+    if not docs_out:
+        return pa.table({"doc_id": pa.array([], pa.int64()),
+                         "p": pa.array([], pa.int64())})
+    return pa.table({
+        "doc_id": pa.array(np.concatenate(docs_out).astype(np.int64),
+                           pa.int64()),
+        "p": pa.array(np.concatenate(p_out), pa.int64())})
+
+
 def index_query_bm25(store_dir: str, terms, k1: float = 1.2,
                      b: float = 0.75, round_to: int | None = 6,
                      k: int | None = None, as_of: int | None = None):
     """Okapi BM25 over the accumulated store for a bag-of-words query:
     open ONLY the query terms' buckets, df-reduce the pruned postings
-    (bounded by |terms|), broadcast {term -> idf}, score per posting
-    row and sum per doc.  Returns Dataset[(doc_id, bm25)] over docs
-    containing >= 1 query term (zero-tf terms contribute exactly 0.0,
-    so absent docs are exactly the score-0 ones); ``k`` adds a
+    (bounded by |terms|), score per posting row and sum per doc.  A
+    term repeated in the query counts once per occurrence, as in
+    :func:`text.bm25_scores`.  Returns Dataset[(doc_id, bm25)] over
+    docs containing >= 1 query term (zero-tf terms contribute exactly
+    0.0, so absent docs are exactly the score-0 ones); ``k`` adds a
     descending top-k cut (ties broken by doc_id asc).
 
     ``as_of`` = snapshot read at an ingest horizon: only increments <=
@@ -420,74 +522,51 @@ def index_query_bm25(store_dir: str, terms, k1: float = 1.2,
                                 as_of=as_of)
     if postings is None or n_docs <= 0:
         return ray.data.from_arrow(empty)
-    avgdl = float(n_tokens) / float(n_docs)
-
-    # df reduce: one tiny partial per block (append-only contract means
-    # one posting row per (term, doc) store-wide, so df = row count)
-    def _df_partial(t: pa.Table) -> pa.Table:
-        u, c = np.unique(np.asarray(t.column("term").to_pylist(),
-                                    dtype=object), return_counts=True)
-        return pa.table({"term": pa.array(u.astype(str)),
-                         "df": pa.array(c.astype(np.int64))})
-
-    # schemaless zero-column blocks appear when the is_in filter empties
-    # a block (dedup.py:78 pattern) — drop them before the concat
-    kept = [t for t in ray.get(
-                postings.map_batches(_df_partial, batch_format="pyarrow",
-                                     batch_size=None).to_arrow_refs())
-            if t.num_columns > 0]
-    if not kept:           # no query term occurs anywhere in the store
-        return ray.data.from_arrow(empty)
-    parts = pa.concat_tables(kept)
+    driver = isinstance(postings, pa.Table)
+    if driver:
+        parts = _df(postings)
+    else:
+        # schemaless zero-column blocks appear when the is_in filter
+        # empties a block (dedup.py:78 pattern) — drop them first
+        kept = [t for t in ray.get(
+                    postings.map_batches(_df, batch_format="pyarrow",
+                                         batch_size=None).to_arrow_refs())
+                if t.num_columns > 0]
+        if not kept:       # no query term occurs anywhere in the store
+            return ray.data.from_arrow(empty)
+        parts = pa.concat_tables(kept)
     merged = parts.group_by("term").aggregate([("df", "sum")])
     dfs = dict(zip(merged.column("term").to_pylist(),
                    merged.column("df_sum").to_pylist()))
-    idf = {t: math.log(((n_docs - dfs.get(t, 0)) + 0.5)
-                       / (dfs.get(t, 0) + 0.5) + 1.0) for t in terms}
-    ref = ray.put(idf)
+    qterms = sorted(set(terms))
+    kw = {"term_arr": pa.array(qterms, pa.string()),
+          "idf": np.array([math.log(((n_docs - dfs.get(t, 0)) + 0.5)
+                                    / (dfs.get(t, 0) + 0.5) + 1.0)
+                           for t in qterms], dtype=np.float64),
+          "mult": np.array([terms.count(t) for t in qterms],
+                           dtype=np.float64),
+          "k1": k1, "b": b, "avgdl": float(n_tokens) / float(n_docs)}
 
-    def _contrib(t: pa.Table) -> pa.Table:
-        w_map = ray.get(ref)
-        w = np.fromiter((w_map[x] for x in t.column("term").to_pylist()),
-                        dtype=np.float64, count=t.num_rows)
-        tf = t.column("tf").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        dl = t.column("dl").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        # the exact per-term expression of text.bm25_scores._score
-        denom_base = k1 * ((1.0 - b) + (b * dl) / avgdl)
-        part = w * ((tf * (k1 + 1)) / (tf + denom_base))
-        # block-local combine before the shuffle (aggregate.py shape):
-        # the exchange carries one row per (block, doc), not per posting
-        doc = t.column("doc_id").to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(doc, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(acc, inv, part)
-        return pa.table({"doc_id": pa.array(uniq.astype(np.int64),
-                                            pa.int64()),
-                         "part": pa.array(acc, pa.float64())})
+    if driver:
+        out = _bm25(_contrib(postings, **kw), round_to)
+        if k is not None:
+            out = out.sort_by([("bm25", "descending"),
+                               ("doc_id", "ascending")]).slice(0, k)
+        return ray.data.from_arrow(out)
 
     from ray.data.aggregate import Sum
 
-    scored = (postings
-              .map_batches(_contrib, batch_format="pyarrow",
-                           batch_size=None)
-              .groupby("doc_id")
-              .aggregate(Sum("part", alias_name="part")))
-
-    def _finish(t: pa.Table) -> pa.Table:
-        s = t.column("part").to_numpy(zero_copy_only=False)
-        if round_to is not None:
-            s = np.round(s, round_to)
-        return pa.table({"doc_id": t.column("doc_id"),
-                         "bm25": pa.array(s, pa.float64())})
-
-    out = scored.map_batches(_finish, batch_format="pyarrow",
-                             batch_size=None)
+    out = (postings
+           .map_batches(_contrib, fn_kwargs=kw, batch_format="pyarrow",
+                        batch_size=None)
+           .groupby("doc_id")
+           .aggregate(Sum("part", alias_name="part"))
+           .map_batches(_bm25, fn_kwargs={"round_to": round_to},
+                        batch_format="pyarrow", batch_size=None))
     if k is not None:
         out = out.sort(["bm25", "doc_id"],
                        descending=[True, False]).limit(k)
-    return out
+    return typed_result(out, empty)
 
 
 def index_match_docs(store_dir: str, terms, as_of: int | None = None):
@@ -499,7 +578,6 @@ def index_match_docs(store_dir: str, terms, as_of: int | None = None):
     (append-only contract; shadowed crash leftovers are never read), so
     a per-doc row count after the term filter is the distinct-term
     count.  Returns Dataset[(doc_id,)]."""
-    import ray
     import ray.data
 
     terms = sorted(set(terms))
@@ -508,30 +586,23 @@ def index_match_docs(store_dir: str, terms, as_of: int | None = None):
                                 as_of=as_of)
     if postings is None:
         return ray.data.from_arrow(empty)
-
-    def _hits(t: pa.Table) -> pa.Table:
-        # block-local combine (the BM25 _contrib shape)
-        doc = t.column("doc_id").to_numpy(zero_copy_only=False)
-        uniq, counts = np.unique(doc, return_counts=True)
-        return pa.table({"doc_id": pa.array(uniq.astype(np.int64),
-                                            pa.int64()),
-                         "hits": pa.array(counts.astype(np.int64))})
-
-    from ray.data.aggregate import Sum
-
     need = len(terms)
-    counted = (postings
-               .map_batches(_hits, batch_format="pyarrow",
-                            batch_size=None)
-               .groupby("doc_id")
-               .aggregate(Sum("hits", alias_name="hits")))
 
     def _all_terms(t: pa.Table) -> pa.Table:
         return t.filter(pc.equal(t.column("hits"),
                                  need)).select(["doc_id"])
 
-    return counted.map_batches(_all_terms, batch_format="pyarrow",
-                               batch_size=None)
+    if isinstance(postings, pa.Table):
+        return ray.data.from_arrow(_all_terms(_hits(postings)))
+
+    from ray.data.aggregate import Sum
+
+    return typed_result(
+        postings.map_batches(_hits, batch_format="pyarrow", batch_size=None)
+        .groupby("doc_id")
+        .aggregate(Sum("hits", alias_name="hits"))
+        .map_batches(_all_terms, batch_format="pyarrow", batch_size=None),
+        empty)
 
 
 def index_phrase_docs(store_dir: str, phrase, as_of: int | None = None):
@@ -548,10 +619,10 @@ def index_phrase_docs(store_dir: str, phrase, as_of: int | None = None):
     unique per (term, doc), so no slot can double-emit — repeated
     phrase words are separate slots and still count once each; a
     (doc, p) short of slot 0 can never reach |phrase| rows, so
-    negative/stale starts die in the HAVING).  The exchange volume is
-    the phrase terms' total position count — term-frequency-bounded,
-    like the BM25 probe.  Returns Dataset[(doc_id,)]."""
-    import ray
+    negative/stale starts die in the HAVING).  The exchange tier's
+    volume is the phrase terms' total position count —
+    term-frequency-bounded, like the BM25 probe.  Returns
+    Dataset[(doc_id,)]."""
     import ray.data
     from ray.data.aggregate import Count
 
@@ -569,49 +640,30 @@ def index_phrase_docs(store_dir: str, phrase, as_of: int | None = None):
     if postings is None or k == 0:
         return ray.data.from_arrow(empty)
 
-    def _slots(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "p": pa.array([], pa.int64())})
-        terms = t.column("term").to_pylist()
-        docs_out, p_out = [], []
-        for i, ti in enumerate(phrase):
-            mask = pa.array([x == ti for x in terms])
-            sub = t.filter(mask)
-            if sub.num_rows == 0:
-                continue
-            plist = sub.column("positions").combine_chunks()
-            flat = pc.list_flatten(plist).to_numpy(zero_copy_only=False)
-            parent = pc.list_parent_indices(plist) \
-                .to_numpy(zero_copy_only=False)
-            doc = sub.column("doc_id").to_numpy(zero_copy_only=False)
-            docs_out.append(doc[parent])
-            p_out.append(flat - i)
-        if not docs_out:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "p": pa.array([], pa.int64())})
-        return pa.table({
-            "doc_id": pa.array(np.concatenate(docs_out).astype(np.int64),
-                               pa.int64()),
-            "p": pa.array(np.concatenate(p_out), pa.int64())})
-
-    starts = (postings
-              .map_batches(_slots, batch_format="pyarrow",
-                           batch_size=None)
-              .groupby(["doc_id", "p"])
-              .aggregate(Count(alias_name="n")))
-
-    def _hits(t: pa.Table) -> pa.Table:
+    def _starts(t: pa.Table) -> pa.Table:
         return (t.filter(pc.equal(t.column("n"), k))
                 .select(["doc_id"]))
 
+    if isinstance(postings, pa.Table):
+        g = (_slots(postings, phrase).group_by(["doc_id", "p"])
+             .aggregate([([], "count_all")]))
+        starts = pa.table({"doc_id": g.column("doc_id"),
+                           "n": g.column("count_all")})
+        hit = pc.unique(_starts(starts).column("doc_id")).sort()
+        return ray.data.from_arrow(pa.table({"doc_id": hit}))
+
     # distinct doc_ids (a doc may hold several phrase instances)
-    return (starts
-            .map_batches(_hits, batch_format="pyarrow", batch_size=None)
-            .groupby("doc_id")
-            .aggregate(Count(alias_name="_c"))
-            .map_batches(lambda t: t.select(["doc_id"]),
-                         batch_format="pyarrow", batch_size=None))
+    return typed_result(
+        postings.map_batches(_slots, fn_kwargs={"phrase": phrase},
+                             batch_format="pyarrow", batch_size=None)
+        .groupby(["doc_id", "p"])
+        .aggregate(Count(alias_name="n"))
+        .map_batches(_starts, batch_format="pyarrow", batch_size=None)
+        .groupby("doc_id")
+        .aggregate(Count(alias_name="_c"))
+        .map_batches(lambda t: t.select(["doc_id"]),
+                     batch_format="pyarrow", batch_size=None),
+        empty)
 
 
 def compact_text_index(store_dir: str) -> dict:

@@ -377,3 +377,29 @@ def test_index_asof_snapshot(ray_session, tmp_path):
     with pytest.raises(ValueError, match="watermark"):
         _query_df(full, as_of=2)
     assert len(_query_df(full, as_of=3)) == len(_query_df(full))
+
+
+@pytest.mark.parametrize("tier", ["driver", "exchange"])
+def test_bm25_repeated_query_term_matches_oneshot(ray_session, tmp_path,
+                                                  monkeypatch, tier):
+    """A term repeated in the query counts once per occurrence, as in
+    text.bm25_scores (the registry's one-shot scorer), in both tiers."""
+    import ray.data
+
+    from conftest import scale_tier
+    from sylk.stages import store_fold
+    from sylk.stages.text import bm25_scores
+
+    if tier == "exchange":
+        scale_tier(monkeypatch, store_fold, "_DRIVER_READ_LIMIT")
+    store = str(tmp_path / "store")
+    tbl = pa.table({"doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+                    "text": pa.array(["a b a", "b c", "c d", "a"])})
+    _ingest_slices(store, tbl, 2, n_buckets=8)
+    for terms in (["a", "a", "b"], ["b", "a", "b", "b"]):
+        got = _query_df(store, terms)
+        ref = (bm25_scores(ray.data.from_arrow(tbl), terms).to_pandas()
+               .sort_values("doc_id").reset_index(drop=True))
+        ref = ref[ref.bm25 > 0].reset_index(drop=True)
+        assert got.doc_id.tolist() == ref.doc_id.tolist()
+        assert (got.bm25 - ref.bm25).abs().max() <= 1e-6
