@@ -9,7 +9,8 @@ Usage (also works under `ray job submit -- python -m sylk ...`)::
     python -m sylk index --input 'docs/*.parquet' --store S --inc-id 1
     python -m sylk search --store S --terms 'hash join' --mode bm25 --k 10
     python -m sylk forget --kind index --store S --ids 4,10 --del-id 1
-    python -m sylk compact --kind ingest --store S --out O
+    python -m sylk compact --kind ingest --store S
+    python -m sylk compact --kind routed --store /data/routed/data
     python -m sylk compact --kind upsert --store S --key-col k --order-col o
 
 ``run`` streams parse -> enrich -> route -> aggregate with per-unit
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import os
 import sys
 
 
@@ -123,12 +125,13 @@ def main(argv=None) -> int:
              "watermark (run between increments; see "
              "sylk/stages/store_fold.py for the crash discipline)")
     cmp_.add_argument("--kind", choices=("ingest", "upsert", "ann",
-                                         "index"),
+                                         "index", "routed"),
                       required=True,
                       help="ingest = dedup_ingest/neardup_ingest hash or"
                            " band store; upsert = CDC upsert store; "
                            "ann = IVF-cell ANN vector store; "
-                           "index = inverted text-index store")
+                           "index = inverted text-index store; "
+                           "routed = a run's routed sinks (<out>/data)")
     cmp_.add_argument("--store", required=True, help="store directory")
     cmp_.add_argument("--key-col", help="upsert: key column")
     cmp_.add_argument("--order-col", help="upsert: order column")
@@ -234,6 +237,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.cmd == "compact":
+            if not os.path.isdir(args.store):
+                ap.error(f"--store {args.store} is not a directory")
             if args.kind == "ingest":
                 from sylk.stages.dedup_store import compact_ingest_store
 
@@ -246,6 +251,10 @@ def main(argv=None) -> int:
                 from sylk.stages.text_index import compact_text_index
 
                 print(json.dumps(compact_text_index(args.store)))
+            elif args.kind == "routed":
+                from sylk.pipelines.flagship import compact_routed
+
+                print(json.dumps(compact_routed(args.store)))
             else:
                 if not (args.key_col and args.order_col):
                     ap.error("--kind upsert requires --key-col and "

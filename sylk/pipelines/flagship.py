@@ -5,7 +5,8 @@ The end-to-end composition the north rule names (BASELINE.json):
     read_parquet (transcript shards)
       -> map_batches(parse_batch)            stateless vectorized tasks
       -> map_batches(enrich_batch)           fused tasks, per-worker lookup
-      -> route_and_write                     range sort + one Hive write;
+      -> route_and_write                     range sort + one Hive write
+                                             as one routed-store increment;
                                              the write tasks count the rows
                                              they write (sink, reject and
                                              host/app counts)
@@ -16,9 +17,15 @@ Checkpoint granularity is a *partition unit* (a group of input files):
 each unit streams through the full pipeline with whole-cluster
 parallelism, then commits one manifest line carrying its counts.  The
 run's sink, reject and host/app rollups merge those lines, so neither a
-fresh nor a resumed run reads any routed data back.  A resumed run skips
-committed units; a crashed unit's deterministic output dir is
-overwritten on retry (idempotent).
+fresh nor a resumed run reads any routed data back.
+
+``<out>/data`` is a ``store_fold`` store: unit ``u%05d`` (number ``i``)
+is increment ``i``.  A unit commits its sink files, then its marker
+(naming its input files), then its manifest line; a resumed run skips
+a unit whose line and marker name its current input files.  Before any
+unit runs, the increments of units that no longer exist are removed and
+those this run re-writes are unmarked; a crashed unit's files are
+overwritten by name on retry (idempotent).
 """
 
 from __future__ import annotations
@@ -32,7 +39,10 @@ import ray.data
 from ..functions.reference_semantics import FACILITY_NAMES, SEVERITY_NAMES
 from ..stages.enrich import enrich_batch
 from ..stages.parse import parse_batch
-from ..stages.router import route_and_write
+from ..stages.router import SINKS, route_and_write
+from ..stages.store_fold import (check_watermark, fold, increment_ids,
+                                 read_marker, remove_increment, unmark,
+                                 write_marker)
 from ..state.manifest import Manifest
 
 _FAC_ID = {n: i for i, n in enumerate(FACILITY_NAMES)}
@@ -72,6 +82,28 @@ def _unit_counts(route_counts, host_app_counts):
     return sinks, rejects, host_app
 
 
+def _committed(store: str, inc: int, rec: dict | None) -> bool:
+    """Whether unit ``inc``'s manifest line ``rec`` feeds the rollups
+    and describes the rows on disk: the unit's increment is marked, and
+    its marker names the line's input files."""
+    m = read_marker(store, inc)
+    return (rec is not None and "host_app" in rec and m is not None
+            and m.get("input_files") == rec.get("input_files"))
+
+
+def compact_routed(store_dir: str) -> dict:
+    """Fold a run's routed store ``<out>/data`` (``sylk compact --kind
+    routed``) up to its longest prefix of committed units.  A marker
+    alone does not commit a unit: units finish out of order, and a
+    crash can land between a marker and its line; folding such a unit
+    would make its rerun hit the compaction watermark."""
+    done = Manifest(os.path.dirname(os.path.normpath(store_dir))).completed()
+    k = -1
+    while _committed(store_dir, k + 1, done.get(f"u{k + 1:05d}")):
+        k += 1
+    return fold(store_dir, SINKS, cap=k)
+
+
 def run_flagship(
     input_files: list[str],
     out_dir: str,
@@ -87,7 +119,7 @@ def run_flagship(
 
     ``concurrent_units`` > 1 overlaps that many unit pipelines (each a
     full Ray Data execution) from driver threads: units are independent
-    (own output dir, own manifest commit line), so this preserves the
+    (own increment files, own manifest commit line), so this preserves the
     checkpoint/resume semantics while hiding per-unit barrier latency
     (the sort→write tail of one unit overlaps the read→parse head of
     the next).
@@ -96,29 +128,54 @@ def run_flagship(
 
     mf = Manifest(out_dir)
     done = mf.completed()
+    store = os.path.join(out_dir, "data")
     units = [
         (f"u{ui:05d}", input_files[i : i + files_per_unit])
         for ui, i in enumerate(range(0, len(input_files), files_per_unit))
     ]
     totals = {"rows": 0, "parse_ok": 0, "units_run": 0, "units_skipped": 0}
     pending = []
+    on_disk = increment_ids(store, SINKS)
 
-    for uid, files in units:
+    for inc, (uid, files) in enumerate(units):
         rec = done.get(uid)
         # a line from an older run without the host_app counts cannot
         # feed the rollups: treat it as not committed and re-run the unit
         if rec and rec.get("input_files") == files and "host_app" in rec:
-            totals["units_skipped"] += 1
-            totals["rows"] += rec["rows"]
-            totals["parse_ok"] += rec["parse_ok"]
-            continue
-        # uid absent, or committed under a DIFFERENT file list (the unit
-        # boundaries moved: files_per_unit or the input set changed) —
-        # reusing the stale output would corrupt the global aggregates,
-        # so re-run; the fresh commit line supersedes the old
-        pending.append((uid, files, os.path.join(out_dir, "data", f"unit={uid}")))
+            if inc not in on_disk:
+                # the routed rows were removed: the line still holds the
+                # unit's counts; mark the empty increment so folds pass it
+                os.makedirs(store, exist_ok=True)
+                write_marker(store, inc,
+                             {"rows": rec["rows"], "input_files": files})
+            if _committed(store, inc, rec):
+                totals["units_skipped"] += 1
+                totals["rows"] += rec["rows"]
+                totals["parse_ok"] += rec["parse_ok"]
+                continue
+        # uid absent, committed under a DIFFERENT file list (the unit
+        # boundaries moved: files_per_unit or the input set changed), or
+        # its increment holds another run's rows — reusing the stale
+        # output would corrupt the global aggregates, so re-run; the
+        # fresh commit line supersedes the old
+        pending.append((uid, files, inc))
 
-    def _run_unit(uid, files, unit_dir):
+    # increments of units this run does not have (fewer units after the
+    # boundaries moved) would leave their rows beside the re-run ones;
+    # one that is folded already cannot be removed or re-run
+    stale = on_disk - set(range(len(units)))
+    rerun = [inc for *_, inc in pending]
+    for inc in sorted(stale) + rerun:
+        check_watermark(store, inc)
+    for inc in stale:
+        remove_increment(store, SINKS, inc)
+    # units finish out of order: unmark every increment this run
+    # rewrites before any unit starts, so a fold never takes an old
+    # increment of a half-rewritten run for a committed one
+    for inc in rerun:
+        unmark(store, inc)
+
+    def _run_unit(uid, files, inc):
         t0 = time.time()
         # one block per input file -> the planner fuses the read into the
         # parse/enrich/route chain (no SplitBlocks, no extra plasma hop)
@@ -132,11 +189,12 @@ def run_flagship(
             ds = read_syslog_lines_gz(files)
         else:
             ds = ray.data.read_parquet(files, override_num_blocks=len(files))
-        # the router replaces whatever a crashed earlier attempt left in
-        # unit_dir and returns the counts of the rows it wrote: the
+        # the router replaces whatever a crashed earlier attempt left of
+        # increment inc and returns the counts of the rows it wrote: the
         # unit's manifest metrics cost no read of the routed output
         sink_counts, reject_counts, host_app = _unit_counts(
-            *route_and_write(parse_enrich(ds), unit_dir))
+            *route_and_write(parse_enrich(ds), store, inc,
+                             {"input_files": files}))
         ok_rows = sum(sink_counts.values())
         rows = ok_rows + sum(reject_counts.values())
         mf.commit(
@@ -147,7 +205,6 @@ def run_flagship(
             sink_counts=sink_counts,
             reject_by_error=reject_counts,
             host_app=host_app,
-            output_path=unit_dir,
             wall_s=round(time.time() - t0, 3),
         )
         return rows, ok_rows

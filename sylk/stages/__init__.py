@@ -25,4 +25,3 @@ from .curate import (decontaminate, profile_columns,  # noqa: F401
 from .similarity import (ann_topk_bruteforce,  # noqa: F401
                          grouped_centroid_sums, kmeans_fixed)
 from .graph import pagerank, triangle_counts  # noqa: F401
-from .compact import compact_partitions  # noqa: F401

@@ -13,18 +13,22 @@ they need) — and counts the same in-memory rows as it goes, so the
 per-sink, per-reject and host/app counts come back from the write pass
 itself with no second read of the output.
 
-Retries are idempotent: file names are ``part-<task index>-<i>``, so a
-retried write task overwrites its own files, and the sink clears the
-``route=*`` tree of its output directory when a write starts, so a
-re-executed write (whose range sort may sample other boundaries and give
-a sink to another task) never leaves a stale file beside a new one.
+The routed output is a :mod:`store_fold` store whose partitions are the
+sinks and whose increments are write units: increment ``inc_id`` writes
+``route=<r>/route_key=<k>/inc<inc_id>.parquet`` (``.json`` for the
+JSONL sink) and its ``_done_inc<inc_id>.json`` marker LAST, so
+``read_set`` (with ``as_of``) and ``fold(store_dir, SINKS)`` work on it
+unchanged.  Ray's range sort (the default pull-based strategy) merges
+each key range into one block, and the write hands each block to one
+task whole, so every row of one ``route_id`` reaches one task however
+large the sink is, and each sink gets one file per increment under a
+name that does not depend on the sampled sort boundaries: a rerun or a
+Ray task retry overwrites its own files by name.
 """
 
 from __future__ import annotations
 
-import glob
 import os
-import shutil
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -34,12 +38,15 @@ from ray.data.block import BlockAccessor
 
 from ..functions.reference_semantics import ERROR_VARIANTS
 from .aggregate import _partial_counts
+from .store_fold import (atomic_write, check_watermark, remove_increment,
+                         write_marker)
 
 # error variant -> dense id, for the int sort key (order is arbitrary but
 # fixed; parser.rs:13-45 variant list)
 _ERROR_NAMES = sorted(ERROR_VARIANTS)
 
 _ROUTE_KEYS = ["route", "route_key"]
+SINKS = os.path.join("route=*", "route_key=*")  # the store's partitions
 _HOST_APP_KEYS = ["hostname", "appname"]
 ROUTE_COUNTS_SCHEMA = pa.schema(
     [("route", pa.string()), ("route_key", pa.string()), ("n", pa.int64())])
@@ -76,38 +83,35 @@ def add_route_columns(batch: pa.Table) -> pa.Table:
     return batch.append_column("route_id", route_id)
 
 
-def _merge(tables: list, keys: list, schema: pa.Schema) -> pa.Table:
-    """Sum the ``n`` column of per-task count tables by ``keys``."""
-    if not tables:
-        return schema.empty_table()
-    merged = pa.concat_tables(tables).group_by(keys).aggregate([("n", "sum")])
-    return merged.rename_columns(keys + ["n"]).cast(schema)
-
-
 class RoutedSink(Datasink):
-    """The routed write: each task writes its rows into the Hive sink
-    layout and returns the counts of the rows it wrote.
+    """The routed write as one store ingest: each task writes its rows
+    into the Hive sink layout as increment ``inc_id`` and returns the
+    counts of the rows it wrote.
 
     ``fmt="parquet"`` writes with ``pyarrow.dataset.write_dataset`` (the
     same call, layout and file schema as Ray's own Parquet sink: the
-    partition columns live in the directory names only);
-    ``fmt="json"`` writes one newline-delimited JSON file per sink
-    group.  A write first removes the ``route=*`` directories already
-    under ``out_dir``: the directory then holds exactly the rows of the
-    last write.  After the write, ``counts`` holds two driver-merged tables:
-    ``(route, route_key, n)`` over every row, and ``(hostname, appname,
+    partition columns live in the directory names only) under a tmp
+    name, then renames each file to ``inc<inc_id>.parquet``;
+    ``fmt="json"`` writes each sink group to ``inc<inc_id>.json`` the
+    same way.  A write first checks the compaction watermark and removes
+    this increment's marker and files; it writes the marker last, with
+    the row count and the fields of ``info``.  ``counts`` then holds
+    ``(route, route_key, n)`` over every row and ``(hostname, appname,
     n)`` over the ok rows (null terms count under "")."""
 
-    def __init__(self, out_dir: str, fmt: str = "parquet"):
-        self.out_dir = out_dir
+    def __init__(self, store_dir: str, inc_id: int, fmt: str = "parquet",
+                 info: dict | None = None):
+        self.store_dir = store_dir
+        self.inc_id = inc_id
         self.fmt = fmt
+        self.info = info or {}
         self.counts = (ROUTE_COUNTS_SCHEMA.empty_table(),
                        HOST_APP_SCHEMA.empty_table())
 
     def on_write_start(self) -> None:
-        for d in glob.glob(os.path.join(self.out_dir, "route=*")):
-            shutil.rmtree(d)
-        os.makedirs(self.out_dir, exist_ok=True)
+        check_watermark(self.store_dir, self.inc_id)
+        os.makedirs(self.store_dir, exist_ok=True)
+        remove_increment(self.store_dir, SINKS, self.inc_id)
 
     def write(self, blocks, ctx):
         tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
@@ -115,20 +119,29 @@ class RoutedSink(Datasink):
         if not tables:
             return None
         table = pa.concat_tables(tables, promote_options="default")
-        name = f"part-{ctx.task_idx:05d}"
+        name = f"inc{self.inc_id}"
         if self.fmt == "json":
             self._write_json(table, name)
         else:
+            written = []
             pads.write_dataset(
                 table,
-                self.out_dir,
+                self.store_dir,
                 format="parquet",
                 partitioning=_ROUTE_KEYS,
                 partitioning_flavor="hive",
-                basename_template=name + "-{i}.parquet",
+                basename_template=name + ".{i}.tmp",
                 existing_data_behavior="overwrite_or_ignore",
                 use_threads=True,
+                file_visitor=lambda f: written.append(f.path),
             )
+            dirs = [os.path.dirname(p) for p in written]
+            if len(set(dirs)) != len(dirs):
+                raise RuntimeError(
+                    f"increment {self.inc_id} wrote two files into one sink"
+                    f" directory: {sorted(written)}")
+            for p, d in zip(written, dirs):
+                os.replace(p, os.path.join(d, name + ".parquet"))
         routes = table.group_by(_ROUTE_KEYS).aggregate([([], "count_all")])
         return (routes.rename_columns(_ROUTE_KEYS + ["n"]),
                 _partial_counts(table, _HOST_APP_KEYS, True))
@@ -136,30 +149,44 @@ class RoutedSink(Datasink):
     def _write_json(self, table: pa.Table, name: str) -> None:
         df = table.drop_columns(["route_id"]).to_pandas()
         for (r, k), g in df.groupby(_ROUTE_KEYS, sort=False):
-            d = os.path.join(self.out_dir, f"route={r}", f"route_key={k}")
+            d = os.path.join(self.store_dir, f"route={r}", f"route_key={k}")
             os.makedirs(d, exist_ok=True)
-            g.drop(columns=_ROUTE_KEYS).to_json(
-                os.path.join(d, name + "-0.json"), orient="records", lines=True)
+            atomic_write(os.path.join(d, name + ".json"),
+                         lambda p: g.drop(columns=_ROUTE_KEYS).to_json(
+                             p, orient="records", lines=True))
 
     def on_write_complete(self, write_result) -> None:
         rets = [r for r in write_result.write_returns if r is not None]
-        self.counts = (
-            _merge([r[0] for r in rets], _ROUTE_KEYS, ROUTE_COUNTS_SCHEMA),
-            _merge([r[1] for r in rets], _HOST_APP_KEYS, HOST_APP_SCHEMA),
-        )
+        routes = ROUTE_COUNTS_SCHEMA.empty_table()
+        host_app = HOST_APP_SCHEMA.empty_table()
+        if rets:
+            routes = pa.concat_tables([r[0] for r in rets]).cast(routes.schema)
+            host_app = pa.concat_tables([r[1] for r in rets]).group_by(
+                _HOST_APP_KEYS).aggregate([("n", "sum")]).rename_columns(
+                _HOST_APP_KEYS + ["n"]).cast(host_app.schema)
+        # two tasks naming one sink wrote one file name twice
+        if routes.group_by(_ROUTE_KEYS).aggregate([]).num_rows != routes.num_rows:
+            raise RuntimeError(
+                f"increment {self.inc_id}: two write tasks wrote one sink")
+        self.counts = (routes, host_app)
+        write_marker(self.store_dir, self.inc_id,
+                     {"rows": int(pc.sum(routes.column("n")).as_py() or 0),
+                      **self.info})
 
 
-def _route(parsed_ds, out_dir: str, fmt: str):
-    sink = RoutedSink(out_dir, fmt)
+def _route(parsed_ds, store_dir: str, inc_id: int, fmt: str, info):
+    sink = RoutedSink(store_dir, inc_id, fmt, info)
     ds = parsed_ds.map_batches(add_route_columns, batch_format="pyarrow")
     ds.sort("route_id").write_datasink(sink)
     return sink.counts
 
 
-def route_and_write(parsed_ds, out_dir: str):
-    """Write the routed fan-out in one pass and return its counts.
-    ``parsed_ds`` must already carry facility_name/severity_name
-    (post-enrich).
+def route_and_write(parsed_ds, store_dir: str, inc_id: int,
+                    info: dict | None = None):
+    """Write the routed fan-out in one pass as increment ``inc_id`` of
+    the routed store ``store_dir`` and return its counts.  ``parsed_ds``
+    must already carry facility_name/severity_name (post-enrich);
+    ``info`` adds fields to the increment's marker.
 
     Returns ``(route_counts, host_app_counts)``: Arrow tables
     ``(route, route_key, n)`` over every routed row and ``(hostname,
@@ -181,17 +208,16 @@ def route_and_write(parsed_ds, out_dir: str):
     HASH_SHUFFLE gives the same 1 file/sink but runs ~2.7x slower
     (~39 s vs ~12-15 s — the hash-shuffle operator's fixed aggregator
     overhead dominates at 201 distinct keys), and skipping the exchange
-    writes 91 files/sink.  Ray's range partition keeps every row of one
-    ``route_id`` in one task, so a sink directory gets one file per
-    unit."""
-    return _route(parsed_ds, out_dir, "parquet")
+    writes 91 files/sink."""
+    return _route(parsed_ds, store_dir, inc_id, "parquet", info)
 
 
-def route_and_write_jsonl(parsed_ds, out_dir: str):
+def route_and_write_jsonl(parsed_ds, store_dir: str, inc_id: int,
+                          info: dict | None = None):
     """Routed fan-out to newline-delimited JSON sinks — the shape a
     downstream log consumer (the crate's serde surface) ingests
     directly.  Same sink, Hive layout, range-partition-by-sink policy,
-    file naming and returned counts as :func:`route_and_write`; each
-    write task writes one JSON file per sink group it holds (the
-    pre-sort keeps groups-per-task O(1))."""
-    return _route(parsed_ds, out_dir, "json")
+    store protocol and returned counts as :func:`route_and_write`; each
+    write task writes one ``inc<inc_id>.json`` per sink group it holds
+    (the pre-sort keeps groups-per-task O(1))."""
+    return _route(parsed_ds, store_dir, inc_id, "json", info)

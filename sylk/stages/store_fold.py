@@ -54,7 +54,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 __all__ = ["atomic_write", "atomic_json", "complete_increments",
-           "write_marker", "read_set", "watermark", "check_watermark",
+           "write_marker", "read_marker", "increment_ids", "unmark",
+           "remove_increment", "read_set", "watermark", "check_watermark",
            "check_as_of", "delete_files", "write_tombstones",
            "driver_read", "typed_result", "purge", "fold"]
 
@@ -85,9 +86,45 @@ def complete_increments(store_dir: str) -> list[int]:
                   glob.glob(os.path.join(store_dir, "_done_inc*.json")))
 
 
+def _marker(store_dir: str, inc_id: int) -> str:
+    return os.path.join(store_dir, f"_done_inc{inc_id}.json")
+
+
 def write_marker(store_dir: str, inc_id: int, info: dict) -> None:
     """Mark increment ``inc_id`` complete — an ingest's LAST write."""
-    atomic_json(os.path.join(store_dir, f"_done_inc{inc_id}.json"), info)
+    atomic_json(_marker(store_dir, inc_id), info)
+
+
+def read_marker(store_dir: str, inc_id: int) -> dict | None:
+    """The info increment ``inc_id``'s marker holds (None: unmarked)."""
+    try:
+        with open(_marker(store_dir, inc_id)) as f:
+            return json.load(f)
+    except FileNotFoundError:
+        return None
+
+
+def increment_ids(store_dir: str, part_glob: str) -> set[int]:
+    """Ids of the increments with a marker or a ``part_glob`` partition
+    file on disk (complete, or left unmarked by a crash)."""
+    return set(complete_increments(store_dir)).union(
+        _num(f, "inc") for f in
+        glob.glob(os.path.join(store_dir, part_glob, "inc*.*")))
+
+
+def unmark(store_dir: str, inc_id: int) -> None:
+    """Remove increment ``inc_id``'s marker: the increment stops
+    existing, and its files wait for a rerun to overwrite them."""
+    if os.path.exists(_marker(store_dir, inc_id)):
+        os.remove(_marker(store_dir, inc_id))
+
+
+def remove_increment(store_dir: str, part_glob: str, inc_id: int) -> None:
+    """Remove increment ``inc_id``: its marker first, then its
+    partition files."""
+    unmark(store_dir, inc_id)
+    for f in glob.glob(os.path.join(store_dir, part_glob, f"inc{inc_id}.*")):
+        os.remove(f)
 
 
 def read_set(store_dir: str, pdirs, as_of: int | None = None,
@@ -176,8 +213,8 @@ def _drop_tombstoned(tbl: pa.Table, files: list[str],
                      id_col: str) -> pa.Table:
     """``tbl`` without the rows whose ``id_col`` one of the tombstone
     ``files`` holds: the store core's one tombstone reader."""
-    ids = pa.concat_tables([pq.read_table(f, columns=[id_col])
-                            for f in files]).column(id_col)
+    ids = pq.read_table(files, columns=[id_col],
+                        partitioning=None).column(id_col)
     return tbl.filter(pc.invert(pc.is_in(
         tbl.column(id_col), value_set=ids.combine_chunks())))
 
@@ -193,8 +230,9 @@ def driver_read(store_dir: str, files: list[str], columns: list[str],
     dels = delete_files(store_dir, exclude=exclude)
     if sum(os.stat(f).st_size for f in files + dels) > _DRIVER_READ_LIMIT:
         return None
-    tbl = pa.concat_tables([pq.read_table(f, columns=columns)
-                            for f in files])
+    # partitioning=None: the partition key (``term=``, ``cell=``) is a
+    # data column too, so a Hive read would merge it with the path's
+    tbl = pq.read_table(files, columns=columns, partitioning=None)
     return _drop_tombstoned(tbl, dels, id_col) if dels else tbl
 
 
@@ -222,10 +260,12 @@ def purge(store_dir: str, id_col: str):
     return _purge
 
 
-def fold(store_dir: str, part_glob: str, reduce=None) -> dict:
+def fold(store_dir: str, part_glob: str, reduce=None,
+         cap: int | None = None) -> dict:
     """Compact every ``part_glob`` partition: its read set up to
     ``upto`` becomes one ``compact<upto>.parquet`` (``reduce``, pickled
-    to the per-partition tasks, maps the concatenated table first),
+    to the per-partition tasks, maps the concatenated table first;
+    ``cap``, when given, bounds ``upto`` from above),
     written tmp -> rename; then the sources and shadowed leftovers are
     deleted, and the watermark is written last.  A crash anywhere
     leaves every read set answering as before; rerunning the fold
@@ -239,7 +279,8 @@ def fold(store_dir: str, part_glob: str, reduce=None) -> dict:
     gap = min((i for i in (_num(f, "inc") for f in glob.glob(
         os.path.join(store_dir, part_glob, "inc*.parquet")))
         if i > wm and i not in done), default=float("inf"))
-    upto = max([wm] + [i for i in done if i < gap])
+    upto = max([wm] + [i for i in done
+                       if i < gap and (cap is None or i <= cap)])
     if upto < 0:
         return {"files_in": 0, "files_out": 0, "upto": wm}
 

@@ -90,9 +90,9 @@ import pyarrow.parquet as pq
 
 from .sample import content_hash64
 from .store_fold import (atomic_json, atomic_write, check_as_of,
-                         check_watermark, delete_files, driver_read, fold,
-                         purge, read_set, typed_result, write_marker,
-                         write_tombstones)
+                         check_watermark, complete_increments, delete_files,
+                         driver_read, fold, purge, read_marker, read_set,
+                         typed_result, write_marker, write_tombstones)
 
 
 def _term_buckets(terms, n_buckets: int) -> np.ndarray:
@@ -245,12 +245,10 @@ def corpus_stats(store_dir: str,
     markers survive compaction, so this is exact at any point.
     ``as_of`` restricts to increments <= that horizon."""
     n_docs = n_tokens = 0
-    for f in glob.glob(os.path.join(store_dir, "_done_inc*.json")):
-        inc = int(os.path.basename(f)[len("_done_inc"):-len(".json")])
+    for inc in complete_increments(store_dir):
         if as_of is not None and inc > as_of:
             continue
-        with open(f) as fh:
-            m = json.load(fh)
+        m = read_marker(store_dir, inc)
         n_docs += int(m["n_docs"])
         n_tokens += int(m["n_tokens"])
     return n_docs, n_tokens

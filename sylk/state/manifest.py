@@ -9,7 +9,7 @@ written, one JSON line is appended to ``manifest.jsonl``:
      "sink_counts": {"<facility>/<severity>": <int>, ...},
      "reject_by_error": {"<ParseErr variant>": <int>, ...},
      "host_app": [[<hostname>, <appname>, <int>], ...],
-     "output_path": <unit dir>, "wall_s": <float>}
+     "wall_s": <float>}
 
 ``rows`` counts every input row of the unit and ``parse_ok`` its
 accepted rows.  ``sink_counts`` keys are the numeric facility/severity
@@ -20,12 +20,15 @@ and a run's rollups merge them across its units' lines.  A line without
 ``host_app`` (written by an older version) counts as not committed: its
 unit re-runs.
 
-Appending the line is the commit point: a resumed run skips every
-partition already present, so a crash mid-partition re-processes only
-that partition (its deterministic output directory is overwritten, not
-duplicated — idempotent retry).  This is the lineage/metrics design the
-north rule requires; the reference itself keeps no state at all
-(single-shot library, lib.rs:13-25).
+Unit ``u<n>`` writes its routed rows as increment ``<n>`` of the
+``store_fold`` store ``<out>/data``, then its ``_done_inc<n>.json``
+marker (holding the same ``input_files``), then this line: appending
+the line is the commit point, and a unit is committed when its line and
+marker name the same input files.  A resumed run skips every committed
+partition, so a crash mid-partition re-processes only that partition
+(its increment files are overwritten by name — idempotent retry).  This
+is the lineage/metrics design the north rule requires; the reference
+itself keeps no state at all (single-shot library, lib.rs:13-25).
 """
 
 from __future__ import annotations

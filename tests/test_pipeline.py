@@ -115,7 +115,8 @@ def test_partially_written_unit_is_overwritten(ray_session, corpus_dir, tmp_path
     # wipe the manifest (as if we crashed before the commit point) but
     # leave the partial/complete data dir behind
     os.remove(os.path.join(out, "manifest.jsonl"))
-    shutil.rmtree(os.path.join(out, "data", "unit=u00000", "route=reject"))
+    for f in glob.glob(os.path.join(out, "data", "route=reject", "*", "inc0.parquet")):
+        os.remove(f)
     r2 = run_flagship(files, out, files_per_unit=2)
     assert r2["units_run"] == 1
     assert r2["sink_counts"] == r1["sink_counts"]
@@ -151,7 +152,9 @@ def test_sink_counts_dataset_path(ray_session, corpus_dir):
 def test_resume_reruns_on_changed_unit_boundaries(ray_session, corpus_dir, tmp_path_factory):
     """A committed unit whose input-file membership no longer matches
     (files_per_unit changed between runs) is wiped and re-run instead of
-    silently reusing stale output; global aggregates stay correct."""
+    silently reusing stale output; global aggregates stay correct, and
+    the routed rows on disk are the input rows once (the increments of
+    units the new boundaries no longer have are removed)."""
     out = str(tmp_path_factory.mktemp("boundaries"))
     files = sorted(glob.glob(os.path.join(corpus_dir, "*.parquet")))
     r1 = run_flagship(files, out, files_per_unit=2)
@@ -164,6 +167,13 @@ def test_resume_reruns_on_changed_unit_boundaries(ray_session, corpus_dir, tmp_p
     assert r2["sink_counts"] == r1["sink_counts"]
     assert r2["reject_by_error"] == r1["reject_by_error"]
     assert r2["host_app_histogram"] == r1["host_app_histogram"]
+    routed = pq.read_table(
+        glob.glob(os.path.join(out, "data", "**", "*.parquet"), recursive=True),
+        columns=["conv_id", "turn_idx"])
+    t = synth_batch(np.arange(N_ROWS, dtype=np.int64))
+    assert collections.Counter(zip(*routed.to_pydict().values())) == \
+        collections.Counter(zip(t.column("conv_id").to_pylist(),
+                                t.column("turn_idx").to_pylist()))
     # identical boundaries resume cleanly afterwards
     r3 = run_flagship(files, out, files_per_unit=4)
     assert r3["units_run"] == 0 and r3["units_skipped"] == r2["units_run"]

@@ -69,14 +69,14 @@ def test_routed_jsonl_matches_parquet(ray_session, tmp_path):
 
     t = synth_batch(np.arange(500, dtype=np.int64))
     parsed = parse_enrich(ray.data.from_arrow(t).repartition(4))
-    route_and_write(parsed, str(tmp_path / "pq"))
+    route_and_write(parsed, str(tmp_path / "pq"), 0)
     parsed2 = parse_enrich(ray.data.from_arrow(t).repartition(4))
-    route_and_write_jsonl(parsed2, str(tmp_path / "js"))
+    route_and_write_jsonl(parsed2, str(tmp_path / "js"), 0)
 
     pq_files = glob.glob(str(tmp_path / "pq" / "**" / "*.parquet"),
                          recursive=True)
-    js_files = glob.glob(str(tmp_path / "js" / "**" / "*.json"),
-                         recursive=True)
+    js_files = glob.glob(str(tmp_path / "js" / "route=*" / "route_key=*"
+                             / "inc0.json"))
     assert js_files, "json sink wrote nothing"
     pq_rows = ray.data.read_parquet(pq_files).to_pandas()
     js_rows = pd.DataFrame([json.loads(line)
