@@ -29,13 +29,13 @@ rename, and retraining on a rerun of increment 1 is deterministic
 files, markers, read sets, tombstones, compaction and the watermark
 are the shared :mod:`store_fold` contract.
 
-Distribution: one hash-shuffle of the increment by cell
-(``groupby(cell).map_groups``), then each cell task writes its file
-independently; no driver state scales with the data (the stats table
-is n_cells rows).  The query is a pruned brute-force over the probed
-cells' files only, in one of two tiers picked from the on-disk size of
-that read set plus the tombstone files alone
-(``store_fold._DRIVER_READ_LIMIT``, 64 MiB): below it, the driver
+Distribution: :func:`store_fold.write_increment` writes the increment
+by cell, one hash-shuffle (``groupby(cell).map_groups``) whose cell
+tasks write their files independently; no driver state scales with
+the data (the stats table is n_cells rows).  The query is a pruned
+brute-force over the probed cells' files only, in one of two tiers
+picked from the on-disk size of that read set plus the tombstone files
+alone (``store_fold._DRIVER_READ_LIMIT``, 64 MiB): below it, the driver
 reads the files with pyarrow, masks tombstones and runs the matmul
 top-k kernel (``similarity._topk_partial``) once over the one table;
 above it, ``read_parquet`` -> tombstone anti-join -> the same kernel
@@ -48,13 +48,12 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from .similarity import (IVFIndex, ann_topk_bruteforce, _normalize,
                          _topk_partial)
-from .store_fold import (atomic_write, check_as_of, check_watermark,
-                         delete_files, driver_read, fold, purge, read_set,
-                         typed_result, write_marker, write_tombstones)
+from .store_fold import (atomic_write, check_as_of, delete_files,
+                         driver_read, fold, purge, read_set, typed_result,
+                         write_increment, write_tombstones)
 
 
 def _load_index(store_dir: str) -> IVFIndex:
@@ -64,52 +63,28 @@ def _load_index(store_dir: str) -> IVFIndex:
     return idx
 
 
-def _atomic_npy(path: str, arr: np.ndarray) -> None:
-    with open(path + ".tmp", "wb") as f:
-        np.save(f, arr)
-    os.replace(path + ".tmp", path)
-
-
 def ann_ingest(emb_ds, store_dir: str, inc_id: int, n_cells: int = 16,
                seed: int = 42, sample: int = 2048) -> pa.Table:
-    """Ingest one embedding increment (``vec_id``, ``embedding``).
-    Eager (files + completeness marker are on disk on return); returns
-    the per-cell stats table (cell, n_rows)."""
+    """Ingest one embedding increment (``vec_id``, ``embedding``)
+    through :func:`store_fold.write_increment`.  Eager (files +
+    completeness marker are on disk on return); returns the per-cell
+    stats table (cell, n_rows)."""
     os.makedirs(store_dir, exist_ok=True)
-    check_watermark(store_dir, inc_id)
-
     cpath = os.path.join(store_dir, "centroids.npy")
     if not os.path.exists(cpath):
         index = IVFIndex.train(emb_ds, n_cells=n_cells, sample=sample,
                                seed=seed)
-        _atomic_npy(cpath, index.centroids)
+
+        def _save(p: str) -> None:
+            with open(p, "wb") as f:    # a path would get ".npy" added
+                np.save(f, index.centroids)
+        atomic_write(cpath, _save)
     else:
         index = _load_index(store_dir)
-
-    def _one_cell(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return pa.table({"cell": pa.array([], pa.int64()),
-                             "n_rows": pa.array([], pa.int64())})
-        cell = int(g.column("cell")[0].as_py())
-        cdir = os.path.join(store_dir, f"cell={cell}")
-        os.makedirs(cdir, exist_ok=True)
-        out = g.drop_columns(["cell"])
-        atomic_write(os.path.join(cdir, f"inc{inc_id}.parquet"),
-                      lambda p: pq.write_table(out, p))
-        return pa.table({"cell": pa.array([cell], pa.int64()),
-                         "n_rows": pa.array([g.num_rows], pa.int64())})
-
-    stats = (emb_ds
-             .map_batches(index.assign_batch, batch_format="pyarrow",
-                          batch_size=None)
-             .groupby("cell")
-             .map_groups(_one_cell, batch_format="pyarrow")
-             .to_pandas())
-    # marker LAST: every cell file above is already atomically visible
-    write_marker(store_dir, inc_id,
-                 {"cells": int(len(stats)),
-                  "rows": int(stats["n_rows"].sum()) if len(stats) else 0})
-    return pa.Table.from_pandas(stats, preserve_index=False)
+    return write_increment(
+        emb_ds.map_batches(index.assign_batch, batch_format="pyarrow",
+                           batch_size=None),
+        store_dir, inc_id, "cell", "cell")
 
 
 def probe_files(store_dir: str, cells,

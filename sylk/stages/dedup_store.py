@@ -25,10 +25,11 @@ operator in this engine shares).  Increments must be ingested with
 monotonically increasing ``inc_id``.
 
 Idempotence / crash safety (the :mod:`store_fold` contract):
-* all files (accepted output + store append) are written ``.tmp`` then
-  atomically renamed, with DETERMINISTIC names keyed by (inc_id,
-  bucket) — a rerun overwrites its own partial work instead of
-  duplicating it; the increment's marker is written last;
+* a rerun first removes its own increment (marker, store files,
+  accepted output); all files are written ``.tmp`` then atomically
+  renamed, with DETERMINISTIC names keyed by (inc_id, bucket)
+  (:func:`store_fold.inc_file`); the increment's marker is written
+  last;
 * the probe reads marker-complete increments only and also excludes
   the current increment's own file, so a rerun — after a crash
   anywhere, even after the marker — re-accepts the same rows (same
@@ -44,13 +45,15 @@ from __future__ import annotations
 
 import glob
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .store_fold import (check_watermark, complete_increments, fold,
-                         read_set, write_marker)
+                         inc_file, read_set, remove_increment,
+                         write_increment, write_marker)
 
 
 def _bucket_of(h: np.ndarray, bits: int) -> np.ndarray:
@@ -87,9 +90,12 @@ def dedup_ingest(ds, store_dir: str, out_dir: str, key_col: str,
 
     os.makedirs(store_dir, exist_ok=True)
     check_watermark(store_dir, inc_id)
+    # a rerun starts from nothing of its own earlier attempt
+    remove_increment(store_dir, "p=*", inc_id)
     done = complete_increments(store_dir)
     acc_dir = os.path.join(out_dir, f"inc={inc_id}")
-    os.makedirs(acc_dir, exist_ok=True)
+    shutil.rmtree(acc_dir, ignore_errors=True)
+    os.makedirs(acc_dir)
 
     def _tag(b: pa.Table) -> pa.Table:
         h = content_hash64(b.column(key_col))
@@ -129,7 +135,7 @@ def dedup_ingest(ds, store_dir: str, out_dir: str, key_col: str,
             .drop_columns(["_h", "_bkt"])
         # deterministic names + tmp/rename: reruns overwrite, never append
         os.makedirs(pdir, exist_ok=True)
-        store_f = os.path.join(pdir, f"inc{inc_id}.parquet")
+        store_f = inc_file(store_dir, "p", bkt, inc_id)
         pq.write_table(pa.table({"h": pa.array(kh[novel].view(np.int64),
                                                pa.int64())}),
                        store_f + ".tmp")
@@ -188,13 +194,14 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
     2. cross-increment: a kept doc is REJECTED iff one of its 16 band
        buckets collides with a PRIOR ACCEPTED doc AND exact 3-gram
        Jaccard against that doc's stored text >= ``threshold``;
-    3. survivors' rows land under ``out_dir/inc=<id>/`` (scratch dir
-       atomically renamed into place) and their (doc_id, band,
-       band_hash) rows under ``store_dir/p=<bucket>/inc<id>.parquet``
-       with ``bucket = band_hash >> (64 - bits)`` — the same hash-prefix
-       partitioning :func:`dedup_ingest` uses, written with
-       deterministic names + tmp/rename so reruns overwrite; the
-       increment's marker is written last.
+    3. survivors' (doc_id, band, band_hash) rows land under
+       ``store_dir/p=<bucket>/inc<id>.parquet`` with
+       ``bucket = band_hash >> (64 - bits)`` — the same hash-prefix
+       partitioning :func:`dedup_ingest` uses — through
+       :func:`store_fold.write_increment` (watermark refusal, a rerun
+       replaces the increment); then their rows land under
+       ``out_dir/inc=<id>/`` (scratch dir atomically renamed into
+       place), and the increment's marker is written last.
 
     The probe is PRUNED: an increment collects its distinct band-hash
     buckets (<= 2**bits values of metadata, never rows) and reads only
@@ -211,8 +218,6 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
 
     Returns ``{"accepted": n, "rejected_in_inc": n, "rejected_cross": n}``.
     """
-    import shutil
-
     import ray
     import ray.data
 
@@ -222,8 +227,6 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
                         _verify_broadcast, _verify_pairs)
     from .join import anti_join, hash_join, semi_join
 
-    os.makedirs(store_dir, exist_ok=True)
-    check_watermark(store_dir, inc_id)
     n_inc = ds.count()
     pairs = minhash_dup_pairs(ds, threshold=threshold, text_col=text_col)
     nodes = ds.map_batches(lambda b: b.select([id_col]),
@@ -367,47 +370,33 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
                 on=id_col, right_key="a")
 
     # ---- writes ----
-    # ORDER MATTERS: band store FIRST, accepted output second, marker
-    # last.  A crash before the marker leaves the increment invisible
-    # to every probe and fold (the caller reruns, deterministic names
-    # overwrite); the reverse order would leave accepted docs whose
-    # bands never reached the store — silent recall loss for every
-    # later increment.  Probes ignore the current inc's store files, so
-    # early store writes never poison their own rerun.
+    # ORDER MATTERS: band store FIRST, accepted output second (in the
+    # marker info hook), marker last.  A crash before the marker leaves
+    # the increment invisible to every probe and fold (the caller
+    # reruns, which removes the increment's band files first); the
+    # reverse order would leave accepted docs whose bands never reached
+    # the store — silent recall loss for every later increment.  Probes
+    # ignore the current inc's store files, so early store writes never
+    # poison their own rerun.
     accepted = kept.materialize()
     n_acc = accepted.count()
     n_rej_cross = n_kept - n_acc
-    os.makedirs(store_dir, exist_ok=True)
 
-    def _write_bucket(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return pa.table({"bucket": pa.array([], pa.int64()),
-                             "rows": pa.array([], pa.int64())})
-        bkt = int(g.column("_bkt")[0].as_py())
-        pdir = os.path.join(store_dir, f"p={bkt}")
-        os.makedirs(pdir, exist_ok=True)
-        f = os.path.join(pdir, f"inc{inc_id}.parquet")
-        pq.write_table(g.drop_columns(["_bkt"]), f + ".tmp")
-        os.replace(f + ".tmp", f)
-        return pa.table({"bucket": pa.array([bkt], pa.int64()),
-                         "rows": pa.array([g.num_rows], pa.int64())})
+    def _publish(stats: pa.Table) -> dict:
+        final = os.path.join(out_dir, f"inc={inc_id}")
+        tmp = os.path.join(out_dir, f".build-inc{inc_id}")
+        shutil.rmtree(tmp, ignore_errors=True)
+        # made first: a fully-rejected increment writes no files, and
+        # its (empty) dir must still exist for reruns and readers
+        os.makedirs(tmp)
+        accepted.write_parquet(tmp)
+        shutil.rmtree(final, ignore_errors=True)
+        os.rename(tmp, final)
+        return {"accepted": int(n_acc)}
 
-    accepted.map_batches(_bands_bkt, batch_format="pyarrow",
-                         batch_size=None) \
-        .groupby("_bkt").map_groups(_write_bucket,
-                                    batch_format="pyarrow").materialize()
-
-    os.makedirs(out_dir, exist_ok=True)
-    final = os.path.join(out_dir, f"inc={inc_id}")
-    tmp = os.path.join(out_dir, f".build-inc{inc_id}")
-    shutil.rmtree(tmp, ignore_errors=True)
-    accepted.write_parquet(tmp)
-    # a fully-rejected increment writes no files; the (empty) final dir
-    # must still exist so reruns and readers see the increment
-    os.makedirs(tmp, exist_ok=True)
-    shutil.rmtree(final, ignore_errors=True)
-    os.rename(tmp, final)
-    write_marker(store_dir, inc_id, {"accepted": int(n_acc)})
+    write_increment(accepted.map_batches(_bands_bkt, batch_format="pyarrow",
+                                         batch_size=None),
+                    store_dir, inc_id, "_bkt", "p", info=_publish)
     return {"accepted": int(n_acc),
             "rejected_in_inc": int(n_inc - n_kept),
             "rejected_cross": int(n_rej_cross)}

@@ -5,7 +5,7 @@ ann_store, text_index).
 
 Layout::
 
-    store_dir/<part>=<k>/inc<id>.parquet       # deterministic names
+    store_dir/<part>=<k>/inc<id>.parquet       # write_increment's names
     store_dir/<part>=<k>/compact<upto>.parquet # reserved fold names
     store_dir/_done_inc<id>.json               # completeness marker
     store_dir/_compact.json                    # compaction watermark
@@ -14,11 +14,14 @@ Layout::
 
 Contract:
 
-* An increment writes its partition files tmp -> rename under
-  deterministic (partition, inc_id) names, so a rerun overwrites its
-  own partial work, and writes its ``_done_inc<id>`` marker LAST.  An
-  increment without its marker does not exist: no read set holds it
-  and no fold consumes it.
+* :func:`write_increment` is the one partitioned increment write: it
+  refuses ``inc_id`` at or below the watermark, then a rerun removes
+  its own increment first (marker, then files), so no file of an
+  earlier attempt outlives it; one ``groupby(part).map_groups``
+  exchange writes each partition's file tmp -> rename under its
+  deterministic :func:`inc_file` name, and the ``_done_inc<id>``
+  marker is written LAST.  An increment without its marker does not
+  exist: no read set holds it and no fold consumes it.
 * A partition's read set (:func:`read_set`) is its highest
   ``compact<u>`` file plus the marker-complete ``inc<i>`` files with
   ``u < i <= as_of``.  Files with ``i <= u`` are shadowed — folded
@@ -55,9 +58,9 @@ import pyarrow.parquet as pq
 
 __all__ = ["atomic_write", "atomic_json", "complete_increments",
            "write_marker", "read_marker", "increment_ids", "unmark",
-           "remove_increment", "read_set", "watermark", "check_watermark",
-           "check_as_of", "delete_files", "write_tombstones",
-           "driver_read", "typed_result", "purge", "fold"]
+           "remove_increment", "inc_file", "write_increment", "read_set",
+           "watermark", "check_watermark", "check_as_of", "delete_files",
+           "write_tombstones", "driver_read", "typed_result", "purge", "fold"]
 
 # bytes of Parquet (read set + tombstones) up to which a probe reads its
 # files in the driver; the full-size benchmark stores hold 2-6 MB
@@ -125,6 +128,57 @@ def remove_increment(store_dir: str, part_glob: str, inc_id: int) -> None:
     unmark(store_dir, inc_id)
     for f in glob.glob(os.path.join(store_dir, part_glob, f"inc{inc_id}.*")):
         os.remove(f)
+
+
+def inc_file(store_dir: str, part_name: str, k, inc_id: int) -> str:
+    """The one name of increment ``inc_id``'s file in partition
+    ``<part_name>=<k>``."""
+    return os.path.join(store_dir, f"{part_name}={k}", f"inc{inc_id}.parquet")
+
+
+def write_increment(ds, store_dir: str, inc_id: int, part_col: str,
+                    part_name: str, reduce=None, info=None) -> pa.Table:
+    """Write increment ``inc_id`` of ``ds``, partitioned by the int
+    column ``part_col``: one ``<part_name>=<k>/inc<id>.parquet`` per
+    value ``k``, without ``part_col`` and mapped by ``reduce`` first.
+    Refuses an ``inc_id`` at or below the watermark, and removes the
+    increment's marker and files before the exchange, so a rerun leaves
+    exactly what a clean write leaves.  Returns the ``(part_col,
+    n_rows)`` stats of the written files; the marker, written last,
+    holds ``parts``, ``rows`` and whatever ``info(stats)`` adds, and
+    ``info`` runs after every partition file is in place."""
+    os.makedirs(store_dir, exist_ok=True)
+    check_watermark(store_dir, inc_id)
+    remove_increment(store_dir, f"{part_name}=*", inc_id)
+    empty = pa.table({part_col: pa.array([], pa.int64()),
+                      "n_rows": pa.array([], pa.int64())})
+
+    def _one(g: pa.Table) -> pa.Table:
+        if g.num_columns == 0 or g.num_rows == 0:
+            return empty
+        k = int(g.column(part_col)[0].as_py())
+        out = g.drop_columns([part_col])
+        if reduce is not None:
+            out = reduce(out)
+        path = inc_file(store_dir, part_name, k, inc_id)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        atomic_write(path, lambda p: pq.write_table(out, p))
+        return pa.table({part_col: pa.array([k], pa.int64()),
+                         "n_rows": pa.array([out.num_rows], pa.int64())})
+
+    # iter_batches, not to_arrow_refs: the latter runs the plan a
+    # second time for its schema; map_groups can emit schemaless empty
+    # blocks, so only the real ones are kept
+    stats = pa.concat_tables([empty] + [
+        b for b in ds.groupby(part_col).map_groups(
+            _one, batch_format="pyarrow").iter_batches(
+            batch_size=None, batch_format="pyarrow") if b.num_columns > 0]
+    ).sort_by(part_col)
+    write_marker(store_dir, inc_id, {
+        "parts": stats.num_rows,
+        "rows": int(pc.sum(stats.column("n_rows")).as_py() or 0),
+        **(info(stats) if info is not None else {})})
+    return stats
 
 
 def read_set(store_dir: str, pdirs, as_of: int | None = None,

@@ -89,10 +89,10 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .sample import content_hash64
-from .store_fold import (atomic_json, atomic_write, check_as_of,
-                         check_watermark, complete_increments, delete_files,
-                         driver_read, fold, purge, read_marker, read_set,
-                         typed_result, write_marker, write_tombstones)
+from .store_fold import (atomic_json, check_as_of, complete_increments,
+                         delete_files, driver_read, fold, inc_file, purge,
+                         read_marker, read_set, typed_result,
+                         write_increment, write_tombstones)
 
 
 def _term_buckets(terms, n_buckets: int) -> np.ndarray:
@@ -109,9 +109,9 @@ def _load_meta(store_dir: str) -> dict:
 def index_ingest(docs_ds, store_dir: str, inc_id: int,
                  n_buckets: int = 32, text_col: str = "text",
                  id_col: str = "doc_id", positions: bool = True) -> pa.Table:
-    """Ingest one document increment (``doc_id``, ``text``).  Eager
-    (files + marker on disk on return); returns the per-bucket stats
-    table (bucket, n_rows).
+    """Ingest one document increment (``doc_id``, ``text``) through
+    :func:`store_fold.write_increment`.  Eager (files + marker on disk
+    on return); returns the per-bucket stats table (bucket, n_rows).
 
     ONE pass over the increment: the postings explode + one hash
     shuffle by bucket.  The marker's (n_docs, n_tokens) corpus stats —
@@ -127,8 +127,6 @@ def index_ingest(docs_ds, store_dir: str, inc_id: int,
     choice is persisted and enforced across increments, like
     ``n_buckets``."""
     os.makedirs(store_dir, exist_ok=True)
-    check_watermark(store_dir, inc_id)
-
     mpath = os.path.join(store_dir, "_index.json")
     if os.path.exists(mpath):
         meta = _load_meta(store_dir)
@@ -206,37 +204,20 @@ def index_ingest(docs_ds, store_dir: str, inc_id: int,
         out = pa.concat_tables([post, doclen])
         return out.drop_columns(["positions"]) if not positions else out
 
-    def _one_bucket(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return pa.table({"bucket": pa.array([], pa.int64()),
-                             "n_rows": pa.array([], pa.int64())})
-        b = int(g.column("bucket")[0].as_py())
-        bdir = os.path.join(store_dir, f"term={b}")
-        os.makedirs(bdir, exist_ok=True)
-        out = g.drop_columns(["bucket"]).sort_by("term")
-        atomic_write(os.path.join(bdir, f"inc{inc_id}.parquet"),
-                     lambda p: pq.write_table(out, p))
-        return pa.table({"bucket": pa.array([b], pa.int64()),
-                         "n_rows": pa.array([g.num_rows], pa.int64())})
+    def _corpus(stats: pa.Table) -> dict:
+        # the increment's corpus stats, summed from its doc-length file
+        # (absent for an empty increment): probes read metadata, never
+        # a doc-length scan
+        path = inc_file(store_dir, "term", n_buckets, inc_id)
+        dl = (pq.read_table(path, columns=["dl"]).column("dl")
+              if os.path.exists(path) else pa.array([], pa.int64()))
+        return {"n_docs": len(dl), "n_tokens": int(pc.sum(dl).as_py() or 0)}
 
-    stats = (docs_ds
-             .map_batches(_postings, batch_format="pyarrow",
-                          batch_size=None)
-             .groupby("bucket")
-             .map_groups(_one_bucket, batch_format="pyarrow")
-             .to_pandas())
-    dlpath = os.path.join(store_dir, f"term={n_buckets}",
-                          f"inc{inc_id}.parquet")
-    if os.path.exists(dlpath):
-        dl = pq.read_table(dlpath, columns=["dl"]).column("dl")
-        n_docs, n_tokens = len(dl), int(pc.sum(dl).as_py() or 0)
-    else:                                   # empty increment
-        n_docs = n_tokens = 0
-    # marker LAST (store_fold contract): carries the increment's corpus
-    # stats so probes read metadata, never a doc-length scan
-    write_marker(store_dir, inc_id, {"n_docs": n_docs, "n_tokens": n_tokens,
-                                     "buckets": int(len(stats))})
-    return pa.Table.from_pandas(stats, preserve_index=False)
+    return write_increment(
+        docs_ds.map_batches(_postings, batch_format="pyarrow",
+                            batch_size=None),
+        store_dir, inc_id, "bucket", "term",
+        reduce=lambda t: t.sort_by("term"), info=_corpus)
 
 
 def corpus_stats(store_dir: str,

@@ -13,8 +13,9 @@ Store layout (the :mod:`store_fold` contract)::
 in one partition, so reads and compaction never shuffle across buckets.
 Each write reduces its increment to one LAST row per key (by
 ``order_col`` — a total order within the increment), stamps ``_inc``,
-and lands the run with a deterministic name via tmp+rename (reruns
-overwrite), then writes its marker.
+and lands the run through :func:`store_fold.write_increment`: refused
+at or below the watermark, a rerun removes its own increment first,
+deterministic names via tmp+rename, marker last.
 
 Read semantics: over each bucket's read set, the row from the HIGHEST
 ``(_inc, order_col)`` wins per key; if the winner's ``tombstone_col``
@@ -25,10 +26,10 @@ CDC order).
 Compaction (:func:`compact_store`) is the shared :func:`store_fold.fold`
 with a winners-only reduce: tombstone rows are DROPPED, because the
 fold covers everything at or below its horizon and leaves nothing
-older for them to mask.  The ``compact`` name is reserved, so a
-crash-recovery rerun of a folded increment can never overwrite the
-compacted history of other keys; its own file is shadowed by the
-compact file that already holds the increment.
+older for them to mask.  The ``compact`` name is reserved and the
+watermark refuses a rerun of a folded increment, so no rerun can
+overwrite the compacted history of other keys or land a run that the
+compact file would shadow.
 
 Scale shape: writes are one hash exchange of the increment; reads and
 compaction stream per-bucket (embarrassingly parallel, bounded by
@@ -46,8 +47,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .store_fold import (atomic_write, complete_increments, fold,
-                         read_set, write_marker)
+from .store_fold import complete_increments, fold, read_set, write_increment
 
 
 def _key_hash(col: pa.Array) -> np.ndarray:
@@ -83,9 +83,10 @@ def _live(tbl: pa.Table, key_col: str, order_col: str,
 
 def upsert_write(ds, store_dir: str, key_col: str, order_col: str,
                  inc_id: int, bits: int = 4):
-    """Write one CDC increment.  Eager: the runs and the completeness
-    marker are on disk on return.  Returns a per-bucket stats Dataset
-    (bucket, rows)."""
+    """Write one CDC increment (:func:`store_fold.write_increment`:
+    refused at or below the watermark, a rerun replaces the increment).
+    Eager: the runs and the completeness marker are on disk on return.
+    Returns a per-bucket stats Dataset (bucket, rows)."""
     import ray.data
 
     def _tag(b: pa.Table) -> pa.Table:
@@ -96,29 +97,15 @@ def upsert_write(ds, store_dir: str, key_col: str, order_col: str,
             "_bkt", pa.array((h >> np.uint64(64 - bits)).astype(np.int64),
                              pa.int64()))
 
-    def _one_bucket(g: pa.Table) -> pa.Table:
-        if g.num_columns == 0 or g.num_rows == 0:
-            return pa.table({"bucket": pa.array([], pa.int64()),
-                             "rows": pa.array([], pa.int64())})
-        bkt = int(g.column("_bkt")[0].as_py())
-        win = _last_per_key(g.drop_columns(["_bkt"]), key_col, [order_col])
-        win = win.append_column(
+    def _winners(g: pa.Table) -> pa.Table:
+        win = _last_per_key(g, key_col, [order_col])
+        return win.append_column(
             "_inc", pa.array(np.full(win.num_rows, inc_id), pa.int64()))
-        pdir = os.path.join(store_dir, f"p={bkt}")
-        os.makedirs(pdir, exist_ok=True)
-        atomic_write(os.path.join(pdir, f"inc{inc_id}.parquet"),
-                     lambda p: pq.write_table(win, p))
-        return pa.table({"bucket": pa.array([bkt], pa.int64()),
-                         "rows": pa.array([win.num_rows], pa.int64())})
 
-    os.makedirs(store_dir, exist_ok=True)
-    stats = (ds.map_batches(_tag, batch_format="pyarrow", batch_size=None)
-             .groupby("_bkt")
-             .map_groups(_one_bucket, batch_format="pyarrow")
-             .to_pandas())
-    write_marker(store_dir, inc_id, {"buckets": int(len(stats))})
-    return ray.data.from_arrow(pa.Table.from_pandas(stats,
-                                                    preserve_index=False))
+    stats = write_increment(
+        ds.map_batches(_tag, batch_format="pyarrow", batch_size=None),
+        store_dir, inc_id, "_bkt", "p", reduce=_winners)
+    return ray.data.from_arrow(stats.rename_columns(["bucket", "rows"]))
 
 
 def read_current(store_dir: str, key_col: str, order_col: str,

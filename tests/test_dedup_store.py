@@ -6,6 +6,7 @@ import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from sylk.stages.dedup_store import dedup_ingest, read_accepted
 
@@ -403,7 +404,8 @@ def test_upsert_compaction_survives_increment_rerun(ray_session, tmp_path):
     two keys in one bucket, inc1 then inc2, compact, then the documented
     crash-recovery rerun of increment 2 — inc1's key must stay live
     (the old run_inc<top> compact name was os.replace'd by the rerun,
-    silently deleting every other key's history)."""
+    silently deleting every other key's history).  The rerun is below
+    the watermark, so it is refused and both keys keep their values."""
     import numpy as np
     import ray.data
 
@@ -436,10 +438,12 @@ def test_upsert_compaction_survives_increment_rerun(ray_session, tmp_path):
     upsert_write(ray.data.from_arrow(_t([(k2, 20, "k2v1", False)])),
                  store, "user_id", "event_id", inc_id=2).materialize()
     compact_store(store, "user_id", "event_id", tombstone_col="_del")
-    # the compacted run must be un-clobberable by any increment rerun
+    # the compacted run must be un-clobberable by any increment rerun;
+    # the watermark refuses the rerun outright
     assert glob.glob(os.path.join(store, "p=*", "compact*.parquet"))
-    upsert_write(ray.data.from_arrow(_t([(k2, 20, "k2v1", False)])),
-                 store, "user_id", "event_id", inc_id=2).materialize()
+    with pytest.raises(ValueError, match="watermark"):
+        upsert_write(ray.data.from_arrow(_t([(k2, 20, "k2v1", False)])),
+                     store, "user_id", "event_id", inc_id=2)
     live = read_current(store, "user_id", "event_id",
                         tombstone_col="_del").to_pandas()
     assert sorted(live.user_id) == sorted([k1, k2])

@@ -1,6 +1,8 @@
 """The one store core (stages/store_fold.py): an increment without its
 marker is invisible to every read set and caps every fold below it;
-shadowed crash leftovers are never read; an empty probe is typed."""
+shadowed crash leftovers are never read; an empty probe is typed; the
+one increment writer refuses the watermark, replaces its own increment
+on a rerun, and alone names increment files."""
 
 import glob
 import json
@@ -9,6 +11,7 @@ import shutil
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 _WORDS = ["hash", "join", "filter", "scan", "sort", "merge", "table",
           "row", "batch", "spark", "window", "key"]
@@ -186,3 +189,221 @@ def test_ann_empty_probe_is_typed(ray_session, tmp_path):
     schema = ds.schema()
     assert schema.names == ["query_idx", "vec_id", "cosine"]
     assert schema.types == [pa.int32(), pa.int64(), pa.float64()]
+
+
+# --- the one increment writer (store_fold.write_increment) ------------------
+
+_NEAR = ("the quick brown fox jumps over the lazy dog and runs far away "
+         "into the deep dark woods tonight while the moon rises slowly")
+
+
+def _content(kind, which):
+    """Increment contents: ``base`` is increment 1; ``first`` and the
+    smaller ``second`` are two attempts at increment 2."""
+    if kind == "ann":
+        return _emb({"base": list(range(20)), "first": list(range(20, 40)),
+                     "second": [40, 41]}[which])
+    if kind == "upsert":
+        rows = {"base": [(k, k, f"b{k}") for k in range(8)],
+                "first": [(k, 100 + k, f"f{k}") for k in range(4, 16)],
+                "second": [(4, 200, "s4")]}[which]
+        return pa.table({"user_id": pa.array([r[0] for r in rows], pa.int64()),
+                         "event_id": pa.array([r[1] for r in rows],
+                                              pa.int64()),
+                         "val": pa.array([r[2] for r in rows]),
+                         "_del": pa.array([False] * len(rows))})
+    if kind == "dedup":
+        rows = {"base": [(1, "a"), (2, "b")],
+                "first": [(3, "c"), (4, "d"), (5, "e"), (6, "a")],
+                "second": [(3, "c")]}[which]
+        return pa.table({"event_id": pa.array([r[0] for r in rows],
+                                              pa.int64()),
+                         "key": pa.array([r[1] for r in rows])})
+    rows = {("text", "base"): [(100, "alpha beta gamma"),
+                               (101, "zeta alpha beta")],
+            ("text", "first"): [(1, "alpha beta"), (2, "gamma delta"),
+                                (3, "zeta eta")],
+            ("text", "second"): [(1, "alpha")],
+            ("neardup", "base"): [(1, _NEAR),
+                                  (2, "standalone other content entirely")],
+            ("neardup", "first"): [(10, _NEAR.replace("dog", "cat")),
+                                   (11, "novel content with no overlap at "
+                                        "all in any of its shingles")],
+            }[(kind, which)]
+    return pa.table({"doc_id": pa.array([r[0] for r in rows], pa.int64()),
+                     "text": pa.array([r[1] for r in rows])})
+
+
+def _write(kind, store, inc, which):
+    import ray.data
+
+    from sylk.stages.ann_store import ann_ingest
+    from sylk.stages.dedup_store import dedup_ingest, neardup_ingest
+    from sylk.stages.text_index import index_ingest
+    from sylk.stages.upsert_store import upsert_write
+
+    ds = ray.data.from_arrow(_content(kind, which))
+    if kind == "text":
+        index_ingest(ds, store, inc_id=inc, n_buckets=8)
+    elif kind == "ann":
+        ann_ingest(ds, store, inc_id=inc, n_cells=4)
+    elif kind == "upsert":
+        upsert_write(ds, store, "user_id", "event_id", inc_id=inc)
+    elif kind == "dedup":
+        dedup_ingest(ds, store, store + "_out", "key", "event_id", inc_id=inc)
+    else:
+        neardup_ingest(ds, store, store + "_out", inc_id=inc, threshold=0.7)
+
+
+def _answer(kind, store):
+    """What the store's probes answer (the band and hash stores: the
+    rows of their read set)."""
+    import pyarrow.parquet as pq
+
+    from sylk.stages.store_fold import read_set
+    from sylk.stages.text_index import index_match_docs, index_phrase_docs
+    from sylk.stages.upsert_store import read_current
+
+    if kind == "text":
+        return (_bm25(store, ("zeta",)), _bm25(store, ("alpha", "gamma")),
+                _ids(index_match_docs(store, ["gamma"])),
+                _ids(index_match_docs(store, ["alpha", "beta"])),
+                _ids(index_phrase_docs(store, ["alpha", "beta"])))
+    if kind == "ann":
+        return _top(store)
+    if kind == "upsert":
+        df = read_current(store, "user_id", "event_id",
+                          tombstone_col="_del").to_pandas()
+        return sorted(zip(df.user_id, df.val))
+    files = read_set(store, sorted(glob.glob(os.path.join(store, "p=*"))))
+    stored = sorted(pq.read_table(files, partitioning=None).to_pylist(),
+                    key=lambda r: tuple(r.values())) if files else []
+    if kind == "dedup":
+        from sylk.stages.dedup_store import read_accepted
+
+        return stored, sorted(read_accepted(store + "_out")
+                              .to_pandas().event_id)
+    return stored
+
+
+def _fold(kind, store):
+    from sylk.stages.ann_store import compact_ann_store
+    from sylk.stages.dedup_store import compact_ingest_store
+    from sylk.stages.text_index import compact_text_index
+    from sylk.stages.upsert_store import compact_store
+
+    if kind == "text":
+        compact_text_index(store)
+    elif kind == "ann":
+        compact_ann_store(store)
+    elif kind == "upsert":
+        compact_store(store, "user_id", "event_id", tombstone_col="_del")
+    else:
+        compact_ingest_store(store)
+
+
+def _files(store):
+    return sorted(os.path.relpath(f, store)
+                  for f in glob.glob(os.path.join(store, "**"),
+                                     recursive=True) if os.path.isfile(f))
+
+
+@pytest.mark.parametrize("kind", ["text", "ann", "upsert", "dedup"])
+def test_rerun_replaces_its_increment(ray_session, tmp_path, kind):
+    """Re-ingesting a marked increment with smaller content leaves what a
+    clean ingest of that content leaves: no file of the first attempt
+    answers a probe (text: AND ``gamma`` and BM25 ``zeta`` would still
+    find docs 2 and 3 in the first attempt's buckets; dedup: the first
+    attempt's keys and accepted rows would stay)."""
+    from sylk.stages.store_fold import read_marker
+
+    store, ref = str(tmp_path / "store"), str(tmp_path / "ref")
+    for inc, which in ((1, "base"), (2, "first"), (2, "second")):
+        _write(kind, store, inc, which)
+    for inc, which in ((1, "base"), (2, "second")):
+        _write(kind, ref, inc, which)
+    assert _answer(kind, store) == _answer(kind, ref)
+    assert read_marker(store, 2) == read_marker(ref, 2)
+    assert _files(store) == _files(ref)
+
+
+def test_upsert_below_watermark_is_refused(ray_session, tmp_path):
+    """An upsert at or below the compaction watermark raises instead of
+    landing a run that the compact file shadows."""
+    import ray.data
+
+    from sylk.stages.upsert_store import (compact_store, read_current,
+                                          upsert_write)
+
+    def _live():
+        df = read_current(store, "user_id", "event_id",
+                          tombstone_col="_del").to_pandas()
+        return sorted(zip(df.user_id, df.val))
+
+    store = str(tmp_path / "store")
+    _write("upsert", store, 1, "base")
+    _write("upsert", store, 2, "first")
+    compact_store(store, "user_id", "event_id", tombstone_col="_del")
+    before = _live()
+    new = pa.table({"user_id": pa.array([1], pa.int64()),
+                    "event_id": pa.array([999], pa.int64()),
+                    "val": pa.array(["NEW"]), "_del": pa.array([False])})
+    with pytest.raises(ValueError, match="watermark"):
+        upsert_write(ray.data.from_arrow(new), store, "user_id",
+                     "event_id", inc_id=2)
+    assert _live() == before
+
+
+@pytest.mark.parametrize("kind", ["text", "ann", "upsert", "neardup"])
+def test_crash_before_marker(ray_session, tmp_path, monkeypatch, kind):
+    """A writer that dies after its partition files and before its
+    marker leaves an increment that no probe reads and no fold consumes;
+    its rerun then equals a clean run."""
+    from sylk.stages import store_fold
+
+    store, before, ref = (str(tmp_path / d)
+                          for d in ("store", "before", "ref"))
+    for d in (store, before, ref):
+        _write(kind, d, 1, "base")
+    _write(kind, ref, 2, "first")
+
+    def _crash(*a, **k):
+        raise RuntimeError("crash before the marker")
+
+    with monkeypatch.context() as m:
+        m.setattr(store_fold, "write_marker", _crash)
+        with pytest.raises(RuntimeError, match="before the marker"):
+            _write(kind, store, 2, "first")
+    assert glob.glob(os.path.join(store, "*=*", "inc2.parquet"))
+    assert _answer(kind, store) == _answer(kind, before)
+    _fold(kind, store)
+    assert store_fold.watermark(store) == 1
+    assert _answer(kind, store) == _answer(kind, before)
+
+    _write(kind, store, 2, "first")
+    assert _answer(kind, store) == _answer(kind, ref)
+    assert store_fold.read_marker(store, 2) == store_fold.read_marker(ref, 2)
+    if kind == "neardup":
+        from sylk.stages.dedup_store import read_accepted
+
+        assert (sorted(read_accepted(store + "_out").to_pandas().doc_id)
+                == sorted(read_accepted(ref + "_out").to_pandas().doc_id)
+                == [1, 2, 11])
+
+
+def test_only_store_fold_and_router_name_increment_files():
+    """The ``inc<id>.parquet`` name is built in one module: no stage but
+    store_fold (and the routed sink, which renames the files Arrow's
+    dataset writer names) spells it out."""
+    import pathlib
+    import re
+
+    import sylk.stages
+
+    pat = re.compile(r"""["']inc(\{|%|["']\s*\+)""")
+    root = pathlib.Path(sylk.stages.__file__).parent
+    found = [f"{p.name}:{i}" for p in sorted(root.glob("*.py"))
+             if p.name not in ("store_fold.py", "router.py")
+             for i, line in enumerate(p.read_text().splitlines(), 1)
+             if pat.search(line)]
+    assert not found, f"increment file names built outside store_fold: {found}"
