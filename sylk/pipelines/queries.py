@@ -27,6 +27,7 @@ import pyarrow.compute as pc
 from ..functions.reference_semantics import FACILITY_NAMES, SEVERITY_NAMES
 from ..sources.transcripts import transcripts_from_events
 from ..stages.aggregate import grouped_counts_local, salted_group_counts
+from ..stages.collect import collect
 from ..stages.parse import parse_batch
 from ..stages.router import add_route_columns
 from .flagship import parse_enrich
@@ -1560,7 +1561,7 @@ def q_incremental_dedup(sf_dir: str) -> pa.Table:
             dedup_ingest(keyed.filter(expr=expr), store, out,
                          key_col="key", order_col="event_id",
                          inc_id=inc).materialize()
-        acc = read_accepted(out).select_columns(["event_id"])
+        acc = read_accepted(out, store).select_columns(["event_id"])
         return _table(acc, ["event_id"])
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -1707,7 +1708,7 @@ def q_incremental_neardup(sf_dir: str) -> pa.Table:
                           (2, f"doc_id > {split}")):
             neardup_ingest(docs.filter(expr=expr), store, out, inc_id=inc,
                            threshold=0.8)
-        acc = read_accepted(out).select_columns(["doc_id"])
+        acc = read_accepted(out, store).select_columns(["doc_id"])
         return _table(acc, ["doc_id"])
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -5872,7 +5873,6 @@ def q_type_value_geomean(sf_dir: str) -> pa.Table:
     round)."""
     import os
 
-    import ray
     import ray.data
 
     ev = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
@@ -5886,9 +5886,9 @@ def q_type_value_geomean(sf_dir: str) -> pa.Table:
             [("lv", "sum"), ([], "count_all")])
         return g.rename_columns(["event_type", "s", "n"])
 
-    parts = ev.map_batches(_part, batch_format="pyarrow", batch_size=None)
-    tbls = [t for t in ray.get(parts.to_arrow_refs()) if t.num_columns]
-    m = pa.concat_tables(tbls).group_by(["event_type"]).aggregate(
+    _, tbl = collect(ev.map_batches(_part, batch_format="pyarrow",
+                                    batch_size=None))
+    m = tbl.group_by(["event_type"]).aggregate(
         [("s", "sum"), ("n", "sum")])
     s = m.column("s_sum").to_numpy(zero_copy_only=False)
     n = m.column("n_sum").to_numpy(zero_copy_only=False).astype(np.float64)
@@ -5944,7 +5944,6 @@ def q_events_checksum(sf_dir: str) -> pa.Table:
     DuckDB's md5_number_lower (the deterministic-sample precedent)."""
     import os
 
-    import ray
     import ray.data
 
     from ..stages.sample import content_hash64
@@ -5966,14 +5965,13 @@ def q_events_checksum(sf_dir: str) -> pa.Table:
         return pa.table({"x": pa.array([int(x)], pa.uint64()),
                          "n": pa.array([len(h)], pa.int64())})
 
-    parts = ev.map_batches(_part, batch_format="pyarrow", batch_size=None)
+    _, t = collect(ev.map_batches(_part, batch_format="pyarrow",
+                                  batch_size=None))
     acc, n = np.uint64(0), 0
-    for t in ray.get(parts.to_arrow_refs()):
-        if not t.num_columns:
-            continue
-        for v in t.column("x").to_pylist():
-            acc ^= np.uint64(v)
-        n += sum(t.column("n").to_pylist())
+    if len(t):
+        acc = np.bitwise_xor.reduce(
+            t.column("x").to_numpy(zero_copy_only=False).astype(np.uint64))
+        n = int(pc.sum(t.column("n")).as_py())
     return pa.table({"checksum": pa.array([format(int(acc), "016x")],
                                           pa.string()),
                      "n": pa.array([n], pa.int64())})
@@ -5989,7 +5987,6 @@ def q_legacy_union_rollup(sf_dir: str) -> pa.Table:
     non-null count, per block, driver-merged)."""
     import os
 
-    import ray
     import ray.data
 
     from ..stages.join import union_by_name
@@ -6023,9 +6020,8 @@ def q_legacy_union_rollup(sf_dir: str) -> pa.Table:
             [([], "count_all"), ("value", "count")])
         return g.rename_columns(["event_type", "n", "nv"])
 
-    parts = u.map_batches(_part, batch_format="pyarrow", batch_size=None)
-    tbl = pa.concat_tables(
-        [t for t in ray.get(parts.to_arrow_refs()) if t.num_columns])
+    _, tbl = collect(u.map_batches(_part, batch_format="pyarrow",
+                                   batch_size=None))
     m = tbl.group_by(["event_type"]).aggregate([("n", "sum"), ("nv", "sum")])
     out = pa.table({
         "event_type": m.column("event_type"),

@@ -252,6 +252,7 @@ def serve_counts(receiver, poll_s: float = 0.2, idle_exit: int = 5,
     import ray.data
 
     from ..pipelines.flagship import parse_enrich
+    from ..stages.collect import collect
 
     totals: pa.Table | None = None
     rows_seen = 0
@@ -271,13 +272,12 @@ def serve_counts(receiver, poll_s: float = 0.2, idle_exit: int = 5,
             ds = ray.data.from_arrow_refs([ref]).map_batches(
                 lambda b: b.select(["text"]), batch_format="pyarrow")
             parsed = parse_enrich(ds)
-            part = (parsed.filter(expr="ok")
-                    .groupby(["facility", "severity"]).count()
-                    .rename_columns({"count()": "n"}).to_arrow_refs())
-            tbl = pa.concat_tables(
-                [t for t in ray.get(part) if t.num_columns > 0])
-            totals = tbl if totals is None else pa.concat_tables([totals, tbl])
-            if totals.num_rows:
+            _, tbl = collect(parsed.filter(expr="ok")
+                             .groupby(["facility", "severity"]).count()
+                             .rename_columns({"count()": "n"}))
+            if tbl.num_rows:
+                totals = tbl if totals is None else \
+                    pa.concat_tables([totals, tbl])
                 totals = pa.TableGroupBy(totals, ["facility", "severity"]) \
                     .aggregate([("n", "sum")]).rename_columns(
                         ["facility", "severity", "n"])

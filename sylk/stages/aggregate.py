@@ -20,6 +20,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
+from .collect import collect
+
 
 def _partial_counts_gen(batch: pa.Table, keys, ok_filter: bool | None):
     """Generator wrapper: hash-shuffle/join stages upstream can emit
@@ -62,19 +64,14 @@ def grouped_counts_local(parsed_ds, keys, ok_filter: bool | None = None):
     global key cardinality fits one machine (counters, histograms);
     Ray's sort-based groupby costs seconds even on tiny partial tables,
     so this is the default for the query/metric rollups."""
-    import ray
-
     partials = parsed_ds.map_batches(
         lambda b: _partial_counts_gen(b, keys, ok_filter),
         batch_format="pyarrow",
         batch_size=None,
     )
-    # a generator block that yielded nothing materializes as a
-    # zero-column table; drop those before the concat (schema poison)
-    tbls = [t for t in ray.get(partials.to_arrow_refs()) if t.num_columns]
-    if not tbls:  # fully-empty input: callers rebuild schema (_table)
-        return pa.table({})
-    tbl = pa.concat_tables(tbls)
+    _, tbl = collect(partials)
+    if not tbl.num_columns:  # fully-empty input: callers rebuild schema (_table)
+        return tbl
     merged = tbl.group_by(list(keys)).aggregate([("n", "sum")])
     return merged.rename_columns(list(keys) + ["n"])
 
@@ -158,12 +155,10 @@ def combined_counts(parsed_ds):
     Above it (host/app histograms over millions of hosts) a Ray groupby
     shuffle finalizes instead.
     """
-    from .dedup import _bounded_collect
-
     partials = parsed_ds.map_batches(
         _partial_combined, batch_format="pyarrow", batch_size=None
     )
-    partials, tbl = _bounded_collect(partials, _COMBINED_DRIVER_LIMIT)
+    partials, tbl = collect(partials, _COMBINED_DRIVER_LIMIT)
     if tbl is None:
         final = partials.groupby(_COMBINED_KEYS).aggregate(Sum("n", alias_name="n"))
         return final.to_pandas()

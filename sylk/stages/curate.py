@@ -15,10 +15,11 @@ Scale notes
 * ``decontaminate`` is two-tier like the dedup/join families: the
   benchmark (eval-set) side is small by definition, so the default tier
   broadcasts its distinct shingles once per worker (pandas hash Index,
-  vectorized membership); above ``_BENCH_BROADCAST_LIMIT`` distinct
-  shingles it switches to a distributed semi-join on the shingle key —
-  the tier DECISION is metadata-bounded (``count()`` on a materialized
-  pairs dataset, never a driver collect).
+  vectorized membership); above ``_BENCH_BROADCAST_LIMIT`` benchmark
+  (doc, shingle) pairs it switches to a distributed semi-join on the
+  shingle key — the tier DECISION reads the pair count from the
+  materialized pairs' block metadata (``collect``) before any row
+  reaches the driver.
 * All redaction/counting regexes are RE2-compatible so the DuckDB
   oracles (``regexp_replace`` / ``regexp_extract_all``, also RE2)
   recompute them exactly.
@@ -29,6 +30,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .collect import collect
 
 # --- PII redaction ---------------------------------------------------------
 
@@ -175,21 +178,16 @@ def decontaminate(docs_ds, bench_ds, k: int = 8,
     pairs = docs_ds.map_batches(
         lambda b: _shingle_pairs_batch(b, k, text_col, id_col),
         batch_format="pyarrow", batch_size=None)
-    bench_pairs = bench_ds.map_batches(
+    bench_pairs, tbl = collect(bench_ds.map_batches(
         lambda b: _shingle_pairs_batch(b, k, text_col, id_col),
-        batch_format="pyarrow", batch_size=None).materialize()
-    # tier decision from metadata only — never a driver collect
-    if bench_pairs.count() > _BENCH_BROADCAST_LIMIT:
+        batch_format="pyarrow", batch_size=None), _BENCH_BROADCAST_LIMIT)
+    if tbl is None:
         hits = semi_join(pairs, bench_pairs, on="shingle")
     else:
-        # distinct benchmark shingles, collected bounded (we are under
-        # _BENCH_BROADCAST_LIMIT pairs by the tier check above); empty
-        # blocks can surface schema-less, so guard the column access
-        uniq = set()
-        for ref in bench_pairs.to_arrow_refs():
-            blk = ray.get(ref)
-            if "shingle" in blk.column_names:
-                uniq.update(blk.column("shingle").to_pylist())
+        # distinct benchmark shingles (an all-empty benchmark may have
+        # no schema, hence no column)
+        uniq = set(tbl.column("shingle").to_pylist()) \
+            if "shingle" in tbl.column_names else set()
         bench_ref = ray.put(np.asarray(sorted(uniq), dtype=object))
         # autoscaling actor pool: the corpus side is the 100-TB stream,
         # so the max must track the cluster, not a constant — callers on

@@ -48,6 +48,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .collect import collect
+
 _N_PERM = 64
 _BANDS = 16  # 16 bands x 4 rows
 
@@ -58,35 +60,9 @@ _DRIVER_TRIPLE_LIMIT = 20_000_000
 # below this many candidate pairs, verification uses the broadcast-filter
 # lookup; above it, the distributed edge-join.
 _DRIVER_PAIR_LIMIT = 2_000_000
-
-
-def _bounded_collect(ds, limit: int):
-    """Materialize ``ds`` into the OBJECT STORE (distributed, spillable),
-    read its row count from block metadata, and return ``(mds, table)``
-    where ``table`` is the driver-collected concat ONLY when the count is
-    within ``limit`` (else None).  The tier DECISION is thereby bounded:
-    the driver heap never holds rows it is about to reject — the same
-    rule join._semi_anti applies to its probe."""
-    import ray
-
-    mds = ds.materialize()
-    if mds.count() <= limit:
-        # to_arrow_refs hands back pandas blocks verbatim when a stage
-        # emitted batch_format="pandas"; coerce those, and drop blocks
-        # that surface schema-less (zero columns) from upstream
-        # map_groups stages
-        raw = [b if isinstance(b, pa.Table)
-               else pa.Table.from_pandas(b, preserve_index=False)
-               for b in ray.get(mds.to_arrow_refs())]
-        blocks = [b for b in raw if b.num_columns > 0]
-        if not blocks:
-            schema = mds.schema()
-            if schema is None:  # every block schemaless (all-empty ds)
-                return mds, pa.table({})
-            return mds, pa.Table.from_pydict(
-                {f.name: pa.array([], f.type) for f in schema.base_schema})
-        return mds, pa.concat_tables(blocks)
-    return mds, None
+# below this many in-block-deduped transcript rows, dedup_turns merges
+# them on the driver; above it, the groupby shuffle.
+_DRIVER_TURN_LIMIT = 5_000_000
 
 
 def _hash64(data: bytes) -> int:
@@ -487,7 +463,7 @@ def _candidate_pairs(triples_ds):
 
     Returns a pandas DataFrame (driver path, up to
     ``_DRIVER_TRIPLE_LIMIT`` triples) or a Dataset (distributed path)."""
-    triples_ds, tbl = _bounded_collect(triples_ds, _DRIVER_TRIPLE_LIMIT)
+    triples_ds, tbl = collect(triples_ds, _DRIVER_TRIPLE_LIMIT)
     if tbl is not None:
         return _pairs_from_triples(tbl)
 
@@ -517,13 +493,10 @@ def _collect_needed(source_ds, id_col: str, val_col: str, need_ids) -> dict:
         mask = pc.is_in(b.column(id_col).cast(pa.int64()), value_set=ns)
         return b.filter(mask).select([id_col, val_col])
 
-    small = source_ds.map_batches(_filt, batch_format="pyarrow", batch_size=None)
-    # filtered/joined sources can surface schemaless empty blocks
-    # (dedup.py:78 pattern) — drop them before the concat
-    blocks = [b for b in ray.get(small.to_arrow_refs()) if b.num_columns > 0]
-    if not blocks:
+    _, tbl = collect(source_ds.map_batches(_filt, batch_format="pyarrow",
+                                           batch_size=None))
+    if not len(tbl):
         return {}
-    tbl = pa.concat_tables(blocks)
     return dict(zip(tbl.column(id_col).to_pylist(), tbl.column(val_col).to_pylist()))
 
 
@@ -787,7 +760,7 @@ def dup_ngram_spans(docs_ds, k: int = 8, text_col: str = "text",
     duplicated-span fraction, the usual removal/score signal.
 
     Tiers: under _DRIVER_TRIPLE_LIMIT collected gram rows (24 B each,
-    bounded DECISION via _bounded_collect) the census is one numpy pass
+    bounded DECISION via collect) the census is one numpy pass
     on the driver; above it the
     distributed plan runs three keyed exchanges, all on compact rows:
     (1) the per-(doc, gram) combiner partials (<= tokens rows/doc) into
@@ -815,7 +788,7 @@ def dup_ngram_spans(docs_ds, k: int = 8, text_col: str = "text",
     # of fixed shuffle cost; the tier DECISION materializes rows into
     # the object store first, so an over-limit fall-through reuses
     # those blocks (no re-explode) for the distributed path.
-    rows, tbl = _bounded_collect(rows, _DRIVER_TRIPLE_LIMIT)
+    rows, tbl = collect(rows, _DRIVER_TRIPLE_LIMIT)
     if tbl is not None:
         import ray.data
 
@@ -823,14 +796,10 @@ def dup_ngram_spans(docs_ds, k: int = 8, text_col: str = "text",
 
     # gram document-frequency (rows are distinct per (doc, gram), so
     # count-per-gram == doc frequency); two-phase so only per-block
-    # distinct grams shuffle.  materialize(): the dup-gram set is
-    # bounded by DISTINCT duplicated grams (spillable 8 B keys, tiny vs
-    # the corpus) and semi_join consumes it twice (tier-decision count
-    # + key collect / join side) — unmaterialized, Ray re-runs the
-    # whole explode+aggregate lineage per consumer.
+    # distinct grams shuffle; semi_join materializes the dup-gram set
+    # (DISTINCT duplicated grams, 8 B keys) once for both its tiers.
     df = grouped_agg(rows.select_columns(["g"]), ["g"], [], count_name="df")
-    dup_grams = (df.filter(expr="df >= 2").select_columns(["g"])
-                 .materialize())
+    dup_grams = df.filter(expr="df >= 2").select_columns(["g"])
 
     # shuffle fixed cost scales with blocks x partitions: the semi-join
     # survivors and the union below are tiny rows spread over every
@@ -973,7 +942,7 @@ def ngram_jaccard_dup_pairs(docs_ds, threshold: float = 0.6, k: int = 3,
         lambda b: ngram_shingle_rows(b, text_col, k=k),
         batch_format="pyarrow", batch_size=None,
     )
-    rows, tbl = _bounded_collect(rows, _DRIVER_TRIPLE_LIMIT)
+    rows, tbl = collect(rows, _DRIVER_TRIPLE_LIMIT)
     if tbl is not None:
         return ray.data.from_pandas(
             _jaccard_pairs_local(tbl, threshold, score, out_col))
@@ -1148,7 +1117,7 @@ def sorted_neighborhood_pairs(docs_ds, window: int = 2, key_chars: int = 30,
         jc = ngram_jaccard(ta or "", tb or "", k)
         return jc if jc >= threshold else None
 
-    rows, tbl = _bounded_collect(rows, _DRIVER_TRIPLE_LIMIT)
+    rows, tbl = collect(rows, _DRIVER_TRIPLE_LIMIT)
     if tbl is not None:
         return _verify_pairs(_pairs(tbl), docs_ds, "doc_id", text_col,
                              _jac, "jaccard")
@@ -1179,7 +1148,7 @@ def ngram_jaccard_dup_pairs_prefix(docs_ds, threshold: float = 0.6,
         j = ngram_jaccard(ta or "", tb or "", k)
         return j if j >= threshold else None
 
-    rows, tbl = _bounded_collect(rows, _DRIVER_TRIPLE_LIMIT)
+    rows, tbl = collect(rows, _DRIVER_TRIPLE_LIMIT)
     if tbl is not None:
         cand = _pairs_from_keyed_rows(tbl, "sh")
         return _verify_pairs(cand, docs_ds, "doc_id", text_col, _jac,
@@ -1266,26 +1235,25 @@ def exact_dedup(docs_ds, text_col: str = "text"):
     return semi_join(hashed, keep, on="doc_id", right_key="keep_id")
 
 
-def dedup_turns(transcripts_ds, driver_limit: int = 5_000_000):
+def dedup_turns(transcripts_ds):
     """Exact dedup on the transcript key (conv_id, turn_idx) — the
     resume-idempotence helper (SURVEY.md §2.3): re-ingesting an already
     processed shard cannot double rows downstream.  First row per key
     wins (rows with the same key are identical by construction).
 
-    Two-phase: an in-block dedup shrinks each block first; the surviving
-    rows merge on the driver when they fit (pandas drop_duplicates),
-    else through the hash-partition groupby shuffle (the corpus-scale
-    path)."""
-    import ray
+    Two-phase: an in-block dedup shrinks each block first and is
+    materialized once.  Up to ``_DRIVER_TURN_LIMIT`` surviving rows
+    merge on the driver (pandas drop_duplicates); above it the driver
+    holds none of them and the materialized rows go through the
+    hash-partition groupby shuffle (the corpus-scale path)."""
     import ray.data
 
-    compact = transcripts_ds.map_batches(
+    compact, tbl = collect(transcripts_ds.map_batches(
         lambda df: df.drop_duplicates(["conv_id", "turn_idx"]),
         batch_format="pandas",
         batch_size=None,
-    )
-    tbl = pa.concat_tables(ray.get(compact.to_arrow_refs()))
-    if len(tbl) <= driver_limit:
+    ), _DRIVER_TURN_LIMIT)
+    if tbl is not None:
         pdf = tbl.to_pandas().drop_duplicates(["conv_id", "turn_idx"])
         return ray.data.from_pandas(pdf.reset_index(drop=True))
 
@@ -1384,7 +1352,7 @@ def simhash_dup_pairs(docs_ds, max_hamming: int = 3, text_col: str = "text"):
     import ray
     import ray.data
 
-    sig_tbl = pa.concat_tables(ray.get(sig_ds.to_arrow_refs()))
+    _, sig_tbl = collect(sig_ds)
     ids_arr = sig_tbl.column("doc_id").to_numpy(zero_copy_only=False)
     sig_arr = sig_tbl.column("simhash").to_numpy(zero_copy_only=False) \
         .astype(np.uint64)
@@ -1473,8 +1441,6 @@ def winnow_dup_pairs(docs_ds, min_shared: int = 3, k: int = 8, w: int = 16,
     pairs, count per (a, b) with a two-phase groupby — no driver
     materialization anywhere.  The driver tier returns int64
     (a, b, shared_fps) also when no pair qualifies."""
-    import collections
-
     import ray.data
 
     exploded = docs_ds.map_batches(
@@ -1482,28 +1448,13 @@ def winnow_dup_pairs(docs_ds, min_shared: int = 3, k: int = 8, w: int = 16,
         batch_format="pyarrow", batch_size=None,
     )
 
-    exploded, tbl = _bounded_collect(exploded, _DRIVER_TRIPLE_LIMIT)
+    exploded, tbl = collect(exploded, _DRIVER_TRIPLE_LIMIT)
     if tbl is not None:
-        cnt: collections.Counter = collections.Counter()
-        if tbl.num_rows:
-            fp = tbl.column("fp").to_numpy(zero_copy_only=False)
-            ids = tbl.column("doc_id").to_numpy(zero_copy_only=False)
-            order = np.lexsort((ids, fp))
-            fp, ids = fp[order], ids[order]
-            bounds = np.flatnonzero(np.diff(fp) != 0) + 1
-            for s, e in zip(np.concatenate(([0], bounds)),
-                            np.concatenate((bounds, [len(fp)]))):
-                if e - s < 2:
-                    continue
-                run = np.unique(ids[s:e])
-                for i in range(len(run)):
-                    for j in range(i + 1, len(run)):
-                        cnt[(int(run[i]), int(run[j]))] += 1
-        rows = [(a, b, n) for (a, b), n in sorted(cnt.items()) if n >= min_shared]
-        cols = list(zip(*rows)) if rows else [(), (), ()]
-        return ray.data.from_pandas(pd.DataFrame(
-            {c: pd.Series(v, dtype="int64")
-             for c, v in zip(("a", "b", "shared_fps"), cols)}))
+        counts = (_pair_counts_from_keyed_rows(tbl, "fp") if tbl.num_rows
+                  else _empty_pairs().assign(n=pd.Series([], dtype="int64")))
+        kept = counts[counts["n"] >= min_shared].reset_index(drop=True)
+        return ray.data.from_pandas(
+            kept.rename(columns={"n": "shared_fps"}).astype("int64"))
     from ray.data.aggregate import Sum
 
     def _fp_key(b: pa.Table) -> np.ndarray:
@@ -1728,8 +1679,8 @@ def semantic_dedup(emb_ds, threshold: float = 0.95, k: int = 8,
     assign = kmeans_assign(emb_ds, k=k, iterations=iterations,
                            id_col=id_col, emb_col=emb_col).materialize()
     pairs = embedding_dup_pairs(emb_ds, threshold=threshold)
-    mpairs, ptbl = _bounded_collect(pairs, _DRIVER_PAIR_LIMIT)
-    assign, atbl = _bounded_collect(assign, _DRIVER_TRIPLE_LIMIT)
+    mpairs, ptbl = collect(pairs, _DRIVER_PAIR_LIMIT)
+    assign, atbl = collect(assign, _DRIVER_TRIPLE_LIMIT)
     if atbl is not None and ptbl is not None:
         import ray.data
 
@@ -1842,7 +1793,7 @@ def connected_components(nodes_ds, edges_ds, node_col: str = "doc_id",
     # the collected EDGE list only — nodes are never collected; labels
     # broadcast once and apply per node block.  Above the bound the
     # exchange path below runs.
-    edges, etbl = _bounded_collect(edges, _CC_DRIVER_EDGE_LIMIT)
+    edges, etbl = collect(edges, _CC_DRIVER_EDGE_LIMIT)
     if etbl is not None and etbl.num_rows:
         src = etbl.column("src").to_numpy(zero_copy_only=False)
         dst = etbl.column("dst").to_numpy(zero_copy_only=False)
@@ -2053,7 +2004,7 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.5,
                              "b": out["b"].to_numpy(),
                              "cosine": np.round(out["dot"].to_numpy(), 6)})
 
-    rows, tbl = _bounded_collect(rows, _DRIVER_TRIPLE_LIMIT)
+    rows, tbl = collect(rows, _DRIVER_TRIPLE_LIMIT)
     if tbl is not None:
         return ray.data.from_pandas(_local(tbl))
 
@@ -2068,7 +2019,7 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.5,
             batch_format="pyarrow", batch_size=None).take_all()))
     df_ds = rows.groupby("th").count()
 
-    df_ds, df_tbl = _bounded_collect(df_ds, _TFIDF_VOCAB_BROADCAST_LIMIT)
+    df_ds, df_tbl = collect(df_ds, _TFIDF_VOCAB_BROADCAST_LIMIT)
     cap = max_df_frac * n_docs
     if df_tbl is not None:
         dth = df_tbl.column("th").to_numpy(zero_copy_only=False)

@@ -51,6 +51,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .collect import collect
 from .store_fold import (check_watermark, complete_increments, fold,
                          inc_file, read_set, remove_increment,
                          write_increment, write_marker)
@@ -158,15 +159,18 @@ def dedup_ingest(ds, store_dir: str, out_dir: str, key_col: str,
                                                     preserve_index=False))
 
 
-def read_accepted(out_dir: str, inc_id: int | None = None):
-    """Dataset of accepted rows — one increment or the whole history."""
+def read_accepted(out_dir: str, store_dir: str, inc_id: int | None = None):
+    """Dataset of accepted rows — one increment or the whole history —
+    of the increments whose marker is in ``store_dir``.  An ingest
+    writes its accepted rows before its marker, so after a crash in
+    between they stay unread until the rerun completes the increment."""
     import ray.data
 
-    pat = (os.path.join(out_dir, f"inc={inc_id}", "*.parquet")
-           if inc_id is not None
-           else os.path.join(out_dir, "inc=*", "*.parquet"))
-    files = sorted(glob.glob(pat))
-    if not files:  # no (or a visibly-incomplete) increment yet
+    ids = [i for i in complete_increments(store_dir)
+           if inc_id is None or i == inc_id]
+    files = sorted(f for i in ids for f in glob.glob(
+        os.path.join(out_dir, f"inc={i}", "*.parquet")))
+    if not files:  # no complete increment yet
         return ray.data.from_items([])
     return ray.data.read_parquet(files)
 
@@ -218,7 +222,6 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
 
     Returns ``{"accepted": n, "rejected_in_inc": n, "rejected_cross": n}``.
     """
-    import ray
     import ray.data
 
     from .aggregate import grouped_counts
@@ -264,15 +267,12 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
     # never band rows
     import pyarrow.compute as pc
 
-    hit: set = set()
-    for blk in ray.get(new_bands.map_batches(
-            lambda b: (pa.table({"_bkt": pc.unique(b.column("_bkt"))})
-                       if b.num_columns else
-                       pa.table({"_bkt": pa.array([], pa.int64())})),
-            batch_format="pyarrow", batch_size=None).to_arrow_refs()):
-        # empty blocks can surface schemaless (dedup.py:78 pattern)
-        if isinstance(blk, pa.Table) and "_bkt" in blk.schema.names:
-            hit.update(blk.column("_bkt").to_pylist())
+    _, bkts = collect(new_bands.map_batches(
+        lambda b: (pa.table({"_bkt": pc.unique(b.column("_bkt"))})
+                   if b.num_columns else
+                   pa.table({"_bkt": pa.array([], pa.int64())})),
+        batch_format="pyarrow", batch_size=None))
+    hit = set(bkts.column("_bkt").to_pylist()) if bkts.num_columns else set()
     prior_files = _neardup_probe_files(store_dir, inc_id, hit)
     n_rej_cross = 0
     if prior_files:
@@ -309,8 +309,8 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
 
         def _sel_texts(b: pa.Table) -> pa.Table:
             # upstream joins/map_groups can emit schemaless empty
-            # blocks (dedup.py:78 pattern) — rebuild the schema so the
-            # union's block schemas agree
+            # blocks — rebuild the schema so the union's block schemas
+            # agree
             if b.num_columns == 0:
                 return pa.table({id_col: pa.array([], pa.int64()),
                                  text_col: pa.array([], pa.string())})
@@ -326,7 +326,7 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
 
         texts = kept.map_batches(
             _sel_texts, batch_format="pyarrow", batch_size=None) \
-            .union(read_accepted(out_dir).map_batches(
+            .union(read_accepted(out_dir, store_dir).map_batches(
                 _sel_texts, batch_format="pyarrow", batch_size=None))
 
         def _jac(ta, tb):
@@ -338,9 +338,9 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
         # routes small pair sets through the broadcast verifier (texts
         # arrive via a worker-side is-in filter, never a full stream);
         # above the limit, semi-join-pruned texts + the edge-join path.
-        from .dedup import _DRIVER_PAIR_LIMIT, _bounded_collect
+        from .dedup import _DRIVER_PAIR_LIMIT
 
-        cand, ctbl = _bounded_collect(cand, _DRIVER_PAIR_LIMIT)
+        cand, ctbl = collect(cand, _DRIVER_PAIR_LIMIT)
         verified = None
         if ctbl is not None:
             if ctbl.num_rows:
@@ -407,7 +407,7 @@ def _bands_i64(b: pa.Table, text_col: str, id_col: str) -> pa.Table:
     int64 — Ray's keyed shuffle overflows uint64 > 2^63 (CLAUDE.md)."""
     from .dedup import minhash_bands_batch
 
-    if b.num_columns == 0:  # schemaless empty block (dedup.py:78 pattern)
+    if b.num_columns == 0:  # schemaless empty block
         return pa.table({"doc_id": pa.array([], pa.int64()),
                          "band": pa.array([], pa.int32()),
                          "band_hash": pa.array([], pa.int64())})

@@ -23,6 +23,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .collect import collect
+
 _SCALE = 1_000_000_000_000  # rank fixed point (1e12)
 _PSCALE = 1_000_000         # edge-probability fixed point (1e6)
 
@@ -30,7 +32,7 @@ _PSCALE = 1_000_000         # edge-probability fixed point (1e6)
 # below this many edges the whole iteration runs vectorized on the
 # driver (numpy, same fixed-point arithmetic); above it, each round is
 # a Dataset hash-join + groupby.  Same tier pattern (metadata-bounded
-# DECISION, then collect) as join._semi_anti / dedup._bounded_collect.
+# DECISION, then collect) as join._semi_anti / collect.collect.
 _DRIVER_EDGE_LIMIT = 2_000_000
 
 
@@ -74,9 +76,7 @@ def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
 
     edges = edges_ds.map_batches(_ev, batch_format="pyarrow",
                                  batch_size=None)
-    from .dedup import _bounded_collect
-
-    edges, tbl = _bounded_collect(edges, _DRIVER_EDGE_LIMIT)
+    edges, tbl = collect(edges, _DRIVER_EDGE_LIMIT)
     if tbl is not None:
         return _pagerank_driver(tbl, iterations, damping_pct,
                                 node_col, rank_col)
@@ -239,9 +239,7 @@ def degree_orient(edges_ds, a_col: str = "a", b_col: str = "b"):
         swap = (db < da) | ((db == da) & (bb < a))
         return (np.where(swap, bb, a), np.where(swap, a, bb))
 
-    from .dedup import _bounded_collect
-
-    deg, dtbl = _bounded_collect(deg, _DRIVER_EDGE_LIMIT)
+    deg, dtbl = collect(deg, _DRIVER_EDGE_LIMIT)
     if dtbl is not None:
         nodes = dtbl.column("node").to_numpy(
             zero_copy_only=False).astype(np.int64)

@@ -16,8 +16,8 @@ shapes, chosen by side sizes:
   all-to-all exchange per side; ``num_partitions`` defaults to the
   cluster CPU count, at real scale pass blocks-per-node x nodes.
 * :func:`semi_join` / :func:`anti_join` — tiered like the dedup
-  verification paths: below ``_DRIVER_KEY_LIMIT`` distinct right keys,
-  a broadcast key-set filter (``pyarrow.compute.is_in`` per block, no
+  verification paths: up to ``_DRIVER_KEY_LIMIT`` right rows, a
+  broadcast key-set filter (``pyarrow.compute.is_in`` per block, no
   shuffle at all); above it, ``Dataset.join`` ``left_semi`` /
   ``left_anti`` (equivalence is tested in tests/test_join.py by
   lowering the limit).
@@ -34,8 +34,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# below this many DISTINCT right-side keys, semi/anti joins broadcast
-# the key set instead of shuffling the left side.
+from .collect import collect
+
+# up to this many right-side rows (which bound its distinct keys),
+# semi/anti joins broadcast the key set instead of shuffling the left
+# side.
 _DRIVER_KEY_LIMIT = 5_000_000
 
 
@@ -230,24 +233,27 @@ def hash_join(left_ds, right_ds, on, right_on=None, join_type: str = "inner",
 def _semi_anti(left_ds, right_ds, on: str, right_key: str, anti: bool):
     import ray
 
-    # `Dataset.unique` materializes the distinct key list on the driver,
-    # so the tier DECISION must be bounded too: probe the right-side ROW
-    # count first (distinct keys <= rows, and count() is metadata-cheap)
-    # and only collect keys when rows are under the limit.  Over-limit
-    # inputs take the native left_semi/left_anti Dataset.join.
-    if right_ds.count() > _DRIVER_KEY_LIMIT:
+    # One materialization of the right key column decides the tier from
+    # its block-metadata row count (distinct keys <= rows) and feeds
+    # either tier, so an unmaterialized right plan runs once: a bare
+    # count() would execute it, and unique() or the join again.
+    # Over-limit inputs take the native left_semi/left_anti Dataset.join.
+    keys_ds, tbl = collect(right_ds.select_columns([right_key]),
+                           _DRIVER_KEY_LIMIT)
+    if tbl is None:
         jt = "left_anti" if anti else "left_semi"
-        return hash_join(left_ds, right_ds.select_columns([right_key]),
-                         on=(on,), right_on=(right_key,), join_type=jt)
-    key_list = right_ds.select_columns([right_key]).unique(right_key)
+        return hash_join(left_ds, keys_ds, on=(on,), right_on=(right_key,),
+                         join_type=jt)
     # SQL semi/anti semantics: a NULL right key never matches, so drop
-    # Nones before sorting (mixed None/int would also crash sorted());
-    # pc.is_in already treats left NULLs as non-members.
-    # Dataset.unique returns None (not []) on an empty input
-    keys = sorted(k for k in (key_list or []) if k is not None)
-    if not keys:
+    # it; pc.is_in already treats left NULLs as non-members and casts
+    # the value set to the left key's type (a dictionary set it cannot)
+    keys = pc.unique(pc.drop_null(tbl.column(right_key))) if len(tbl) \
+        else pa.array([])
+    if pa.types.is_dictionary(keys.type):
+        keys = keys.dictionary_decode()
+    if not len(keys):
         return left_ds if anti else left_ds.limit(0)
-    ref = ray.put(pa.array(keys))
+    ref = ray.put(keys)
 
     def _filt(b: pa.Table) -> pa.Table:
         ks = ray.get(ref)

@@ -21,6 +21,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data.aggregate import Count, Min, Sum
 
+from .collect import collect
+
 # ASCII digit runs only ([0-9]+, not \d+): RE2's \d is ASCII-only but
 # Python re's \d is unicode — the explicit class is the parity-safe
 # spelling on both engines.
@@ -70,7 +72,6 @@ def log_templates_local(ds, text_col: str = "text",
     over those string keys costs ~9s where the driver merge is
     sub-second — the grouped_counts_local precedent).  Use the
     distributed variant only when templates outgrow driver memory."""
-    import ray
 
     def _partial(b: pa.Table) -> pa.Table:
         b = mask_templates_batch(b, text_col)
@@ -79,11 +80,8 @@ def log_templates_local(ds, text_col: str = "text",
               .aggregate([(order_col, "min"), (order_col, "count")]))
         return g.rename_columns(["template", "first_turn", "n"])
 
-    partials = ds.map_batches(_partial, batch_format="pyarrow",
-                              batch_size=None, zero_copy_batch=True)
-    tbl = pa.concat_tables(
-        [b for b in ray.get(partials.to_arrow_refs())
-         if b.num_columns > 0])
+    _, tbl = collect(ds.map_batches(_partial, batch_format="pyarrow",
+                                    batch_size=None, zero_copy_batch=True))
     merged = tbl.group_by("template").aggregate(
         [("n", "sum"), ("first_turn", "min")])
     merged = merged.rename_columns(["template", "n", "first_turn"])
@@ -231,10 +229,9 @@ def cooccurrence_counts(ds, basket_cols, item_col: str,
         u = pc.unique(b.column(item_col))
         return pa.table({item_col: u})
 
-    vparts = ds.map_batches(_vocab_partial, batch_format="pyarrow",
-                            batch_size=None)
-    vocab = sorted(set(pa.concat_tables(
-        ray.get(vparts.to_arrow_refs())).column(item_col).to_pylist()))
+    _, vtbl = collect(ds.map_batches(_vocab_partial, batch_format="pyarrow",
+                                     batch_size=None))
+    vocab = sorted(set(vtbl.column(item_col).to_pylist()))
     code_of = {v: i for i, v in enumerate(vocab)}
     vocab_ref = ray.put(code_of)
 
@@ -295,18 +292,13 @@ def cooccurrence_counts(ds, basket_cols, item_col: str,
             "n": pa.array(counts.astype(np.int64)),
         })
 
-    parts = keyed.groupby("pkey").map_groups(_group_pairs,
-                                             batch_format="pyarrow")
-    # empty hash partitions emit schemaless zero-column blocks — drop
-    # them before the concat (dedup.py:78 pattern)
-    blocks = [b for b in ray.get(parts.to_arrow_refs())
-              if b.num_columns > 0]
-    if not blocks:
+    _, tbl = collect(keyed.groupby("pkey").map_groups(_group_pairs,
+                                                      batch_format="pyarrow"))
+    if not len(tbl):
         return ray.data.from_arrow(pa.table({
             "type_a": pa.array([], pa.string()),
             "type_b": pa.array([], pa.string()),
             "n": pa.array([], pa.int64())}))
-    tbl = pa.concat_tables(blocks)
     merged = tbl.group_by(["_a", "_b"]).aggregate([("n", "sum")])
     a = merged.column("_a").to_numpy(zero_copy_only=False)
     b = merged.column("_b").to_numpy(zero_copy_only=False)

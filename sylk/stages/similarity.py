@@ -20,6 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.vectors import list_column_matrix
+from .collect import collect
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -105,8 +106,6 @@ class IVFIndex:
         (exchange O(sample), independent of corpus size), and the driver
         takes the globally smallest ``sample`` hashes — a deterministic
         uniform draw regardless of storage order."""
-        import ray
-
         from ..functions.hashing import mix64
 
         n = emb_ds.count()
@@ -127,11 +126,10 @@ class IVFIndex:
             def _pick(b: pa.Table) -> pa.Table:
                 return b.filter(pa.array(_h(b) < thresh))
 
-            small = emb_ds.map_batches(_pick, batch_format="pyarrow",
-                                       batch_size=None)
-            tbl = pa.concat_tables(ray.get(small.to_arrow_refs()))
+            _, tbl = collect(emb_ds.map_batches(_pick, batch_format="pyarrow",
+                                                batch_size=None))
         else:
-            tbl = pa.concat_tables(ray.get(emb_ds.to_arrow_refs()))
+            _, tbl = collect(emb_ds)
         order = np.argsort(_h(tbl), kind="stable")[:sample]
         tbl = tbl.take(pa.array(order))
         mat = _normalize(list_column_matrix(tbl["embedding"]))

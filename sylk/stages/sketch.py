@@ -19,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .collect import collect
+
 _B = 10                     # 2^10 = 1024 registers
 _M = 1 << _B
 # bias constant for m >= 128 (Flajolet et al. 2007)
@@ -80,7 +82,6 @@ def approx_distinct(ds, column: str) -> dict:
     driver merges by max and estimates.  Exchange volume is
     O(blocks x 1KiB) regardless of data size.
     """
-    import ray
 
     def _partial(batch: pa.Table) -> pa.Table:
         col = batch.column(column)
@@ -88,13 +89,10 @@ def approx_distinct(ds, column: str) -> dict:
         regs = hll_partial(vals)
         return pa.table({"registers": pa.array([regs], pa.list_(pa.uint8(), _M))})
 
-    partials = ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-    tables = ray.get(partials.to_arrow_refs())
-    regs = hll_merge(
-        np.asarray(row, dtype=np.uint8)
-        for t in tables
-        for row in t.column("registers").to_pylist()
-    )
+    _, tbl = collect(ds.map_batches(_partial, batch_format="pyarrow",
+                                    batch_size=None))
+    rows = tbl.column("registers").to_pylist() if tbl.num_columns else []
+    regs = hll_merge(np.asarray(row, dtype=np.uint8) for row in rows)
     return {"estimate": hll_estimate(regs), "registers": regs}
 
 
@@ -201,8 +199,6 @@ def quantile_sketch(ds, value_col: str, id_col: str, qs,
 
     Returns {"estimates": {q: value}, "ranks": {q: count_le}, "n": N,
     "sample_size": s}."""
-    import ray
-
     from ..functions.hashing import mix64
 
     n = ds.count()
@@ -220,11 +216,10 @@ def quantile_sketch(ds, value_col: str, id_col: str, qs,
             ids = b.column(id_col).to_numpy(zero_copy_only=False)
             return b.filter(pa.array(_h(ids) < thresh))
 
-        small = ds.map_batches(_pick, batch_format="pyarrow",
-                               batch_size=None)
-        tbl = pa.concat_tables(ray.get(small.to_arrow_refs()))
+        _, tbl = collect(ds.map_batches(_pick, batch_format="pyarrow",
+                                        batch_size=None))
     else:
-        tbl = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+        _, tbl = collect(ds)
     hh = _h(tbl.column(id_col).to_numpy(zero_copy_only=False))
     order = np.argsort(hh, kind="stable")[:sample]
     vals = np.sort(tbl.column(value_col).to_numpy(

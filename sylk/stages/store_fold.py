@@ -56,6 +56,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .collect import collect
+
 __all__ = ["atomic_write", "atomic_json", "complete_increments",
            "write_marker", "read_marker", "increment_ids", "unmark",
            "remove_increment", "inc_file", "write_increment", "read_set",
@@ -166,14 +168,9 @@ def write_increment(ds, store_dir: str, inc_id: int, part_col: str,
         return pa.table({part_col: pa.array([k], pa.int64()),
                          "n_rows": pa.array([out.num_rows], pa.int64())})
 
-    # iter_batches, not to_arrow_refs: the latter runs the plan a
-    # second time for its schema; map_groups can emit schemaless empty
-    # blocks, so only the real ones are kept
-    stats = pa.concat_tables([empty] + [
-        b for b in ds.groupby(part_col).map_groups(
-            _one, batch_format="pyarrow").iter_batches(
-            batch_size=None, batch_format="pyarrow") if b.num_columns > 0]
-    ).sort_by(part_col)
+    _, stats = collect(ds.groupby(part_col).map_groups(
+        _one, batch_format="pyarrow"))
+    stats = (stats if stats.num_columns else empty).sort_by(part_col)
     write_marker(store_dir, inc_id, {
         "parts": stats.num_rows,
         "rows": int(pc.sum(stats.column("n_rows")).as_py() or 0),

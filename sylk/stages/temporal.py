@@ -31,6 +31,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .collect import collect
+
 
 def asof_join_value(left_ds, right_ds, key: str, t_col: str, tiebreak: str,
                     value_col: str, out_col: str,
@@ -166,7 +168,7 @@ def gap_fill_counts(counts_ds, key_col: str, n_col: str = "n"):
     import ray
     import ray.data
 
-    tbl = pa.concat_tables(ray.get(counts_ds.to_arrow_refs()))
+    _, tbl = collect(counts_ds)
     tbl = tbl.select([key_col, n_col])
     if len(tbl) == 0:
         return ray.data.from_arrow(pa.table({key_col: pa.array([], pa.int64()),

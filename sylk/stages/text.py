@@ -18,6 +18,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .collect import collect
+
 # \S+ runs == str.split() token count on non-degenerate text
 _TOKEN_RE = r"\S+"
 _PUNCT_RE = r"[!-/:-@\[-`{-~]"
@@ -437,8 +439,7 @@ def top_term_per_doc(docs_ds, text_col: str = "text"):
         lambda b: b.group_by(["term"]).aggregate([([], "count_all")])
                    .rename_columns(["term", "df"]),
         batch_format="pyarrow", batch_size=None)
-    dfm_tbl = pa.concat_tables(ray.get(parts.to_arrow_refs())) \
-        .group_by(["term"]).aggregate([("df", "sum")])
+    dfm_tbl = collect(parts)[1].group_by(["term"]).aggregate([("df", "sum")])
     df_ref = ray.put(dict(zip(dfm_tbl.column("term").to_pylist(),
                               (int(x) for x in dfm_tbl.column("df_sum")
                                .to_pylist()))))
@@ -646,9 +647,8 @@ def unigram_logprob(docs_ds, text_col: str = "text", id_col: str = "doc_id",
         return pa.table({"term": pa.array(uniq.astype(str)),
                          "c": pa.array(counts.astype(np.int64))})
 
-    parts = docs_ds.map_batches(_tf_partial, batch_format="pyarrow",
-                                batch_size=None)
-    tbl = pa.concat_tables(ray.get(parts.to_arrow_refs()))
+    _, tbl = collect(docs_ds.map_batches(_tf_partial, batch_format="pyarrow",
+                                         batch_size=None))
     merged = tbl.group_by("term").aggregate([("c", "sum")])
     terms = merged.column("term").to_pylist()
     counts = merged.column("c_sum").to_numpy(zero_copy_only=False)
@@ -750,9 +750,8 @@ def dsir_importance(docs_ds, target_col: str = "lang",
                          "c_all": pa.array(counts.astype(np.int64)),
                          "c_tgt": pa.array(tgt)})
 
-    parts = docs_ds.map_batches(_tf_partial, batch_format="pyarrow",
-                                batch_size=None)
-    tbl = pa.concat_tables(ray.get(parts.to_arrow_refs()))
+    _, tbl = collect(docs_ds.map_batches(_tf_partial, batch_format="pyarrow",
+                                         batch_size=None))
     merged = tbl.group_by("term").aggregate([("c_all", "sum"),
                                              ("c_tgt", "sum")])
     terms = merged.column("term").to_pylist()
@@ -849,10 +848,10 @@ def token_typo_pairs(docs_ds, text_col: str = "text"):
         toks = {w for t in texts for w in (t or "").split()}
         return pa.table({"w": pa.array(sorted(toks), pa.string())})
 
-    vparts = docs_ds.map_batches(_vocab_partial, batch_format="pyarrow",
-                                 batch_size=None)
-    vocab = sorted(set(pa.concat_tables(
-        ray.get(vparts.to_arrow_refs())).column("w").to_pylist()))
+    _, vtbl = collect(docs_ds.map_batches(_vocab_partial,
+                                          batch_format="pyarrow",
+                                          batch_size=None))
+    vocab = sorted(set(vtbl.column("w").to_pylist()))
     if len(vocab) < 2:
         return ray.data.from_arrow(pa.table({
             "tok_a": pa.array([], pa.string()),

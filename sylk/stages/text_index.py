@@ -88,6 +88,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .collect import collect
 from .sample import content_hash64
 from .store_fold import (atomic_json, check_as_of, complete_increments,
                          delete_files, driver_read, fold, inc_file, purge,
@@ -299,11 +300,9 @@ def index_delete(store_dir: str, doc_ids, del_id: int) -> dict:
                      exclude=del_id) if dl_files else None
     if dl is not None:
         if ids is None:
-            blocks = [t for t in ray.get(doc_ids.select_columns(
-                ["doc_id"]).to_arrow_refs()) if t.num_columns > 0]
-            ids = (pa.concat_tables(blocks).column("doc_id")
-                   .combine_chunks().cast(pa.int64()) if blocks
-                   else pa.array([], pa.int64()))
+            _, t = collect(doc_ids.select_columns(["doc_id"]))
+            ids = (t.column("doc_id").combine_chunks().cast(pa.int64())
+                   if t.num_columns else pa.array([], pa.int64()))
         eff = dl.filter(pc.is_in(dl.column("doc_id"), value_set=ids))
     elif dl_files:
         from .join import anti_join, semi_join
@@ -318,10 +317,9 @@ def index_delete(store_dir: str, doc_ids, del_id: int) -> dict:
                              ray.data.read_parquet(prior,
                                                    columns=["doc_id"]),
                              on="doc_id")
-        kept = [t for t in ray.get(cand.to_arrow_refs())
-                if t.num_columns > 0]
-        if kept:
-            eff = pa.concat_tables(kept)
+        _, kept = collect(cand)
+        if len(kept):
+            eff = kept
     n_docs = eff.num_rows
     n_tokens = int(pc.sum(eff.column("dl")).as_py() or 0)
     # per-source-increment delta breakdown: as_of probes subtract only
@@ -505,15 +503,10 @@ def index_query_bm25(store_dir: str, terms, k1: float = 1.2,
     if driver:
         parts = _df(postings)
     else:
-        # schemaless zero-column blocks appear when the is_in filter
-        # empties a block (dedup.py:78 pattern) — drop them first
-        kept = [t for t in ray.get(
-                    postings.map_batches(_df, batch_format="pyarrow",
-                                         batch_size=None).to_arrow_refs())
-                if t.num_columns > 0]
-        if not kept:       # no query term occurs anywhere in the store
+        _, parts = collect(postings.map_batches(_df, batch_format="pyarrow",
+                                                batch_size=None))
+        if not len(parts):  # no query term occurs anywhere in the store
             return ray.data.from_arrow(empty)
-        parts = pa.concat_tables(kept)
     merged = parts.group_by("term").aggregate([("df", "sum")])
     dfs = dict(zip(merged.column("term").to_pylist(),
                    merged.column("df_sum").to_pylist()))

@@ -92,12 +92,14 @@ def test_bounded_collect_probe(ray_session):
     the decision comes from materialized block metadata."""
     import ray.data
 
+    from sylk.stages.collect import collect
+
     ds = ray.data.range(100).map_batches(
         lambda b: pa.table({"x": b.column("id")}), batch_format="pyarrow")
-    mds, tbl = dedup._bounded_collect(ds, limit=10)
+    mds, tbl = collect(ds, limit=10)
     assert tbl is None
     assert mds.count() == 100  # still usable for the distributed tier
-    mds2, tbl2 = dedup._bounded_collect(ds, limit=1000)
+    mds2, tbl2 = collect(ds, limit=1000)
     assert tbl2 is not None and len(tbl2) == 100
 
 

@@ -35,9 +35,9 @@ def test_incremental_dedup_semantics(ray_session, tmp_path):
     inc2 = _inc([(10, "a"), (11, "d"), (12, "c"), (14, "e"), (13, "e")])
     s2 = _ingest(ray.data.from_arrow(inc2), store, out, 2)
     assert s2.accepted.sum() == 2 and s2.rejected.sum() == 3
-    acc = read_accepted(out).to_pandas().sort_values("event_id")
+    acc = read_accepted(out, store).to_pandas().sort_values("event_id")
     assert acc.event_id.tolist() == [1, 2, 3, 11, 13]
-    assert read_accepted(out, 2).to_pandas().event_id.sort_values() \
+    assert read_accepted(out, store, 2).to_pandas().event_id.sort_values() \
         .tolist() == [11, 13]
 
 
@@ -57,7 +57,7 @@ def test_incremental_dedup_rerun_idempotent(ray_session, tmp_path):
     s2b = _ingest(ray.data.from_arrow(inc2), store, out, 2)
     assert s2a.accepted.sum() == s2b.accepted.sum() == 1
     assert len(glob.glob(os.path.join(store, "p=*", "*.parquet"))) == n_files
-    acc = read_accepted(out).to_pandas().event_id.sort_values().tolist()
+    acc = read_accepted(out, store).to_pandas().event_id.sort_values().tolist()
     assert acc == [1, 2, 11]
 
 
@@ -76,7 +76,7 @@ def test_incremental_dedup_crash_after_store_append(ray_session, tmp_path):
         os.remove(f)
     s2 = _ingest(ray.data.from_arrow(_inc([(2, "b")])), store, out, 2)
     assert s2.accepted.sum() == 1
-    assert read_accepted(out, 2).to_pandas().event_id.tolist() == [2]
+    assert read_accepted(out, store, 2).to_pandas().event_id.tolist() == [2]
 
 
 def test_incremental_dedup_bucket_pruning(ray_session, tmp_path):
@@ -131,7 +131,7 @@ def test_neardup_ingest_semantics(ray_session, tmp_path):
     s2 = neardup_ingest(ray.data.from_arrow(inc2), store, out, inc_id=2,
                         threshold=0.7)
     assert s2 == {"accepted": 1, "rejected_in_inc": 0, "rejected_cross": 1}
-    acc = read_accepted(out).to_pandas().doc_id.sort_values().tolist()
+    acc = read_accepted(out, store).to_pandas().doc_id.sort_values().tolist()
     assert acc == [1, 3, 11]
 
 
@@ -151,7 +151,7 @@ def test_neardup_ingest_rerun_idempotent(ray_session, tmp_path):
                          threshold=0.7)
     assert s2a == s2b == {"accepted": 0, "rejected_in_inc": 0,
                           "rejected_cross": 1}
-    acc = read_accepted(out).to_pandas().doc_id.sort_values().tolist()
+    acc = read_accepted(out, store).to_pandas().doc_id.sort_values().tolist()
     assert acc == [1, 2]
 
 
@@ -366,7 +366,7 @@ def test_dedup_ingest_model_based(ray_session, tmp_path):
                       "key": pa.array([r[1] for r in rows], pa.string())})
         dedup_ingest(ray.data.from_arrow(t), store, out, key_col="key",
                      order_col="event_id", inc_id=inc).materialize()
-    acc = read_accepted(out).to_pandas().event_id.sort_values().tolist()
+    acc = read_accepted(out, store).to_pandas().event_id.sort_values().tolist()
     assert acc == sorted(expect)
 
 
@@ -386,7 +386,7 @@ def test_neardup_crash_between_swaps_converges(ray_session, tmp_path):
                    threshold=0.7)
     # simulate the crash window: store/inc=1 present, out/inc=1 gone
     shutil.rmtree(os.path.join(out, "inc=1"))
-    assert read_accepted(out).count() == 0  # visibly incomplete
+    assert read_accepted(out, store).count() == 0  # visibly incomplete
     s1 = neardup_ingest(ray.data.from_arrow(inc1), store, out, inc_id=1,
                         threshold=0.7)
     assert s1["accepted"] == 2  # own store files ignored by the probe
@@ -395,7 +395,7 @@ def test_neardup_crash_between_swaps_converges(ray_session, tmp_path):
     s2 = neardup_ingest(ray.data.from_arrow(inc2), store, out, inc_id=2,
                         threshold=0.7)
     assert s2["rejected_cross"] == 1
-    acc = read_accepted(out).to_pandas().doc_id.sort_values().tolist()
+    acc = read_accepted(out, store).to_pandas().doc_id.sort_values().tolist()
     assert acc == [1, 2]
 
 
@@ -509,7 +509,7 @@ def test_compact_ingest_store_exact(ray_session, tmp_path):
                       (3, [(5, "delta")])):
         dedup_ingest(ray.data.from_arrow(_inc(rows)), store, out,
                      "key", "event_id", inc_id=inc).materialize()
-    assert sorted(read_accepted(out).to_pandas().event_id) == [1, 2, 3, 5]
+    assert sorted(read_accepted(out, store).to_pandas().event_id) == [1, 2, 3, 5]
 
     n_before = len(glob.glob(os.path.join(store, "p=*", "*.parquet")))
     stats = compact_ingest_store(store)
@@ -527,7 +527,7 @@ def test_compact_ingest_store_exact(ray_session, tmp_path):
         _inc([(6, "alpha"), (7, "epsilon")])), store, out,
         "key", "event_id", inc_id=4).materialize().to_pandas()
     assert int(s4.accepted.sum()) == 1 and int(s4.rejected.sum()) == 1
-    assert sorted(read_accepted(out).to_pandas().event_id) == [1, 2, 3, 5, 7]
+    assert sorted(read_accepted(out, store).to_pandas().event_id) == [1, 2, 3, 5, 7]
 
     # rerun below the watermark is refused (silent self-rejection trap)
     with pytest.raises(ValueError, match="watermark"):
@@ -573,7 +573,7 @@ def test_compact_ingest_store_crash_window(ray_session, tmp_path):
     compact_ingest_store(store)
     for d in glob.glob(os.path.join(store, "p=*")):
         assert not glob.glob(os.path.join(d, "inc*.parquet"))
-    assert sorted(read_accepted(out).to_pandas().event_id) == [1, 2, 4]
+    assert sorted(read_accepted(out, store).to_pandas().event_id) == [1, 2, 4]
 
 
 def test_compact_ingest_store_neardup_bands(ray_session, tmp_path):
@@ -600,7 +600,7 @@ def test_compact_ingest_store_neardup_bands(ray_session, tmp_path):
         threshold=0.7)
     assert s3 == {"accepted": 0, "rejected_in_inc": 0,
                   "rejected_cross": 1}
-    assert sorted(read_accepted(out).to_pandas().doc_id) == [1, 2, 5]
+    assert sorted(read_accepted(out, store).to_pandas().doc_id) == [1, 2, 5]
 
 
 def test_compact_cli(ray_session, tmp_path, capsys):
@@ -624,7 +624,7 @@ def test_compact_cli(ray_session, tmp_path, capsys):
     assert rc == 0 and ray.is_initialized()
     stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert stats["upto"] == 2
-    assert sorted(read_accepted(out).to_pandas().event_id) == [1, 2]
+    assert sorted(read_accepted(out, store).to_pandas().event_id) == [1, 2]
 
     ustore = str(tmp_path / "us")
     t = pa.table({"k": pa.array([1, 2], pa.int64()),
@@ -642,3 +642,63 @@ def test_compact_cli(ray_session, tmp_path, capsys):
     assert stats["runs_out"] < stats["runs_in"]
     assert sorted(read_current(ustore, "k", "o",
                                tombstone_col="_del").to_pandas().k) == [1, 2]
+
+
+@pytest.mark.parametrize("kind", ["dedup", "neardup"])
+def test_read_accepted_waits_for_the_marker(ray_session, tmp_path,
+                                            monkeypatch, kind):
+    """An ingest that dies after its accepted rows land and before its
+    marker leaves rows no reader sees; its rerun then equals a clean
+    run."""
+    import ray.data
+
+    from sylk.stages import dedup_store, store_fold
+    from sylk.stages.dedup_store import neardup_ingest
+
+    col = "event_id" if kind == "dedup" else "doc_id"
+    incs = ({1: _inc([(1, "a"), (2, "b")]), 2: _inc([(3, "c"), (4, "a")])}
+            if kind == "dedup" else
+            {1: _docs([(1, _BASE), (2, "standalone other content entirely")]),
+             2: _docs([(10, _BASE.replace("dog", "cat")),
+                       (11, "novel content with no overlap at all in any "
+                            "of its shingles")])})
+
+    def _ingest(root, inc_id):
+        ds = ray.data.from_arrow(incs[inc_id])
+        store, out = str(root / "store"), str(root / "out")
+        if kind == "dedup":
+            dedup_ingest(ds, store, out, key_col="key",
+                         order_col="event_id", inc_id=inc_id)
+        else:
+            neardup_ingest(ds, store, out, inc_id=inc_id, threshold=0.7)
+
+    def _accepted(root):
+        return sorted(read_accepted(str(root / "out"), str(root / "store"))
+                      .to_pandas()[col])
+
+    crash, ref = tmp_path / "crash", tmp_path / "ref"
+    for root in (crash, ref):
+        _ingest(root, 1)
+    _ingest(ref, 2)
+    first = _accepted(ref)
+    assert first == ([1, 2, 3] if kind == "dedup" else [1, 2, 11])
+
+    real = store_fold.write_marker
+
+    def _marker(store_dir, inc_id, info):
+        if inc_id == 2:
+            raise RuntimeError("crash before the marker")
+        real(store_dir, inc_id, info)
+
+    with monkeypatch.context() as m:
+        # dedup_ingest holds its own reference to the marker writer
+        m.setattr(store_fold, "write_marker", _marker)
+        m.setattr(dedup_store, "write_marker", _marker)
+        with pytest.raises(RuntimeError, match="before the marker"):
+            _ingest(crash, 2)
+    assert glob.glob(str(crash / "out" / "inc=2" / "*.parquet"))
+    assert _accepted(crash) == [1, 2]
+    assert read_accepted(str(crash / "out"), str(crash / "store"),
+                         2).count() == 0
+    _ingest(crash, 2)
+    assert _accepted(crash) == first

@@ -5,6 +5,7 @@ paths."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from conftest import scale_tier
 
@@ -431,3 +432,28 @@ def test_embedding_two_stage_near_threshold(ray_session, monkeypatch):
     got = set(zip(fast.a, fast.b))
     assert (0, 1) in got and (0, 3) in got  # 0.9705 and 0.999 survive
     assert (0, 2) not in got  # 0.9695 is below threshold on both paths
+
+
+def test_dedup_turns_tiers_agree(ray_session, monkeypatch):
+    """The driver merge and the groupby exchange keep the same first
+    row per (conv_id, turn_idx), duplicates split across blocks."""
+    import ray.data
+
+    def _turns(rows):
+        return pa.table({
+            "conv_id": pa.array([r[0] for r in rows], pa.int64()),
+            "turn_idx": pa.array([r[1] for r in rows], pa.int64()),
+            "role": pa.array([r[2] for r in rows]),
+        })
+
+    shard = [(1, 0, "user"), (1, 1, "assistant"), (2, 0, "user"),
+             (1, 0, "user")]
+    blocks = [_turns(shard), _turns(shard[:3]), _turns([(3, 0, "user")])]
+    key = ["conv_id", "turn_idx"]
+    driver = dedup.dedup_turns(ray.data.from_arrow(blocks)).to_pandas()
+    scale_tier(monkeypatch, dedup, "_DRIVER_TURN_LIMIT")
+    exchange = dedup.dedup_turns(ray.data.from_arrow(blocks)).to_pandas()
+    pd.testing.assert_frame_equal(_norm(driver, key), _norm(exchange, key),
+                                  check_dtype=False)
+    assert list(zip(*(_norm(driver, key)[c] for c in key))) == [
+        (1, 0), (1, 1), (2, 0), (3, 0)]

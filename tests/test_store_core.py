@@ -109,7 +109,7 @@ def test_dedup_unexecuted_increment_is_not_folded(ray_session, tmp_path):
     s2 = dedup_ingest(ray.data.from_arrow(inc2), store, out, "key",
                       "event_id", inc_id=2).to_pandas()
     assert int(s2.accepted.sum()) == 2
-    assert sorted(read_accepted(out, 2).to_pandas().event_id) == [3, 4]
+    assert sorted(read_accepted(out, store, 2).to_pandas().event_id) == [3, 4]
 
 
 def test_unmarked_increment_is_invisible(ray_session, tmp_path):
@@ -281,7 +281,7 @@ def _answer(kind, store):
     if kind == "dedup":
         from sylk.stages.dedup_store import read_accepted
 
-        return stored, sorted(read_accepted(store + "_out")
+        return stored, sorted(read_accepted(store + "_out", store)
                               .to_pandas().event_id)
     return stored
 
@@ -386,8 +386,8 @@ def test_crash_before_marker(ray_session, tmp_path, monkeypatch, kind):
     if kind == "neardup":
         from sylk.stages.dedup_store import read_accepted
 
-        assert (sorted(read_accepted(store + "_out").to_pandas().doc_id)
-                == sorted(read_accepted(ref + "_out").to_pandas().doc_id)
+        assert (sorted(read_accepted(store + "_out", store).to_pandas().doc_id)
+                == sorted(read_accepted(ref + "_out", ref).to_pandas().doc_id)
                 == [1, 2, 11])
 
 

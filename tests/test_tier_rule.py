@@ -38,6 +38,23 @@ def test_no_operator_takes_a_distributed_flag():
     assert not flagged, f"tier override parameters: {flagged}"
 
 
+def test_driver_gathers_go_through_collect():
+    """Bringing a Dataset to the driver is written once, in
+    stages/collect.py; a hand-copied gather would bring back the double
+    plan run, the schemaless-block and the pandas-block bugs."""
+    from pathlib import Path
+
+    import sylk
+
+    root = Path(sylk.__file__).parent
+    found = [f"{p.relative_to(root)}: {needle}"
+             for p in sorted(root.rglob("*.py"))
+             if p != root / "stages" / "collect.py"
+             for needle in ("to_arrow_refs(", "_bounded_collect")
+             if needle in p.read_text()]
+    assert not found, f"driver gathers outside collect: {found}"
+
+
 def test_winnow_no_shared_fingerprint_is_typed_empty(ray_session):
     import ray.data
 
