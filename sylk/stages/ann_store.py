@@ -29,10 +29,14 @@ rename, and retraining on a rerun of increment 1 is deterministic
 files, markers, read sets, tombstones, compaction and the watermark
 are the shared :mod:`store_fold` contract.
 
-Distribution: :func:`store_fold.write_increment` writes the increment
-by cell, one hash-shuffle (``groupby(cell).map_groups``) whose cell
-tasks write their files independently; no driver state scales with
-the data (the stats table is n_cells rows).  The query is a pruned
+Distribution: the input is materialized once, and that one pass feeds
+the first increment's centroid sample and the write.
+:func:`store_fold.write_increment` writes the increment by cell: up to
+``store_fold._DRIVER_INGEST_LIMIT`` bytes of input the driver assigns
+cells over the collected table and writes each cell's slice; above it
+one hash-shuffle (``groupby(cell).map_groups``) hands each cell to a
+task that writes its file, and no driver state scales with the data
+(the stats table is n_cells rows).  The query is a pruned
 brute-force over the probed cells' files only, in one of two tiers
 picked from the on-disk size of that read set plus the tombstone files
 alone (``store_fold._DRIVER_READ_LIMIT``, 64 MiB): below it, the driver
@@ -71,6 +75,8 @@ def ann_ingest(emb_ds, store_dir: str, inc_id: int, n_cells: int = 16,
     stats table (cell, n_rows)."""
     os.makedirs(store_dir, exist_ok=True)
     cpath = os.path.join(store_dir, "centroids.npy")
+    # one pass over the input feeds the centroid sample and the write
+    emb_ds = emb_ds.materialize()
     if not os.path.exists(cpath):
         index = IVFIndex.train(emb_ds, n_cells=n_cells, sample=sample,
                                seed=seed)
@@ -81,10 +87,8 @@ def ann_ingest(emb_ds, store_dir: str, inc_id: int, n_cells: int = 16,
         atomic_write(cpath, _save)
     else:
         index = _load_index(store_dir)
-    return write_increment(
-        emb_ds.map_batches(index.assign_batch, batch_format="pyarrow",
-                           batch_size=None),
-        store_dir, inc_id, "cell", "cell")
+    return write_increment(emb_ds, store_dir, inc_id, "cell", "cell",
+                           fn=index.assign_batch)
 
 
 def probe_files(store_dir: str, cells,

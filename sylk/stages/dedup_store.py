@@ -35,10 +35,16 @@ Idempotence / crash safety (the :mod:`store_fold` contract):
   anywhere, even after the marker — re-accepts the same rows (same
   files, same contents).
 
-Distribution: one hash-shuffle of the increment by bucket
-(``groupby(bucket).map_groups``), then each bucket task is independent:
-in-bucket first-per-key reduction (vectorized lexsort), store-partition
-read, anti-filter, two file writes.  No driver state at any size.
+Distribution: :func:`dedup_ingest` runs one hash-shuffle of the
+increment by bucket (``groupby(bucket).map_groups``), then each bucket
+task is independent: in-bucket first-per-key reduction (vectorized
+lexsort), store-partition read, anti-filter, two file writes.  No
+driver state at any size.  :func:`neardup_ingest` writes its band rows
+through :func:`store_fold.write_increment`, so a small increment's
+bands are partitioned and written in the driver
+(``store_fold._DRIVER_INGEST_LIMIT``); both stores fold through
+:func:`store_fold.fold`, in the driver up to
+``store_fold._DRIVER_READ_LIMIT`` bytes of partition files.
 """
 
 from __future__ import annotations
@@ -163,16 +169,21 @@ def read_accepted(out_dir: str, store_dir: str, inc_id: int | None = None):
     """Dataset of accepted rows — one increment or the whole history —
     of the increments whose marker is in ``store_dir``.  An ingest
     writes its accepted rows before its marker, so after a crash in
-    between they stay unread until the rerun completes the increment."""
+    between they stay unread until the rerun completes the increment.
+    No accepted row reads as a typed empty Dataset, with the schema of
+    any accepted file on disk (zero columns while there is none)."""
     import ray.data
 
     ids = [i for i in complete_increments(store_dir)
            if inc_id is None or i == inc_id]
     files = sorted(f for i in ids for f in glob.glob(
         os.path.join(out_dir, f"inc={i}", "*.parquet")))
-    if not files:  # no complete increment yet
-        return ray.data.from_items([])
-    return ray.data.read_parquet(files)
+    if files:
+        return ray.data.read_parquet(files)
+    any_file = glob.glob(os.path.join(out_dir, "inc=*", "*.parquet"))[:1]
+    return ray.data.from_arrow(
+        ray.data.read_parquet(any_file).schema().base_schema.empty_table()
+        if any_file else pa.table({}))
 
 
 # --- incremental near-dup (MinHash-LSH) store --------------------------------
@@ -394,9 +405,8 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
         os.rename(tmp, final)
         return {"accepted": int(n_acc)}
 
-    write_increment(accepted.map_batches(_bands_bkt, batch_format="pyarrow",
-                                         batch_size=None),
-                    store_dir, inc_id, "_bkt", "p", info=_publish)
+    write_increment(accepted, store_dir, inc_id, "_bkt", "p", fn=_bands_bkt,
+                    info=_publish)
     return {"accepted": int(n_acc),
             "rejected_in_inc": int(n_inc - n_kept),
             "rejected_cross": int(n_rej_cross)}

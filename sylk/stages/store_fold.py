@@ -17,11 +17,11 @@ Contract:
 * :func:`write_increment` is the one partitioned increment write: it
   refuses ``inc_id`` at or below the watermark, then a rerun removes
   its own increment first (marker, then files), so no file of an
-  earlier attempt outlives it; one ``groupby(part).map_groups``
-  exchange writes each partition's file tmp -> rename under its
-  deterministic :func:`inc_file` name, and the ``_done_inc<id>``
-  marker is written LAST.  An increment without its marker does not
-  exist: no read set holds it and no fold consumes it.
+  earlier attempt outlives it; one partition writer writes each
+  partition's file tmp -> rename under its deterministic
+  :func:`inc_file` name, and the ``_done_inc<id>`` marker is written
+  LAST.  An increment without its marker does not exist: no read set
+  holds it and no fold consumes it.
 * A partition's read set (:func:`read_set`) is its highest
   ``compact<u>`` file plus the marker-complete ``inc<i>`` files with
   ``u < i <= as_of``.  Files with ``i <= u`` are shadowed — folded
@@ -34,6 +34,15 @@ Contract:
   ``inc_id <= upto``: a rerun below the horizon would land in a
   shadowed file.  ``compact`` is a name no increment can produce, so a
   rerun never overwrites folded history.
+* Writes pick their tier from size alone, too, and each tier runs the
+  same per-partition function.  An increment of up to
+  ``_DRIVER_INGEST_LIMIT`` bytes of input (materialized once, sized
+  from block metadata) is mapped, sorted by partition and written
+  slice by slice in the driver; above it one
+  ``groupby(part).map_groups`` exchange writes the partitions.  A fold
+  whose partition files hold up to ``_DRIVER_READ_LIMIT`` bytes
+  (``os.stat``) folds its partitions in a driver loop; above it, in
+  one Ray task each.
 * Tombstones follow the same marker-last rule; the fold's ``reduce``
   hook (:func:`purge`) is where tombstoned rows stop existing on disk.
   The purge and :func:`driver_read` share one tombstone reader.
@@ -52,6 +61,7 @@ import glob
 import json
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -65,8 +75,14 @@ __all__ = ["atomic_write", "atomic_json", "complete_increments",
            "write_tombstones", "driver_read", "typed_result", "purge", "fold"]
 
 # bytes of Parquet (read set + tombstones) up to which a probe reads its
-# files in the driver; the full-size benchmark stores hold 2-6 MB
+# files in the driver, and up to which a fold folds in the driver; the
+# full-size benchmark stores hold 2-6 MB
 _DRIVER_READ_LIMIT = 64 << 20
+# in-memory bytes of increment input up to which write_increment maps
+# and partitions it in the driver: text postings take ~9x their input
+# (604,596 B of docs gave 5,444,162 B of postings), so 8 MiB of input
+# keeps the driver table near the _DRIVER_READ_LIMIT class
+_DRIVER_INGEST_LIMIT = 8 << 20
 
 
 def atomic_write(path: str, write_fn) -> None:
@@ -139,16 +155,24 @@ def inc_file(store_dir: str, part_name: str, k, inc_id: int) -> str:
 
 
 def write_increment(ds, store_dir: str, inc_id: int, part_col: str,
-                    part_name: str, reduce=None, info=None) -> pa.Table:
-    """Write increment ``inc_id`` of ``ds``, partitioned by the int
-    column ``part_col``: one ``<part_name>=<k>/inc<id>.parquet`` per
-    value ``k``, without ``part_col`` and mapped by ``reduce`` first.
-    Refuses an ``inc_id`` at or below the watermark, and removes the
-    increment's marker and files before the exchange, so a rerun leaves
-    exactly what a clean write leaves.  Returns the ``(part_col,
-    n_rows)`` stats of the written files; the marker, written last,
-    holds ``parts``, ``rows`` and whatever ``info(stats)`` adds, and
-    ``info`` runs after every partition file is in place."""
+                    part_name: str, fn, reduce=None,
+                    info=None) -> pa.Table:
+    """Write increment ``inc_id`` of ``ds`` mapped by the block kernel
+    ``fn``, partitioned by the int column ``part_col`` that ``fn``
+    adds: one ``<part_name>=<k>/inc<id>.parquet`` per value ``k``,
+    without ``part_col`` and mapped by ``reduce`` first.  Refuses an
+    ``inc_id`` at or below the watermark, and removes the increment's
+    marker and files before writing, so a rerun leaves exactly what a
+    clean write leaves.  The input is materialized once and sized from
+    block metadata: up to ``_DRIVER_INGEST_LIMIT`` bytes, ``fn`` runs
+    once over the collected table and the driver writes its sorted
+    per-partition slices; above it, ``fn`` runs per block and one
+    ``groupby(part).map_groups`` exchange writes the partitions.  Both
+    tiers write with the same ``_one``, and ``fn`` must map each row
+    independently of its block.  Returns the ``(part_col, n_rows)``
+    stats of the written files; the marker, written last, holds
+    ``parts``, ``rows`` and whatever ``info(stats)`` adds, and ``info``
+    runs after every partition file is in place."""
     os.makedirs(store_dir, exist_ok=True)
     check_watermark(store_dir, inc_id)
     remove_increment(store_dir, f"{part_name}=*", inc_id)
@@ -168,8 +192,23 @@ def write_increment(ds, store_dir: str, inc_id: int, part_col: str,
         return pa.table({part_col: pa.array([k], pa.int64()),
                          "n_rows": pa.array([out.num_rows], pa.int64())})
 
-    _, stats = collect(ds.groupby(part_col).map_groups(
-        _one, batch_format="pyarrow"))
+    ds = ds.materialize()
+    size = ds.size_bytes()
+    if size is not None and size <= _DRIVER_INGEST_LIMIT:
+        _, tbl = collect(ds)
+        slices = []
+        if tbl.num_rows:
+            # stable sort: a partition's rows keep their input order
+            tbl = fn(tbl).sort_by(part_col)
+            keys = tbl.column(part_col).to_numpy()
+            cuts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1),
+                    len(keys)]
+            slices = [tbl.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
+        stats = pa.concat_tables([empty, *map(_one, slices)])
+    else:
+        _, stats = collect(ds.map_batches(
+            fn, batch_format="pyarrow", batch_size=None).groupby(
+            part_col).map_groups(_one, batch_format="pyarrow"))
     stats = (stats if stats.num_columns else empty).sort_by(part_col)
     write_marker(store_dir, inc_id, {
         "parts": stats.num_rows,
@@ -300,8 +339,8 @@ def typed_result(ds, empty: pa.Table):
 def purge(store_dir: str, id_col: str):
     """The fold's tombstone purge: a ``reduce`` dropping every row whose
     ``id_col`` is in a marker-complete tombstone file, or None when
-    there is none.  Each partition task re-reads the tombstone files
-    (deletes are small next to the corpus)."""
+    there is none.  Each partition re-reads the tombstone files (deletes
+    are small next to the corpus)."""
     files = delete_files(store_dir)
     if not files:
         return None
@@ -314,15 +353,15 @@ def purge(store_dir: str, id_col: str):
 def fold(store_dir: str, part_glob: str, reduce=None,
          cap: int | None = None) -> dict:
     """Compact every ``part_glob`` partition: its read set up to
-    ``upto`` becomes one ``compact<upto>.parquet`` (``reduce``, pickled
-    to the per-partition tasks, maps the concatenated table first;
-    ``cap``, when given, bounds ``upto`` from above),
-    written tmp -> rename; then the sources and shadowed leftovers are
-    deleted, and the watermark is written last.  A crash anywhere
-    leaves every read set answering as before; rerunning the fold
-    finishes the job."""
-    import ray
-
+    ``upto`` becomes one ``compact<upto>.parquet`` (``reduce`` maps the
+    concatenated table first; ``cap``, when given, bounds ``upto`` from
+    above), written tmp -> rename; then the sources and shadowed
+    leftovers are deleted, and the watermark is written last.  Up to
+    ``_DRIVER_READ_LIMIT`` bytes of partition files (``os.stat`` sizes)
+    the partitions fold in a driver loop, above it in one Ray task each
+    (``reduce`` is pickled to them); both run the same ``_one``.  A
+    crash anywhere leaves every read set answering as before; rerunning
+    the fold finishes the job."""
     wm = watermark(store_dir)
     done = set(complete_increments(store_dir))
     # the lowest increment with files but no marker (a crashed ingest
@@ -335,7 +374,6 @@ def fold(store_dir: str, part_glob: str, reduce=None,
     if upto < 0:
         return {"files_in": 0, "files_out": 0, "upto": wm}
 
-    @ray.remote
     def _one(pdir: str) -> tuple:
         src = read_set(store_dir, [pdir], as_of=upto, done=done)
         # shadowed leftovers: older compact files and inc files at or
@@ -355,8 +393,16 @@ def fold(store_dir: str, part_glob: str, reduce=None,
                 os.remove(f)
         return (len(src) + len(stale), int(bool(src)))
 
-    res = ray.get([_one.remote(d) for d in
-                   sorted(glob.glob(os.path.join(store_dir, part_glob)))])
+    pdirs = sorted(glob.glob(os.path.join(store_dir, part_glob)))
+    size = sum(os.stat(f).st_size for d in pdirs
+               for f in glob.glob(os.path.join(d, "*.parquet")))
+    if size <= _DRIVER_READ_LIMIT:
+        res = [_one(d) for d in pdirs]
+    else:
+        import ray
+
+        task = ray.remote(_one)
+        res = ray.get([task.remote(d) for d in pdirs])
     atomic_json(os.path.join(store_dir, "_compact.json"), {"upto": upto})
     return {"files_in": sum(r[0] for r in res),
             "files_out": sum(r[1] for r in res), "upto": upto}

@@ -32,10 +32,14 @@ reads, not scans.  Term -> bucket routing uses the md5-derived
 ``hash()`` (CLAUDE.md bucketing rule), so every worker and every later
 increment agrees on the bucket of a term.
 
-Scale shape: ingest is one ``map_batches`` explode (the vectorized
-``term_tf_rows`` factorize kernel) + ONE hash shuffle by bucket per
-increment; each bucket task writes its file independently and no
-driver state scales with the data.  Probes (BM25, AND, phrase and
+Scale shape: ingest is one postings explode (the vectorized
+``term_tf_rows`` factorize kernel) + one partitioned write by bucket
+per increment, in one of two tiers picked from the input's in-memory
+size (``store_fold._DRIVER_INGEST_LIMIT``, 8 MiB): below it the driver
+explodes the collected docs once and writes each bucket's slice of the
+sorted postings; above it the explode runs per block and ONE hash
+shuffle by bucket hands each bucket to a task that writes its file, so
+no driver state scales with the data.  Probes (BM25, AND, phrase and
 ``index_delete``'s candidate lookup) have two tiers, picked from the
 on-disk size of the read set plus the tombstone files alone
 (``store_fold._DRIVER_READ_LIMIT``, 64 MiB of Parquet): below it the
@@ -114,8 +118,10 @@ def index_ingest(docs_ds, store_dir: str, inc_id: int,
     :func:`store_fold.write_increment`.  Eager (files + marker on disk
     on return); returns the per-bucket stats table (bucket, n_rows).
 
-    ONE pass over the increment: the postings explode + one hash
-    shuffle by bucket.  The marker's (n_docs, n_tokens) corpus stats —
+    ONE pass over the increment: the postings explode + one
+    partitioned write by bucket (in the driver up to
+    ``store_fold._DRIVER_INGEST_LIMIT`` bytes of docs, else one hash
+    shuffle).  The marker's (n_docs, n_tokens) corpus stats —
     N counts EMPTY docs too, exactly like ``bm25_scores``'s oracle —
     are summed from the just-written doc-length partition file, not a
     second text scan.
@@ -214,11 +220,9 @@ def index_ingest(docs_ds, store_dir: str, inc_id: int,
               if os.path.exists(path) else pa.array([], pa.int64()))
         return {"n_docs": len(dl), "n_tokens": int(pc.sum(dl).as_py() or 0)}
 
-    return write_increment(
-        docs_ds.map_batches(_postings, batch_format="pyarrow",
-                            batch_size=None),
-        store_dir, inc_id, "bucket", "term",
-        reduce=lambda t: t.sort_by("term"), info=_corpus)
+    return write_increment(docs_ds, store_dir, inc_id, "bucket", "term",
+                           fn=_postings, reduce=lambda t: t.sort_by("term"),
+                           info=_corpus)
 
 
 def corpus_stats(store_dir: str,

@@ -31,10 +31,13 @@ watermark refuses a rerun of a folded increment, so no rerun can
 overwrite the compacted history of other keys or land a run that the
 compact file would shadow.
 
-Scale shape: writes are one hash exchange of the increment; reads and
-compaction stream per-bucket (embarrassingly parallel, bounded by
-bucket size not store size); the per-bucket run count grows with the
-increment count and is exactly what compaction bounds.
+Scale shape: a write is one partitioned write of the increment — in
+the driver up to ``store_fold._DRIVER_INGEST_LIMIT`` bytes of input,
+else one hash exchange; reads stream per-bucket tasks, and compaction
+folds buckets in the driver up to ``store_fold._DRIVER_READ_LIMIT``
+bytes of runs, else per-bucket tasks (bounded by bucket size not store
+size); the per-bucket run count grows with the increment count and is
+exactly what compaction bounds.
 """
 
 from __future__ import annotations
@@ -102,9 +105,8 @@ def upsert_write(ds, store_dir: str, key_col: str, order_col: str,
         return win.append_column(
             "_inc", pa.array(np.full(win.num_rows, inc_id), pa.int64()))
 
-    stats = write_increment(
-        ds.map_batches(_tag, batch_format="pyarrow", batch_size=None),
-        store_dir, inc_id, "_bkt", "p", reduce=_winners)
+    stats = write_increment(ds, store_dir, inc_id, "_bkt", "p", fn=_tag,
+                            reduce=_winners)
     return ray.data.from_arrow(stats.rename_columns(["bucket", "rows"]))
 
 
@@ -114,7 +116,9 @@ def read_current(store_dir: str, key_col: str, order_col: str,
     (_inc, order) wins, tombstone winners dropped.  Buckets stream as
     independent tasks whose outputs stay in the OBJECT STORE — the
     driver never holds a row (the task refs feed from_arrow_refs
-    directly; empty buckets contribute empty blocks)."""
+    directly; empty buckets contribute empty blocks).  A store with no
+    complete increment reads as a typed empty Dataset, with the schema
+    of any run on disk (zero columns while there is none)."""
     import ray
     import ray.data
 
@@ -125,7 +129,10 @@ def read_current(store_dir: str, key_col: str, order_col: str,
                         sorted(glob.glob(os.path.join(store_dir, "p=*"))))
             if s]
     if not sets:
-        return ray.data.from_items([])
+        any_run = glob.glob(os.path.join(store_dir, "p=*", "*.parquet"))[:1]
+        return ray.data.from_arrow(
+            pq.read_schema(any_run[0]).empty_table().drop_columns(["_inc"])
+            if any_run else pa.table({}))
 
     @ray.remote
     def _one(files: list) -> pa.Table:

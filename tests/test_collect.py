@@ -1,7 +1,7 @@
 """The one driver gather: ``collect`` runs an unmaterialized plan once,
 returns one Arrow table whatever the block kinds, and types its empty
-result; ``semi_join`` decides its tier without running its right side
-twice."""
+result; ``semi_join`` decides its tier, and the first ``ann_ingest``
+trains and writes, without running their input twice."""
 
 import pyarrow as pa
 import pytest
@@ -72,3 +72,37 @@ def test_semi_join_runs_the_right_side_once(ray_session, tmp_path,
     got = join.semi_join(left, _two_blocks(log), on="k").to_pandas()
     assert sorted(got.k) == [1, 2, 3]
     assert _calls(log) == 2
+
+
+@pytest.mark.parametrize("tier", ["driver", "exchange"])
+def test_first_ann_ingest_runs_its_input_once(ray_session, tmp_path,
+                                              monkeypatch, tier):
+    """The first ``ann_ingest`` trains the centroids on a hash-threshold
+    sample and writes the increment from one materialized input, so an
+    upstream UDF runs once per block; the centroids equal a separate
+    ``IVFIndex.train`` over the same rows."""
+    import numpy as np
+    import ray.data
+
+    from sylk.stages import store_fold
+    from sylk.stages.ann_store import ann_ingest
+    from sylk.stages.similarity import IVFIndex
+
+    if tier == "exchange":
+        scale_tier(monkeypatch, store_fold, "_DRIVER_INGEST_LIMIT")
+    rng = np.random.default_rng(7)
+    blocks = [pa.table({
+        "vec_id": pa.array(range(i, i + 40), pa.int64()),
+        "embedding": pa.array(rng.standard_normal((40, 4)).tolist(),
+                              pa.list_(pa.float32()))}) for i in (0, 40)]
+    log = tmp_path / "calls"
+    store = str(tmp_path / "ann")
+    # sample=8 of 80 rows: train takes its hash-threshold filter path
+    stats = ann_ingest(ray.data.from_arrow(blocks).map_batches(
+        _counted(str(log)), batch_format="pyarrow", batch_size=None),
+        store, inc_id=1, n_cells=4, sample=8)
+    assert _calls(log) == 2
+    assert sum(stats.column("n_rows").to_pylist()) == 80
+    ref = IVFIndex.train(ray.data.from_arrow(blocks), n_cells=4, sample=8)
+    np.testing.assert_array_equal(
+        np.load(f"{store}/centroids.npy"), ref.centroids)

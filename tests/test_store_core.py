@@ -12,6 +12,7 @@ import shutil
 import numpy as np
 import pyarrow as pa
 import pytest
+from conftest import scale_tier
 
 _WORDS = ["hash", "join", "filter", "scan", "sort", "merge", "table",
           "row", "batch", "spark", "window", "key"]
@@ -199,19 +200,24 @@ _NEAR = ("the quick brown fox jumps over the lazy dog and runs far away "
 
 def _content(kind, which):
     """Increment contents: ``base`` is increment 1; ``first`` and the
-    smaller ``second`` are two attempts at increment 2."""
+    smaller ``second`` are two attempts at increment 2; ``empty`` has no
+    row, and ``third`` follows them (upsert: a ``del`` value deletes)."""
+    if which == "empty":
+        return _content(kind, "base").slice(0, 0)
     if kind == "ann":
         return _emb({"base": list(range(20)), "first": list(range(20, 40)),
-                     "second": [40, 41]}[which])
+                     "second": [40, 41], "third": list(range(50, 70))}[which])
     if kind == "upsert":
         rows = {"base": [(k, k, f"b{k}") for k in range(8)],
                 "first": [(k, 100 + k, f"f{k}") for k in range(4, 16)],
-                "second": [(4, 200, "s4")]}[which]
+                "second": [(4, 200, "s4")],
+                "third": [(0, 300, "del"), (3, 303, "t3"), (6, 306, "del"),
+                          (9, 309, "t9")]}[which]
         return pa.table({"user_id": pa.array([r[0] for r in rows], pa.int64()),
                          "event_id": pa.array([r[1] for r in rows],
                                               pa.int64()),
                          "val": pa.array([r[2] for r in rows]),
-                         "_del": pa.array([False] * len(rows))})
+                         "_del": pa.array([r[2] == "del" for r in rows])})
     if kind == "dedup":
         rows = {"base": [(1, "a"), (2, "b")],
                 "first": [(3, "c"), (4, "d"), (5, "e"), (6, "a")],
@@ -224,17 +230,25 @@ def _content(kind, which):
             ("text", "first"): [(1, "alpha beta"), (2, "gamma delta"),
                                 (3, "zeta eta")],
             ("text", "second"): [(1, "alpha")],
+            ("text", "third"): [(200, "gamma eta theta"),
+                                (201, "alpha zeta zeta")],
             ("neardup", "base"): [(1, _NEAR),
                                   (2, "standalone other content entirely")],
             ("neardup", "first"): [(10, _NEAR.replace("dog", "cat")),
                                    (11, "novel content with no overlap at "
                                         "all in any of its shingles")],
+            ("neardup", "second"): [(10, _NEAR.replace("dog", "cat"))],
+            ("neardup", "third"): [(20, "a third increment of wholly new "
+                                        "words here"),
+                                   (21, _NEAR.replace("moon", "sun"))],
             }[(kind, which)]
     return pa.table({"doc_id": pa.array([r[0] for r in rows], pa.int64()),
                      "text": pa.array([r[1] for r in rows])})
 
 
 def _write(kind, store, inc, which):
+    """Ingest ``_content(kind, which)`` as increment ``inc``; returns what
+    the ingest returned, as plain values."""
     import ray.data
 
     from sylk.stages.ann_store import ann_ingest
@@ -244,15 +258,19 @@ def _write(kind, store, inc, which):
 
     ds = ray.data.from_arrow(_content(kind, which))
     if kind == "text":
-        index_ingest(ds, store, inc_id=inc, n_buckets=8)
-    elif kind == "ann":
-        ann_ingest(ds, store, inc_id=inc, n_cells=4)
-    elif kind == "upsert":
-        upsert_write(ds, store, "user_id", "event_id", inc_id=inc)
-    elif kind == "dedup":
-        dedup_ingest(ds, store, store + "_out", "key", "event_id", inc_id=inc)
-    else:
-        neardup_ingest(ds, store, store + "_out", inc_id=inc, threshold=0.7)
+        return index_ingest(ds, store, inc_id=inc, n_buckets=8).to_pylist()
+    if kind == "ann":
+        return ann_ingest(ds, store, inc_id=inc, n_cells=4).to_pylist()
+    if kind == "upsert":
+        return sorted(upsert_write(ds, store, "user_id", "event_id",
+                                   inc_id=inc).take_all(),
+                      key=lambda r: r["bucket"])
+    if kind == "dedup":
+        return sorted(dedup_ingest(ds, store, store + "_out", "key",
+                                   "event_id", inc_id=inc).take_all(),
+                      key=lambda r: r["bucket"])
+    return neardup_ingest(ds, store, store + "_out", inc_id=inc,
+                          threshold=0.7)
 
 
 def _answer(kind, store):
@@ -287,19 +305,40 @@ def _answer(kind, store):
 
 
 def _fold(kind, store):
+    """Compact the store; returns the fold's ``files_in``, ``files_out``
+    and ``upto``."""
     from sylk.stages.ann_store import compact_ann_store
     from sylk.stages.dedup_store import compact_ingest_store
+    from sylk.stages.store_fold import watermark
     from sylk.stages.text_index import compact_text_index
     from sylk.stages.upsert_store import compact_store
 
     if kind == "text":
-        compact_text_index(store)
-    elif kind == "ann":
-        compact_ann_store(store)
-    elif kind == "upsert":
-        compact_store(store, "user_id", "event_id", tombstone_col="_del")
-    else:
-        compact_ingest_store(store)
+        return compact_text_index(store)
+    if kind == "ann":
+        return compact_ann_store(store)
+    if kind == "upsert":
+        res = compact_store(store, "user_id", "event_id",
+                            tombstone_col="_del")
+        return {"files_in": res["runs_in"], "files_out": res["runs_out"],
+                "upto": watermark(store)}
+    return compact_ingest_store(store)
+
+
+def _tiers(kinds):
+    """``(kind, exchange)`` params: each kind in the driver tier, which
+    every store of these tests is small enough for, under its plain id,
+    then in the exchange tier under ``<kind>-exchange``."""
+    return ([pytest.param(k, False, id=k) for k in kinds]
+            + [pytest.param(k, True, id=f"{k}-exchange") for k in kinds])
+
+
+def _exchange(monkeypatch):
+    """Send every store write, fold and probe to its exchange tier."""
+    from sylk.stages import store_fold
+
+    scale_tier(monkeypatch, store_fold, "_DRIVER_INGEST_LIMIT",
+               "_DRIVER_READ_LIMIT")
 
 
 def _files(store):
@@ -308,8 +347,10 @@ def _files(store):
                                      recursive=True) if os.path.isfile(f))
 
 
-@pytest.mark.parametrize("kind", ["text", "ann", "upsert", "dedup"])
-def test_rerun_replaces_its_increment(ray_session, tmp_path, kind):
+@pytest.mark.parametrize("kind,exchange",
+                         _tiers(["text", "ann", "upsert", "dedup"]))
+def test_rerun_replaces_its_increment(ray_session, tmp_path, monkeypatch,
+                                      kind, exchange):
     """Re-ingesting a marked increment with smaller content leaves what a
     clean ingest of that content leaves: no file of the first attempt
     answers a probe (text: AND ``gamma`` and BM25 ``zeta`` would still
@@ -317,6 +358,8 @@ def test_rerun_replaces_its_increment(ray_session, tmp_path, kind):
     attempt's keys and accepted rows would stay)."""
     from sylk.stages.store_fold import read_marker
 
+    if exchange:
+        _exchange(monkeypatch)
     store, ref = str(tmp_path / "store"), str(tmp_path / "ref")
     for inc, which in ((1, "base"), (2, "first"), (2, "second")):
         _write(kind, store, inc, which)
@@ -354,13 +397,17 @@ def test_upsert_below_watermark_is_refused(ray_session, tmp_path):
     assert _live() == before
 
 
-@pytest.mark.parametrize("kind", ["text", "ann", "upsert", "neardup"])
-def test_crash_before_marker(ray_session, tmp_path, monkeypatch, kind):
+@pytest.mark.parametrize("kind,exchange",
+                         _tiers(["text", "ann", "upsert", "neardup"]))
+def test_crash_before_marker(ray_session, tmp_path, monkeypatch, kind,
+                             exchange):
     """A writer that dies after its partition files and before its
     marker leaves an increment that no probe reads and no fold consumes;
     its rerun then equals a clean run."""
     from sylk.stages import store_fold
 
+    if exchange:
+        _exchange(monkeypatch)
     store, before, ref = (str(tmp_path / d)
                           for d in ("store", "before", "ref"))
     for d in (store, before, ref):
@@ -389,6 +436,43 @@ def test_crash_before_marker(ray_session, tmp_path, monkeypatch, kind):
         assert (sorted(read_accepted(store + "_out", store).to_pandas().doc_id)
                 == sorted(read_accepted(ref + "_out", ref).to_pandas().doc_id)
                 == [1, 2, 11])
+
+
+@pytest.mark.parametrize("kind", ["upsert", "dedup"])
+def test_store_without_complete_increment_reads_typed_empty(
+        ray_session, tmp_path, monkeypatch, kind):
+    """A fresh store reads as an empty Dataset, and a store whose only
+    increment crashed before its marker as an empty Dataset with the
+    schema the completed increment then reads with."""
+    from sylk.stages import dedup_store, store_fold
+    from sylk.stages.dedup_store import read_accepted
+    from sylk.stages.upsert_store import read_current
+
+    store = str(tmp_path / "store")
+
+    def _read():
+        if kind == "upsert":
+            return read_current(store, "user_id", "event_id",
+                                tombstone_col="_del")
+        return read_accepted(store + "_out", store)
+
+    assert _read().count() == 0
+
+    def _crash(*a, **k):
+        raise RuntimeError("crash before the marker")
+
+    with monkeypatch.context() as m:
+        m.setattr(dedup_store if kind == "dedup" else store_fold,
+                  "write_marker", _crash)
+        with pytest.raises(RuntimeError, match="before the marker"):
+            _write(kind, store, 1, "base")
+    empty = _read()
+    assert empty.count() == 0
+    _write(kind, store, 1, "base")
+    full = _read()
+    assert full.count() > 0
+    assert empty.schema().names == full.schema().names
+    assert empty.schema().types == full.schema().types
 
 
 def test_only_store_fold_and_router_name_increment_files():

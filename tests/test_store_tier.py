@@ -1,9 +1,14 @@
-"""Store probe tiers: below ``store_fold._DRIVER_READ_LIMIT`` bytes of
-read set the probes (BM25, AND, phrase, ANN, index_delete's candidate
-lookup) answer from one driver pyarrow table; above it they build Ray
-Data plans.  Both tiers must give the same answers, under ``as_of``,
-after tombstones and after a compaction; every empty answer is typed;
-the driver tier starts no Ray read."""
+"""Store tiers.  Probes: below ``store_fold._DRIVER_READ_LIMIT`` bytes
+of read set the probes (BM25, AND, phrase, ANN, index_delete's
+candidate lookup) answer from one driver pyarrow table; above it they
+build Ray Data plans.  Both tiers must give the same answers, under
+``as_of``, after tombstones and after a compaction; every empty answer
+is typed; the driver tier starts no Ray read.  Writes: below
+``store_fold._DRIVER_INGEST_LIMIT`` bytes of input an increment is
+partitioned and written in the driver, and below
+``_DRIVER_READ_LIMIT`` bytes of partition files a fold runs in a driver
+loop; both tiers leave the same store, and the driver tier starts no
+shuffle and no task."""
 
 import glob
 import json
@@ -16,6 +21,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from conftest import scale_tier
+from test_store_core import _fold, _write
 
 _WORDS = ["hash", "join", "filter", "scan", "sort", "merge", "table",
           "row", "batch", "spark", "window", "key"]
@@ -223,3 +229,91 @@ def test_driver_tier_starts_no_ray_read(ray_session, tmp_path, monkeypatch):
     assert _rows(index_phrase_docs(ti, ["hash", "scan"]))
     assert _rows(ann_store_query(ann, _Q, k=5, nprobe=4))
     assert glob.glob(os.path.join(ti, "_deletes", "_done_del1.json"))
+
+
+# --- write tiers: store_fold._DRIVER_INGEST_LIMIT and the fold's size rule --
+
+def _on_disk(store):
+    """Every file of the store: Parquet as its row multiset, the rest as
+    its bytes (markers, watermark, centroids)."""
+    out = {}
+    for f in sorted(glob.glob(os.path.join(store, "**"), recursive=True)):
+        if os.path.isfile(f):
+            out[os.path.relpath(f, store)] = (
+                sorted(map(repr, pq.read_table(f, partitioning=None)
+                           .to_pylist()))
+                if f.endswith(".parquet") else open(f, "rb").read())
+    return out
+
+
+def _steps(kind, store):
+    """Two increments, a smaller rerun of the second, an empty third, a
+    fourth, a delete (text, ANN), a fold and a refused rerun below the
+    watermark: what each step returned and left on disk."""
+    from sylk.stages.ann_store import ann_delete
+    from sylk.stages.text_index import index_delete
+
+    seen = []
+    for inc, which in ((1, "base"), (2, "first"), (2, "second"),
+                       (3, "empty"), (4, "third")):
+        # an empty near-dup increment fails before its write, in the
+        # in-increment pair join (a join over an empty side)
+        if not (kind == "neardup" and which == "empty"):
+            seen.append((inc, _write(kind, store, inc, which),
+                         _on_disk(store)))
+    if kind == "text":
+        seen.append(("delete", index_delete(store, [100, 200], del_id=1)))
+    elif kind == "ann":
+        seen.append(("delete", ann_delete(store, [0, 41, 55], del_id=1)))
+    seen.append(("fold", _fold(kind, store), _on_disk(store)))
+    with pytest.raises(ValueError, match="watermark"):
+        _write(kind, store, 2, "first")
+    seen.append(("refused", _on_disk(store)))
+    if kind == "neardup":
+        from sylk.stages.dedup_store import read_accepted
+
+        seen.append(sorted(read_accepted(store + "_out", store)
+                           .to_pandas().doc_id))
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["text", "ann", "upsert", "neardup"])
+def test_ingests_and_folds_agree_across_tiers(ray_session, tmp_path,
+                                              monkeypatch, kind):
+    """The driver and exchange tiers of ``write_increment`` and ``fold``
+    leave the same partition files, row multisets, markers, centroids
+    and watermark, and return the same stats, through reruns, an empty
+    increment, tombstone purges and a watermark refusal."""
+    from sylk.stages import store_fold
+
+    driver = _steps(kind, str(tmp_path / "driver"))
+    with monkeypatch.context() as m:
+        scale_tier(m, store_fold, "_DRIVER_INGEST_LIMIT",
+                   "_DRIVER_READ_LIMIT")
+        exchange = _steps(kind, str(tmp_path / "exchange"))
+    assert driver == exchange
+    fold = next(s for s in driver if s[0] == "fold")
+    assert fold[1]["files_in"] > fold[1]["files_out"] > 0
+    assert fold[1]["upto"] == 4
+    assert any(f.endswith("compact4.parquet") for f in fold[2])
+
+
+def test_driver_tier_writes_without_shuffle_or_task(ray_session, tmp_path,
+                                                    monkeypatch):
+    """Below the limits, text, ANN and upsert ingests (the first ANN one
+    trains the centroids) and their folds run with
+    ``Dataset.groupby`` and ``ray.remote`` raising."""
+    import ray
+    import ray.data
+
+    def _no_exchange(*a, **kw):
+        raise AssertionError("the driver tier started a shuffle or task")
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", _no_exchange)
+    monkeypatch.setattr(ray, "remote", _no_exchange)
+    for kind in ("text", "ann", "upsert"):
+        store = str(tmp_path / kind)
+        for inc, which in ((1, "base"), (2, "first"), (3, "third")):
+            _write(kind, store, inc, which)
+        res = _fold(kind, store)
+        assert res["upto"] == 3 and res["files_out"] > 0
