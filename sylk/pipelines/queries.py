@@ -3190,9 +3190,9 @@ def q_event_cooccurrence(sf_dir: str) -> pa.Table:
     """Market-basket co-occurrence mining: distinct event-type pairs
     active in the same (user, hour) basket, counted across baskets.
     ONE hash exchange total — per-block local distinct, coarse
-    basket-hash groups, vectorized run/pair expansion (the
-    dedup._coarse_grouped_pairs pattern; never a per-basket group or a
-    Dataset.join: loganalytics.cooccurrence_counts).  Measured vs the
+    basket-hash groups (dedup._coarse_grouped_pairs), the one pair
+    kernel functions.pairs.run_pairs per group; never a per-basket
+    group or a Dataset.join: loganalytics.cooccurrence_counts.  Measured vs the
     self-hash-join formulation at sf0.01: 34s -> ~8s."""
     import os
 

@@ -15,9 +15,10 @@ north-rule):
 
 * Candidate generation shuffles only (doc_id, band, band_hash) triples —
   tiny vs the corpus.  Below ``_DRIVER_TRIPLE_LIMIT`` triples the driver
-  runs a numpy run-finder over the collected triples; above it the
-  buckets go through a hash-partitioned ``groupby`` (the corpus-scale
-  path — triples are the ONLY payload shuffled).
+  runs the pair kernel (``functions.pairs.run_pairs``) over the
+  collected triples; above it the buckets go through a hash-partitioned
+  ``groupby`` into coarse groups, each expanded by the same kernel (the
+  corpus-scale path — triples are the ONLY payload shuffled).
 * Pair verification attaches the source values (text / signature /
   vector) to each candidate pair.  Below ``_DRIVER_PAIR_LIMIT``
   candidates, the needed rows are filtered WORKER-side against a
@@ -38,7 +39,6 @@ Python ``hash`` (PYTHONHASHSEED varies across Ray workers).
 
 from __future__ import annotations
 
-import collections
 import functools
 import hashlib
 from typing import Callable
@@ -48,13 +48,14 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.pairs import run_pairs
 from .collect import collect
 
 _N_PERM = 64
 _BANDS = 16  # 16 bands x 4 rows
 
 # below this many (doc, band) triples, candidate generation collects them
-# to the driver (24B/row) and runs the numpy run-finder; above it, the
+# to the driver (24B/row) and runs the pair kernel; above it, the
 # hash-partitioned groupby (the 100TB path).
 _DRIVER_TRIPLE_LIMIT = 20_000_000
 # below this many candidate pairs, verification uses the broadcast-filter
@@ -302,118 +303,23 @@ def _empty_pairs() -> pd.DataFrame:
                          "b": pd.Series([], dtype="int64")})
 
 
-def _bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-    """Candidate pairs within one (band, band_hash) bucket."""
-    ids = sorted(set(group["doc_id"].tolist()))
-    if len(ids) < 2:
-        return _empty_pairs()
-    a, b = zip(*[(x, y) for i, x in enumerate(ids) for y in ids[i + 1 :]])
-    return pd.DataFrame({"a": list(a), "b": list(b)})
+def _column(tbl: pa.Table, name: str) -> np.ndarray:
+    """One column as numpy; the column-less table ``collect`` returns
+    for 0 rows reads as an empty int64 column, so the pair paths give
+    their typed empty without a branch."""
+    if tbl.num_columns == 0:
+        return np.empty(0, np.int64)
+    return tbl.column(name).to_numpy(zero_copy_only=False)
 
 
-def _pairs_from_triples(tbl: pa.Table) -> pd.DataFrame:
-    """Candidate (a, b) pairs from collected (doc_id, band, band_hash)
-    triples: sort by composite bucket key, find runs with numpy, expand
-    only multi-member runs.  Orders of magnitude faster than a per-group
-    pandas apply when buckets are small."""
-    band = tbl.column("band").to_numpy(zero_copy_only=False).astype(np.uint64)
-    bh = tbl.column("band_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
-    ids = tbl.column("doc_id").to_numpy(zero_copy_only=False)
-    key = (band << np.uint64(48)) ^ bh
-    order = np.lexsort((ids, key))
-    key, ids = key[order], ids[order]
-    boundaries = np.flatnonzero(np.diff(key) != 0) + 1
-    starts = np.concatenate(([0], boundaries))
-    stops = np.concatenate((boundaries, [len(key)]))
-    return _expand_runs_to_pairs(ids, starts, stops)
-
-
-def _expand_runs_to_pairs(ids: np.ndarray, starts: np.ndarray,
-                          stops: np.ndarray) -> pd.DataFrame:
-    """Vectorized pair expansion over sorted bucket runs: per-run
-    ``triu_indices``, global dedupe via one ``np.unique`` on packed
-    (a << 32 | b) keys — hot template corpora emit millions of pairs,
-    and the old per-pair Python set dominated wall time.  Packing is
-    uint64 (unsigned shifts) so the full uint32 id range is safe —
-    int64 packing would overflow (negative "a" ids) at a >= 2^31.
-    Falls back to the set path only for doc ids outside uint32
-    (packing invalid)."""
-    if len(ids) and (ids.max() >= (1 << 32) or ids.min() < 0):
-        out = set()
-        for s, e in zip(starts, stops):
-            if e - s < 2:
-                continue
-            run = np.unique(ids[s:e])
-            for i in range(len(run)):
-                for j in range(i + 1, len(run)):
-                    out.add((int(run[i]), int(run[j])))
-        if not out:
-            return _empty_pairs()
-        a, b = zip(*sorted(out))
-        return pd.DataFrame({"a": list(a), "b": list(b)})
-    chunks = []
-    for s, e in zip(starts, stops):
-        if e - s < 2:
-            continue
-        run = np.unique(ids[s:e]).astype(np.uint64)
-        if len(run) < 2:
-            continue
-        ii, jj = np.triu_indices(len(run), k=1)
-        chunks.append((run[ii] << np.uint64(32)) | run[jj])
-    if not chunks:
-        return _empty_pairs()
-    keys = np.unique(np.concatenate(chunks))
-    return pd.DataFrame({"a": (keys >> np.uint64(32)).astype(np.int64),
-                         "b": (keys & np.uint64(0xFFFFFFFF)).astype(np.int64)})
-
-
-def _expand_runs_to_pair_counts(ids: np.ndarray, starts: np.ndarray,
-                                stops: np.ndarray) -> pd.DataFrame:
-    """Counting sibling of :func:`_expand_runs_to_pairs`: each run a
-    pair co-occurs in contributes 1 to its ``n`` (``np.unique`` with
-    ``return_counts`` on the packed keys) — the winnowing shared-
-    fingerprint count, vectorized."""
-    if len(ids) and (ids.max() >= (1 << 32) or ids.min() < 0):
-        cnt: collections.Counter = collections.Counter()
-        for s, e in zip(starts, stops):
-            if e - s < 2:
-                continue
-            run = np.unique(ids[s:e])
-            for i in range(len(run)):
-                for j in range(i + 1, len(run)):
-                    cnt[(int(run[i]), int(run[j]))] += 1
-        if not cnt:
-            return _empty_pairs().assign(n=pd.Series([], dtype="int64"))
-        a, b = zip(*sorted(cnt))
-        return pd.DataFrame({"a": list(a), "b": list(b),
-                             "n": [cnt[p] for p in sorted(cnt)]})
-    chunks = []
-    for s, e in zip(starts, stops):
-        if e - s < 2:
-            continue
-        run = np.unique(ids[s:e]).astype(np.uint64)
-        if len(run) < 2:
-            continue
-        ii, jj = np.triu_indices(len(run), k=1)
-        chunks.append((run[ii] << np.uint64(32)) | run[jj])
-    if not chunks:
-        return _empty_pairs().assign(n=pd.Series([], dtype="int64"))
-    keys, counts = np.unique(np.concatenate(chunks), return_counts=True)
-    return pd.DataFrame({"a": (keys >> np.uint64(32)).astype(np.int64),
-                         "b": (keys & np.uint64(0xFFFFFFFF)).astype(np.int64),
-                         "n": counts.astype(np.int64)})
-
-
-def _pair_counts_from_keyed_rows(tbl: pa.Table, key_col: str) -> pd.DataFrame:
-    """(doc_id, key) rows -> (a, b, n) partial co-occurrence counts."""
-    key = tbl.column(key_col).to_numpy(zero_copy_only=False)
-    ids = tbl.column("doc_id").to_numpy(zero_copy_only=False)
-    order = np.lexsort((ids, key))
-    key, ids = key[order], ids[order]
-    boundaries = np.flatnonzero(np.diff(key) != 0) + 1
-    starts = np.concatenate(([0], boundaries))
-    stops = np.concatenate((boundaries, [len(key)]))
-    return _expand_runs_to_pair_counts(ids, starts, stops)
+def _keyed_pairs(tbl: pa.Table, keys, weight: str | None = None,
+                 id_col: str = "doc_id") -> pd.DataFrame:
+    """:func:`~sylk.functions.pairs.run_pairs` over a table's columns:
+    (a, b, n), or (a, b, dot) with ``weight``."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    a, b, v = run_pairs([_column(tbl, k) for k in keys], _column(tbl, id_col),
+                        None if weight is None else _column(tbl, weight))
+    return pd.DataFrame({"a": a, "b": b, "n" if weight is None else "dot": v})
 
 
 _COARSE_GROUP_ROWS = 2_000_000
@@ -422,18 +328,19 @@ _COARSE_GROUP_ROWS = 2_000_000
 def _coarse_grouped_pairs(rows_ds, key_fn, pairs_fn):
     """Distributed candidate expansion WITHOUT per-bucket pandas groups:
     hash each row's bucket key into ~rows/2M coarse partitions (a bucket
-    never splits — co-location by hash), then run the vectorized numpy
-    run-finder over each whole partition.  One pandas/pyarrow call per
-    coarse group instead of one per bucket — the difference between
-    minutes and seconds on template-heavy corpora.
+    never splits — co-location by hash), then run the vectorized pair
+    kernel (:func:`_keyed_pairs`) over each whole partition.  One
+    pandas/pyarrow call per coarse group instead of one per bucket — the
+    difference between minutes and seconds on template-heavy corpora.
 
     ``rows_ds`` must be materialized (count() is then metadata-cheap);
     ``key_fn(table) -> uint64[n]`` computes the bucket key per row;
-    ``pairs_fn(table) -> DataFrame[a, b]`` expands one coarse group.
-    Cross-group duplicate pairs (same pair via different bands) remain
-    and are collapsed by _verify_pairs_join's hash aggregate."""
-    from ..functions.hashing import mix64
-
+    ``pairs_fn(table) -> DataFrame`` expands one coarse group, and its
+    column dtypes are kept (int64 ids, a float ``dot``).  The many small
+    group outputs are compacted to ``n_groups // 16`` blocks: the next
+    step is a keyed exchange, whose fixed cost scales with blocks x
+    partitions.  Cross-group duplicate pairs (same pair via different
+    bands) remain; the caller's aggregate collapses them."""
     n = rows_ds.count()
     # cap bounds the hash-shuffle partition count; beyond it per-group
     # rows grow linearly with the corpus (lexsort holds one group in a
@@ -443,19 +350,18 @@ def _coarse_grouped_pairs(rows_ds, key_fn, pairs_fn):
 
     def _add_pkey(b: pa.Table) -> pa.Table:
         key = key_fn(b)
-        pkey = (mix64(key) % np.uint64(n_groups)).astype(np.int64)
+        pkey = (_mix64(key) % np.uint64(n_groups)).astype(np.int64)
         return b.append_column("pkey", pa.array(pkey, pa.int64()))
 
     def _group_pairs(g: pa.Table) -> pa.Table:
         df = pairs_fn(g)
-        return pa.table({c: pa.array(df[c].to_numpy().astype(np.int64),
-                                     pa.int64())
-                         for c in df.columns})
+        return pa.table({c: df[c].to_numpy() for c in df.columns})
 
     keyed = rows_ds.map_batches(_add_pkey, batch_format="pyarrow",
                                 batch_size=None, zero_copy_batch=True)
-    return keyed.groupby("pkey").map_groups(_group_pairs,
-                                            batch_format="pyarrow")
+    return keyed.groupby("pkey").map_groups(
+        _group_pairs, batch_format="pyarrow").repartition(
+            max(2, n_groups // 16))
 
 
 def _candidate_pairs(triples_ds):
@@ -463,19 +369,22 @@ def _candidate_pairs(triples_ds):
 
     Returns a pandas DataFrame (driver path, up to
     ``_DRIVER_TRIPLE_LIMIT`` triples) or a Dataset (distributed path)."""
+    def _pairs(t: pa.Table) -> pd.DataFrame:
+        return _keyed_pairs(t, ["band", "band_hash"])[["a", "b"]]
+
     triples_ds, tbl = collect(triples_ds, _DRIVER_TRIPLE_LIMIT)
     if tbl is not None:
-        return _pairs_from_triples(tbl)
+        return _pairs(tbl)
 
     def _bucket_key(b: pa.Table) -> np.ndarray:
         band = b.column("band").to_numpy(zero_copy_only=False).astype(np.uint64)
         bh = b.column("band_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
         return (band << np.uint64(48)) ^ bh
 
-    # coarse hash-co-located groups + the same vectorized run-finder the
-    # driver tier uses; duplicate pairs across bands are collapsed by
-    # the hash aggregate at the head of _verify_pairs_join
-    return _coarse_grouped_pairs(triples_ds, _bucket_key, _pairs_from_triples)
+    # coarse hash-co-located groups + the same pair kernel the driver
+    # tier uses; duplicate pairs across bands are collapsed by the hash
+    # aggregate at the head of _verify_pairs_join
+    return _coarse_grouped_pairs(triples_ds, _bucket_key, _pairs)
 
 
 # --- pair verification ------------------------------------------------------
@@ -625,12 +534,12 @@ def _verify_pairs(cand, source_ds, id_col: str, val_col: str, pair_fn: Callable,
     import ray.data
 
     if isinstance(cand, pd.DataFrame):
+        if len(cand) == 0:
+            return ray.data.from_pandas(
+                pd.DataFrame({"a": pd.Series([], dtype="int64"),
+                              "b": pd.Series([], dtype="int64"),
+                              out_col: pd.Series([], dtype="float64")}))
         if len(cand) > _DRIVER_PAIR_LIMIT:
-            if len(cand) == 0:
-                return ray.data.from_pandas(
-                    pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                                  "b": pd.Series([], dtype="int64"),
-                                  out_col: pd.Series([], dtype="float64")}))
             return _verify_pairs_join(
                 ray.data.from_pandas(cand[["a", "b"]]), source_ds,
                 id_col, val_col, pair_fn, out_col)
@@ -867,49 +776,6 @@ def _pair_score_containment(c, na, nb):
     return c / np.minimum(na, nb)
 
 
-def _jaccard_pairs_local(tbl: pa.Table, threshold: float,
-                         score=_pair_score_jaccard,
-                         out_col: str = "jaccard") -> pd.DataFrame:
-    """Exact set-similarity pairs from collected (doc_id, sh, n_sh)
-    rows: sort by shingle, find runs, count shared shingles per pair,
-    score with ``score(shared, na, nb)`` (vectorized)."""
-    from collections import Counter
-
-    ids = tbl.column("doc_id").to_numpy(zero_copy_only=False)
-    sh = tbl.column("sh").to_numpy(zero_copy_only=False)
-    n_sh = tbl.column("n_sh").to_numpy(zero_copy_only=False)
-    sizes = dict(zip(ids.tolist(), n_sh.tolist()))
-    order = np.argsort(sh, kind="stable")
-    sh_s, ids_s = sh[order], ids[order]
-    boundaries = np.flatnonzero(sh_s[1:] != sh_s[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    stops = np.concatenate((boundaries, [len(sh_s)]))
-    shared: Counter = Counter()
-    for s, e in zip(starts, stops):
-        if e - s < 2:
-            continue
-        run = np.sort(ids_s[s:e])  # per-doc distinct => run ids distinct
-        for i in range(len(run)):
-            for j in range(i + 1, len(run)):
-                shared[(int(run[i]), int(run[j]))] += 1
-    empty = pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                          "b": pd.Series([], dtype="int64"),
-                          out_col: pd.Series([], dtype="float64")})
-    if not shared:
-        return empty
-    pairs = sorted(shared)
-    a = np.array([p[0] for p in pairs], dtype=np.int64)
-    b = np.array([p[1] for p in pairs], dtype=np.int64)
-    c = np.array([shared[p] for p in pairs], dtype=np.float64)
-    na = np.array([sizes[x] for x in a.tolist()], dtype=np.float64)
-    nb = np.array([sizes[x] for x in b.tolist()], dtype=np.float64)
-    sc = score(c, na, nb)
-    m = sc >= threshold
-    if not m.any():
-        return empty
-    return pd.DataFrame({"a": a[m], "b": b[m], out_col: sc[m]})
-
-
 def ngram_jaccard_dup_pairs(docs_ds, threshold: float = 0.6, k: int = 3,
                             text_col: str = "text",
                             score=_pair_score_jaccard,
@@ -942,32 +808,17 @@ def ngram_jaccard_dup_pairs(docs_ds, threshold: float = 0.6, k: int = 3,
         lambda b: ngram_shingle_rows(b, text_col, k=k),
         batch_format="pyarrow", batch_size=None,
     )
-    rows, tbl = collect(rows, _DRIVER_TRIPLE_LIMIT)
-    if tbl is not None:
-        return ray.data.from_pandas(
-            _jaccard_pairs_local(tbl, threshold, score, out_col))
-
-    def _sh_key(b: pa.Table) -> np.ndarray:
-        return b.column("sh").to_numpy(zero_copy_only=False).astype(np.uint64)
-
-    def _jaccard_group_partials(t: pa.Table) -> pd.DataFrame:
-        # partial shared-shingle counts for the group's buckets, with
-        # each member's distinct-shingle size looked up vectorized
-        # (constant per doc, carried on every index row)
-        df = _pair_counts_from_keyed_rows(t, "sh")
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        ns = t.column("n_sh").to_numpy(zero_copy_only=False)
-        uids, first = np.unique(ids, return_index=True)
-        sizes = ns[first]
+    def _shared(t: pa.Table) -> pd.DataFrame:
+        # shared-shingle counts for the table's buckets (partial in a
+        # coarse group, whole in the driver tier), with each member's
+        # distinct-shingle size looked up vectorized (constant per doc,
+        # carried on every index row)
+        df = _keyed_pairs(t, "sh").rename(columns={"n": "shared"})
+        uids, first = np.unique(_column(t, "doc_id"), return_index=True)
+        sizes = _column(t, "n_sh")[first]
         df["na"] = sizes[np.searchsorted(uids, df["a"].to_numpy())]
         df["nb"] = sizes[np.searchsorted(uids, df["b"].to_numpy())]
         return df
-
-    pairs = _coarse_grouped_pairs(rows, _sh_key, _jaccard_group_partials)
-    agg = pairs.groupby(["a", "b"]).aggregate(
-        Sum("n", alias_name="shared"),
-        Max("na", alias_name="na"), Max("nb", alias_name="nb"),
-    )
 
     def _finish(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -981,6 +832,18 @@ def ngram_jaccard_dup_pairs(docs_ds, threshold: float = 0.6, k: int = 3,
                             "b": df["b"].astype("int64"), out_col: sc})
         return out[out[out_col] >= threshold]
 
+    rows, tbl = collect(rows, _DRIVER_TRIPLE_LIMIT)
+    if tbl is not None:
+        return ray.data.from_pandas(_finish(_shared(tbl)))
+
+    def _sh_key(b: pa.Table) -> np.ndarray:
+        return b.column("sh").to_numpy(zero_copy_only=False).astype(np.uint64)
+
+    pairs = _coarse_grouped_pairs(rows, _sh_key, _shared)
+    agg = pairs.groupby(["a", "b"]).aggregate(
+        Sum("shared", alias_name="shared"),
+        Max("na", alias_name="na"), Max("nb", alias_name="nb"),
+    )
     return agg.map_batches(_finish, batch_format="pandas", batch_size=None)
 
 
@@ -1011,20 +874,6 @@ def ngram_prefix_rows(batch: pa.Table, text_col: str = "text",
     p = n_run - np.ceil(threshold * n_run).astype(np.int64) + 1
     keep = order[rank < p]
     return t.take(pa.array(np.sort(keep)))
-
-
-def _pairs_from_keyed_rows(tbl: pa.Table, key_col: str) -> pd.DataFrame:
-    """Candidate (a, b) pairs from collected (doc_id, key) rows: sort by
-    key, find runs, expand multi-member runs (the single-key sibling of
-    :func:`_pairs_from_triples`)."""
-    key = tbl.column(key_col).to_numpy(zero_copy_only=False)
-    ids = tbl.column("doc_id").to_numpy(zero_copy_only=False)
-    order = np.lexsort((ids, key))
-    key, ids = key[order], ids[order]
-    boundaries = np.flatnonzero(np.diff(key) != 0) + 1
-    starts = np.concatenate(([0], boundaries))
-    stops = np.concatenate((boundaries, [len(key)]))
-    return _expand_runs_to_pairs(ids, starts, stops)
 
 
 def ngram_containment_pairs(docs_ds, threshold: float = 0.75, k: int = 3,
@@ -1148,17 +997,18 @@ def ngram_jaccard_dup_pairs_prefix(docs_ds, threshold: float = 0.6,
         j = ngram_jaccard(ta or "", tb or "", k)
         return j if j >= threshold else None
 
+    def _pairs(t: pa.Table) -> pd.DataFrame:
+        return _keyed_pairs(t, "sh")[["a", "b"]]
+
     rows, tbl = collect(rows, _DRIVER_TRIPLE_LIMIT)
     if tbl is not None:
-        cand = _pairs_from_keyed_rows(tbl, "sh")
-        return _verify_pairs(cand, docs_ds, "doc_id", text_col, _jac,
+        return _verify_pairs(_pairs(tbl), docs_ds, "doc_id", text_col, _jac,
                              "jaccard")
 
     def _sh_key(b: pa.Table) -> np.ndarray:
         return b.column("sh").to_numpy(zero_copy_only=False).astype(np.uint64)
 
-    pairs = _coarse_grouped_pairs(rows, _sh_key,
-                                  lambda t: _pairs_from_keyed_rows(t, "sh"))
+    pairs = _coarse_grouped_pairs(rows, _sh_key, _pairs)
     return _verify_pairs(pairs, docs_ds, "doc_id", text_col, _jac,
                          "jaccard")
 
@@ -1450,8 +1300,7 @@ def winnow_dup_pairs(docs_ds, min_shared: int = 3, k: int = 8, w: int = 16,
 
     exploded, tbl = collect(exploded, _DRIVER_TRIPLE_LIMIT)
     if tbl is not None:
-        counts = (_pair_counts_from_keyed_rows(tbl, "fp") if tbl.num_rows
-                  else _empty_pairs().assign(n=pd.Series([], dtype="int64")))
+        counts = _keyed_pairs(tbl, "fp")
         kept = counts[counts["n"] >= min_shared].reset_index(drop=True)
         return ray.data.from_pandas(
             kept.rename(columns={"n": "shared_fps"}).astype("int64"))
@@ -1464,7 +1313,7 @@ def winnow_dup_pairs(docs_ds, min_shared: int = 3, k: int = 8, w: int = 16,
     # co-occurrences in every bucket of the group sum locally); the hash
     # aggregate finishes the count — never a per-bucket pandas group
     pairs = _coarse_grouped_pairs(exploded, _fp_key,
-                                  lambda t: _pair_counts_from_keyed_rows(t, "fp"))
+                                  lambda t: _keyed_pairs(t, "fp"))
     counts = pairs.groupby(["a", "b"]).aggregate(Sum("n", alias_name="shared_fps"))
     out = counts.filter(expr=f"shared_fps >= {min_shared}")
     return out.map_batches(
@@ -1893,60 +1742,6 @@ def tfidf_token_rows(batch: pa.Table, text_col: str = "text",
     })
 
 
-def _pair_products_from_keyed_rows(tbl: pa.Table, key_col: str,
-                                   val_col: str) -> pd.DataFrame:
-    """(doc_id, key, val) rows -> (a, b, dot) partial sums of va*vb over
-    shared keys — the weighted sibling of _pair_counts_from_keyed_rows.
-    Ids are distinct within a key by construction (one row per (doc,
-    token)); within-run ids sort ascending so a < b by packing."""
-    key = tbl.column(key_col).to_numpy(zero_copy_only=False)
-    ids = tbl.column("doc_id").to_numpy(zero_copy_only=False)
-    vals = tbl.column(val_col).to_numpy(zero_copy_only=False)
-    order = np.lexsort((ids, key))
-    key, ids, vals = key[order], ids[order], vals[order]
-    boundaries = np.flatnonzero(np.diff(key) != 0) + 1
-    starts = np.concatenate(([0], boundaries))
-    stops = np.concatenate((boundaries, [len(key)]))
-    empty = _empty_pairs().assign(dot=pd.Series([], dtype="float64"))
-    if len(ids) and (ids.max() >= (1 << 32) or ids.min() < 0):
-        # same escape hatch as _expand_runs_to_pair_counts: ids beyond
-        # the uint64 pack bound take a dict accumulator (tested, slow)
-        acc: dict = {}
-        for s, e in zip(starts, stops):
-            if e - s < 2:
-                continue
-            u, v = ids[s:e], vals[s:e]
-            for i in range(len(u)):
-                for j in range(i + 1, len(u)):
-                    p = (int(u[i]), int(u[j]))
-                    acc[p] = acc.get(p, 0.0) + float(v[i] * v[j])
-        if not acc:
-            return empty
-        ks = sorted(acc)
-        return pd.DataFrame({"a": [k[0] for k in ks],
-                             "b": [k[1] for k in ks],
-                             "dot": [acc[k] for k in ks]})
-    u64 = ids.astype(np.uint64)
-    key_chunks, prod_chunks = [], []
-    for s, e in zip(starts, stops):
-        m = e - s
-        if m < 2:
-            continue
-        ii, jj = np.triu_indices(m, k=1)
-        key_chunks.append((u64[s:e][ii] << np.uint64(32)) | u64[s:e][jj])
-        prod_chunks.append(vals[s:e][ii] * vals[s:e][jj])
-    if not key_chunks:
-        return empty
-    keys_cat = np.concatenate(key_chunks)
-    prods = np.concatenate(prod_chunks)
-    uk, inv = np.unique(keys_cat, return_inverse=True)
-    dots = np.zeros(len(uk), dtype=np.float64)
-    np.add.at(dots, inv, prods)
-    return pd.DataFrame({"a": (uk >> np.uint64(32)).astype(np.int64),
-                         "b": (uk & np.uint64(0xFFFFFFFF)).astype(np.int64),
-                         "dot": dots})
-
-
 _TFIDF_VOCAB_BROADCAST_LIMIT = 5_000_000
 
 
@@ -1981,11 +1776,8 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.5,
         batch_format="pyarrow", batch_size=None)
 
     def _local(tbl: pa.Table) -> pd.DataFrame:
-        ids = tbl.column("doc_id").to_numpy(zero_copy_only=False)
-        th = tbl.column("th").to_numpy(zero_copy_only=False)
-        tf = tbl.column("tf").to_numpy(zero_copy_only=False).astype(np.float64)
-        if len(ids) == 0:
-            return _empty_pairs().assign(cosine=pd.Series([], dtype="float64"))
+        ids, th = _column(tbl, "doc_id"), _column(tbl, "th")
+        tf = _column(tbl, "tf").astype(np.float64)
         n_docs = len(np.unique(ids))
         uth, inv, df = np.unique(th, return_inverse=True, return_counts=True)
         keep = df[inv] <= max_df_frac * n_docs
@@ -1994,15 +1786,10 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.5,
         uid, dinv = np.unique(ids, return_inverse=True)
         norm2 = np.zeros(len(uid))
         np.add.at(norm2, dinv, w * w)
-        nw = w / np.sqrt(norm2)[dinv]
-        sub = pa.table({"doc_id": pa.array(ids, pa.int64()),
-                        "th": pa.array(th, pa.int64()),
-                        "nw": pa.array(nw, pa.float64())})
-        out = _pair_products_from_keyed_rows(sub, "th", "nw")
-        out = out[out["dot"] >= threshold]
-        return pd.DataFrame({"a": out["a"].to_numpy(),
-                             "b": out["b"].to_numpy(),
-                             "cosine": np.round(out["dot"].to_numpy(), 6)})
+        a, b, dot = run_pairs(th, ids, w / np.sqrt(norm2)[dinv])
+        keep = dot >= threshold
+        return pd.DataFrame({"a": a[keep], "b": b[keep],
+                             "cosine": np.round(dot[keep], 6)})
 
     rows, tbl = collect(rows, _DRIVER_TRIPLE_LIMIT)
     if tbl is not None:
@@ -2097,32 +1884,12 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.5,
     nw_rows = nw_rows.map_batches(_norm, batch_format="pyarrow",
                                   batch_size=None).materialize()
 
-    # coarse-grouped weighted pair expansion (a th bucket never splits);
-    # a float dot column rules out reusing _coarse_grouped_pairs' int64
-    # output contract
-    from ..functions.hashing import mix64
-
-    n = nw_rows.count()
-    n_groups = max(32, min(4096, n // _COARSE_GROUP_ROWS + 1))
-
-    def _add_pkey(b: pa.Table) -> pa.Table:
-        key = b.column("th").to_numpy(zero_copy_only=False).astype(np.uint64)
-        pkey = (mix64(key) % np.uint64(n_groups)).astype(np.int64)
-        return b.append_column("pkey", pa.array(pkey, pa.int64()))
-
-    def _group_pairs(g: pa.Table) -> pa.Table:
-        df = _pair_products_from_keyed_rows(g, "th", "nw")
-        return pa.table({
-            "a": pa.array(df["a"].to_numpy().astype(np.int64), pa.int64()),
-            "b": pa.array(df["b"].to_numpy().astype(np.int64), pa.int64()),
-            "dot": pa.array(df["dot"].to_numpy(), pa.float64())})
-
-    partial = nw_rows.map_batches(_add_pkey, batch_format="pyarrow",
-                                  batch_size=None, zero_copy_batch=True) \
-        .groupby("pkey").map_groups(_group_pairs, batch_format="pyarrow")
-    # many tiny map_groups blocks -> repartition before the aggregate
-    # (the measured 16s -> 2.6s shuffle-fixed-cost lesson)
-    partial = partial.repartition(max(2, n_groups // 16))
+    # coarse-grouped weighted pair expansion (a th bucket never splits)
+    partial = _coarse_grouped_pairs(
+        nw_rows,
+        lambda b: b.column("th").to_numpy(zero_copy_only=False)
+        .astype(np.uint64),
+        lambda t: _keyed_pairs(t, "th", "nw"))
     summed = partial.groupby(["a", "b"]).aggregate(
         Sum(on="dot", alias_name="cos"))
 

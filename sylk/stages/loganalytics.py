@@ -198,8 +198,7 @@ def trend_numerators(ds, key: str = "hostname", window_col: str = "hour"):
                             batch_size=None)
 
 
-def cooccurrence_counts(ds, basket_cols, item_col: str,
-                        n_groups: int = 256):
+def cooccurrence_counts(ds, basket_cols, item_col: str):
     """Market-basket co-occurrence mining: for every unordered pair of
     DISTINCT items sharing a basket, the number of baskets containing
     both.  -> Dataset[(type_a, type_b, n)], type_a < type_b.
@@ -210,18 +209,21 @@ def cooccurrence_counts(ds, basket_cols, item_col: str,
        bound if items are high-cardinality and switch to a hash join).
     2. per-block LOCAL distinct of (basket..., code) rows (pyarrow C++
        group_by) — shrinks the exchange to near the distinct grain.
-    3. ONE hash exchange on pkey = mix64(basket) % n_groups: a basket
-       never splits, so each coarse group holds whole baskets
-       (dedup._coarse_grouped_pairs pattern — never per-basket groups).
-    4. per-group vectorized run expansion: lexsort by the REAL basket
-       columns (exactness never depends on the pkey hash), np.unique
-       codes per run (cross-block duplicate (basket, item) rows
-       collapse here), triu pairs, packed-key np.unique with counts.
+    3. ONE hash exchange on mix64(basket) into coarse groups sized from
+       the row count: a basket never splits, so each coarse group holds
+       whole baskets (dedup._coarse_grouped_pairs — never per-basket
+       groups).
+    4. per-group pairs from the one pair kernel
+       (functions.pairs.run_pairs) keyed by the REAL basket columns
+       (exactness never depends on the hash); cross-block duplicate
+       (basket, item) rows collapse there.
     5. driver merge of the (a, b, n) partials — bounded by
-       items^2 x n_groups.
+       items^2 x coarse groups.
     """
     import ray
     import ray.data
+
+    from .dedup import _coarse_grouped_pairs, _keyed_pairs
 
     basket_cols = list(basket_cols)
 
@@ -245,63 +247,28 @@ def cooccurrence_counts(ds, basket_cols, item_col: str,
         t = pa.table({**{c: b.column(c).cast(pa.int64())
                          for c in basket_cols},
                       "_code": pa.array(codes)})
-        t = t.group_by(basket_cols + ["_code"]).aggregate([])
+        return t.group_by(basket_cols + ["_code"]).aggregate([])
+
+    def _basket_key(t: pa.Table) -> np.ndarray:
         h = np.zeros(len(t), np.uint64)
         for c in basket_cols:
             col = t.column(c).to_numpy(zero_copy_only=False)
             h = mix64(h ^ col.astype(np.int64).view(np.uint64))
-        pkey = (h % np.uint64(n_groups)).astype(np.int64)
-        return t.append_column("pkey", pa.array(pkey, pa.int64()))
+        return h
 
-    keyed = ds.map_batches(_local_distinct, batch_format="pyarrow",
-                           batch_size=None)
-
-    def _group_pairs(g: pa.Table) -> pa.Table:
-        cols = [g.column(c).to_numpy(zero_copy_only=False)
-                for c in basket_cols]
-        codes = g.column("_code").to_numpy(zero_copy_only=False)
-        order = np.lexsort((codes, *reversed(cols)))
-        cols = [c[order] for c in cols]
-        codes = codes[order]
-        if len(codes) == 0:
-            return pa.table({"_a": pa.array([], pa.int64()),
-                             "_b": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        change = np.zeros(len(codes) - 1, dtype=bool)
-        for c in cols:
-            change |= np.diff(c) != 0
-        boundaries = np.flatnonzero(change) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [len(codes)]))
-        chunks = []
-        for s, e in zip(starts, stops):
-            run = np.unique(codes[s:e]).astype(np.uint64)
-            if len(run) < 2:
-                continue
-            ii, jj = np.triu_indices(len(run), k=1)
-            chunks.append((run[ii] << np.uint64(32)) | run[jj])
-        if not chunks:
-            return pa.table({"_a": pa.array([], pa.int64()),
-                             "_b": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        keys, counts = np.unique(np.concatenate(chunks),
-                                 return_counts=True)
-        return pa.table({
-            "_a": pa.array((keys >> np.uint64(32)).astype(np.int64)),
-            "_b": pa.array((keys & np.uint64(0xFFFFFFFF)).astype(np.int64)),
-            "n": pa.array(counts.astype(np.int64)),
-        })
-
-    _, tbl = collect(keyed.groupby("pkey").map_groups(_group_pairs,
-                                                      batch_format="pyarrow"))
+    rows = ds.map_batches(_local_distinct, batch_format="pyarrow",
+                          batch_size=None).materialize()
+    _, tbl = collect(_coarse_grouped_pairs(
+        rows, _basket_key,
+        lambda g: _keyed_pairs(g, basket_cols, id_col="_code")))
     if not len(tbl):
         return ray.data.from_arrow(pa.table({
             "type_a": pa.array([], pa.string()),
             "type_b": pa.array([], pa.string()),
             "n": pa.array([], pa.int64())}))
-    merged = tbl.group_by(["_a", "_b"]).aggregate([("n", "sum")])
-    a = merged.column("_a").to_numpy(zero_copy_only=False)
-    b = merged.column("_b").to_numpy(zero_copy_only=False)
+    merged = tbl.group_by(["a", "b"]).aggregate([("n", "sum")])
+    a = merged.column("a").to_numpy(zero_copy_only=False)
+    b = merged.column("b").to_numpy(zero_copy_only=False)
     varr = np.asarray(vocab, dtype=object)
     out = pa.table({
         "type_a": pa.array(varr[a].astype(str)),

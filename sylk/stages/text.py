@@ -833,15 +833,15 @@ def token_typo_pairs(docs_ds, text_col: str = "text"):
 
     Shape: vocabulary via per-block unique partials + driver merge
     (vocab-bounded — this is a TOKEN-level operator, never doc-scale);
-    variant rows ~ vocab x (len+1); candidate pairs expanded with the
-    packed-key np.unique kernel per coarse variant-hash group (the
-    dedup._coarse_grouped_pairs pattern); the per-pair verify loop is
+    variant rows ~ vocab x (len+1); candidate pairs from the one pair
+    kernel (functions.pairs.run_pairs) per coarse variant-hash group
+    (dedup._coarse_grouped_pairs); the per-pair verify loop is
     vocab-bounded, not corpus-bounded.
     """
     import ray
     import ray.data
 
-    from ..functions.hashing import mix64
+    from .dedup import _coarse_grouped_pairs, _keyed_pairs
 
     def _vocab_partial(b: pa.Table) -> pa.Table:
         texts = b.column(text_col).to_pylist()
@@ -883,45 +883,11 @@ def token_typo_pairs(docs_ds, text_col: str = "text"):
                          "code": pa.array(np.asarray(codes, np.int64))})
 
     rows = ray.data.range(n_shards).map_batches(
-        _variants, batch_format="pyarrow", batch_size=None)
-
-    n_groups = 64
-
-    def _pkey(b: pa.Table) -> pa.Table:
-        vh = b.column("vh").to_numpy(zero_copy_only=False)
-        pkey = (mix64(vh.view(np.uint64)) % np.uint64(n_groups)) \
-            .astype(np.int64)
-        return b.append_column("pkey", pa.array(pkey, pa.int64()))
-
-    keyed = rows.map_batches(_pkey, batch_format="pyarrow",
-                             batch_size=None)
-
-    def _group_pairs(g: pa.Table) -> pa.Table:
-        vh = g.column("vh").to_numpy(zero_copy_only=False)
-        code = g.column("code").to_numpy(zero_copy_only=False)
-        order = np.lexsort((code, vh))
-        vh, code = vh[order], code[order]
-        boundaries = np.flatnonzero(np.diff(vh) != 0) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [len(vh)]))
-        chunks = []
-        for s, e in zip(starts, stops):
-            run = np.unique(code[s:e]).astype(np.uint64)
-            if len(run) < 2:
-                continue
-            ii, jj = np.triu_indices(len(run), k=1)
-            chunks.append((run[ii] << np.uint64(32)) | run[jj])
-        if not chunks:
-            return pa.table({"a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64())})
-        keys = np.unique(np.concatenate(chunks))
-        return pa.table({
-            "a": pa.array((keys >> np.uint64(32)).astype(np.int64)),
-            "b": pa.array((keys & np.uint64(0xFFFFFFFF)).astype(np.int64)),
-        })
-
-    parts = keyed.groupby("pkey").map_groups(_group_pairs,
-                                             batch_format="pyarrow")
+        _variants, batch_format="pyarrow", batch_size=None).materialize()
+    parts = _coarse_grouped_pairs(
+        rows, lambda b: b.column("vh").to_numpy(zero_copy_only=False)
+        .view(np.uint64),
+        lambda g: _keyed_pairs(g, "vh", id_col="code")[["a", "b"]])
 
     def _verify(b: pa.Table) -> pa.Table:
         if b.num_columns == 0 or len(b) == 0:

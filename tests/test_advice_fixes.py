@@ -1,46 +1,74 @@
-"""Regression tests for the round-2 advisor findings: uint64 pair
-packing for doc ids >= 2^31, null-safe semi/anti broadcast keys,
-overflow-safe n-gram radix packing, and the bounded tier probe."""
+"""Regression tests for the round-2 advisor findings: the pair kernel
+over any int64 id (>= 2^31, >= 2^32, negative), null-safe semi/anti
+broadcast keys, overflow-safe n-gram radix packing, and the bounded
+tier probe."""
+
+import itertools
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
 
-import sylk.stages.dedup as dedup
+
+def _brute_pairs(keys, ids, weights=None):
+    """Reference: every id pair of each run by itertools.combinations."""
+    runs = {}
+    for i, row in enumerate(zip(*keys, ids)):
+        run = runs.setdefault(row[:-1], {})
+        run.setdefault(int(row[-1]), i)  # first (key, id) row wins
+    acc = {}
+    for run in runs.values():
+        for x, y in itertools.combinations(sorted(run), 2):
+            w = 1 if weights is None else (weights[run[x]]
+                                           * weights[run[y]])
+            acc[(x, y)] = acc.get((x, y), 0) + w
+    return acc
 
 
-def test_expand_runs_ids_above_2_31():
-    """Doc ids in [2^31, 2^32) must survive the packed-key path:
-    signed-int64 packing used to overflow (a << 32 negative) and decode
-    wrong doc ids for EVERY LSH candidate family."""
-    big = 2147483653  # 2^31 + 5, the advisor's reproduction id
-    ids = np.array([big, 7, big, 7, 4294967295, 4294967294], dtype=np.int64)
-    starts = np.array([0, 2, 4])
-    stops = np.array([2, 4, 6])
-    out = dedup._expand_runs_to_pairs(ids, starts, stops)
-    got = set(zip(out["a"], out["b"]))
-    assert got == {(7, big), (4294967294, 4294967295)}
-    assert (out["a"] >= 0).all() and (out["b"] >= 0).all()
+_BIG = 2147483653  # 2^31 + 5, the advisor's reproduction id
+_RNG = np.random.default_rng(7)
+_PAIR_CASES = {
+    # int64 packing of (a << 32 | b) used to overflow at a >= 2^31
+    "ids-around-2^31": ([np.array([1, 1, 2, 2, 3, 3, 3])],
+                        np.array([_BIG, 7, _BIG, 7, 4294967295, 4294967294,
+                                  2147483647]), None),
+    "ids-above-2^32": ([_RNG.integers(0, 12, 300)],
+                       _RNG.integers(1 << 32, (1 << 32) + 60, 300), None),
+    "negative-ids": ([_RNG.integers(0, 8, 200)],
+                     _RNG.integers(-(1 << 40), 50, 200), None),
+    "repeated-key-id-rows": ([np.array([5, 5, 5, 5, 6, 6])],
+                             np.array([9, 9, 4, 4, 9, 9]), None),
+    "single-member-runs": ([np.arange(50)], _RNG.integers(0, 100, 50), None),
+    "two-column-keys": ([_RNG.integers(0, 3, 400), _RNG.integers(0, 4, 400)],
+                        _RNG.integers(0, 40, 400), None),
+    "weighted": ([_RNG.integers(0, 10, 300).astype(np.uint64)],
+                 _RNG.integers(0, 1 << 50, 300), _RNG.random(300)),
+    "empty": ([np.array([], np.int64)], np.array([], np.int64), None),
+    "empty-weighted": ([np.array([], np.int64)], np.array([], np.int64),
+                       np.array([], np.float64)),
+}
 
 
-def test_expand_runs_matches_set_fallback():
-    """Packed path and the arbitrary-id set fallback agree on the same
-    runs (differential check across the packing boundary)."""
-    rng = np.random.default_rng(7)
-    ids = rng.integers(0, 1 << 32, size=200, dtype=np.int64)
-    starts = np.arange(0, 200, 10)
-    stops = starts + 10
-    fast = dedup._expand_runs_to_pairs(ids, starts, stops)
-    # force the fallback by appending an out-of-range run
-    ids2 = np.concatenate([ids, np.array([1 << 40, 1 << 40], dtype=np.int64)])
-    starts2 = np.concatenate([starts, [200]])
-    stops2 = np.concatenate([stops, [202]])
-    slow = dedup._expand_runs_to_pairs(ids2, starts2, stops2)
-    fast_set = set(zip(fast["a"], fast["b"]))
-    slow_set = set(zip(slow["a"], slow["b"]))
-    assert slow_set == fast_set  # the appended run is a self-pairless dup pair? no:
-    # (1<<40, 1<<40) dedupes to a single id -> no pair, so sets match
+@pytest.mark.parametrize("case", list(_PAIR_CASES))
+def test_run_pairs_matches_brute_force(case):
+    """The one pair kernel equals a combinations-per-run reference:
+    ids are remapped to dense codes, so any int64 id survives the
+    uint32 packing."""
+    from sylk.functions.pairs import run_pairs
+
+    keys, ids, weights = _PAIR_CASES[case]
+    a, b, v = run_pairs(keys if len(keys) > 1 else keys[0], ids, weights)
+    want = _brute_pairs(keys, ids, weights)
+    assert list(zip(a.tolist(), b.tolist())) == sorted(want)
+    assert a.dtype == ids.dtype and b.dtype == ids.dtype
+    got = v.tolist()
+    if weights is None:
+        assert v.dtype == np.int64 and got == [want[p] for p in sorted(want)]
+    else:
+        assert v.dtype == np.float64
+        np.testing.assert_allclose(got, [want[p] for p in sorted(want)],
+                                   rtol=1e-12)
 
 
 def test_semi_anti_null_right_keys(ray_session):

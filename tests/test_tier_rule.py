@@ -55,6 +55,50 @@ def test_driver_gathers_go_through_collect():
     assert not found, f"driver gathers outside collect: {found}"
 
 
+def test_one_pair_expansion():
+    """All pairs within a run are built by functions.pairs.run_pairs
+    alone; a per-run ``triu_indices`` or a per-pair Python loop is the
+    hand-copied expansion it replaced."""
+    from pathlib import Path
+
+    import sylk
+
+    root = Path(sylk.__file__).parent
+    found = [f"{p.relative_to(root)}: {needle}"
+             for p in sorted(root.rglob("*.py"))
+             for needle in ("np.triu_indices", "for j in range(i + 1")
+             if needle in p.read_text()]
+    assert not found, f"pair expansions outside run_pairs: {found}"
+
+
+_PAIR_OPERATORS = {
+    "minhash_dup_pairs": ["a", "b", "jaccard"],
+    "ngram_jaccard_dup_pairs": ["a", "b", "jaccard"],
+    "ngram_containment_pairs": ["a", "b", "containment"],
+    "ngram_jaccard_dup_pairs_prefix": ["a", "b", "jaccard"],
+    "tfidf_cosine_pairs": ["a", "b", "cosine"],
+    "winnow_dup_pairs": ["a", "b", "shared_fps"],
+}
+
+
+@pytest.mark.parametrize("op", list(_PAIR_OPERATORS))
+def test_pair_operator_on_empty_input_is_typed_empty(ray_session, op):
+    import pyarrow as pa
+    import ray.data
+
+    import sylk.stages.dedup as dedup
+
+    docs = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())}))
+    out = getattr(dedup, op)(docs)
+    schema = out.schema()
+    assert schema is not None
+    assert list(schema.names) == _PAIR_OPERATORS[op]
+    assert [str(t) for t in schema.types] == \
+        ["int64", "int64", "int64" if op == "winnow_dup_pairs" else "double"]
+    assert out.count() == 0
+
+
 def test_winnow_no_shared_fingerprint_is_typed_empty(ray_session):
     import ray.data
 
