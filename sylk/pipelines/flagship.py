@@ -5,11 +5,13 @@ The end-to-end composition the north rule names (BASELINE.json):
     read_parquet (transcript shards)
       -> map_batches(parse_batch)            stateless vectorized tasks
       -> map_batches(enrich_batch)           fused tasks, per-worker lookup
-      -> route_and_write                     range sort + one Hive write
-                                             as one routed-store increment;
-                                             the write tasks count the rows
-                                             they write (sink, reject and
-                                             host/app counts)
+      -> route_and_write                     one Hive write as one
+                                             routed-store increment: sorted
+                                             in the driver up to 64 MiB of
+                                             routed rows, else range sort +
+                                             write tasks; the write counts
+                                             the rows it writes (sink,
+                                             reject and host/app counts)
       -> Manifest.commit                     per-partition lineage + counts
       -> rollups                             merged from the manifest lines
 
@@ -34,6 +36,7 @@ import glob
 import os
 import time
 
+import pyarrow.parquet as pq
 import ray.data
 
 from ..functions.reference_semantics import FACILITY_NAMES, SEVERITY_NAMES
@@ -47,6 +50,10 @@ from ..state.manifest import Manifest
 
 _FAC_ID = {n: i for i, n in enumerate(FACILITY_NAMES)}
 _SEV_ID = {n: i for i, n in enumerate(SEVERITY_NAMES)}
+# in-memory bytes of a parsed, enriched and route-columned block per
+# uncompressed byte of its transcript file (Parquet footer): 2.82 on the
+# synthetic corpus (1,554,953 B -> 4,391,759 B per 14,400-row file)
+_PARSE_EXPANSION = 3
 
 
 def parse_enrich(ds):
@@ -65,6 +72,25 @@ def parse_enrich(ds):
     return ds.map_batches(
         enrich_batch, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
+
+
+def parsed_block_bytes(files: list[str], cap: int) -> int:
+    """The output-block size hint of a unit reading ``files`` one block
+    each: the largest file's uncompressed bytes (from its Parquet
+    footer) times ``_PARSE_EXPANSION``, at most ``cap``.
+
+    Ray Data sizes a map task's output as ``target_max_block_size``
+    (128 MiB) per generator-buffer block until its first task finishes,
+    so under a small object store it admits one parse task at a time;
+    a unit's Dataset that states its real block size launches every
+    parse task of the unit at once."""
+    def _uncompressed(f):
+        md = pq.read_metadata(f)
+        return sum(md.row_group(i).total_byte_size
+                   for i in range(md.num_row_groups))
+
+    size = max(map(_uncompressed, files), default=0)
+    return max(1, min(cap, size * _PARSE_EXPANSION))
 
 
 def _unit_counts(route_counts, host_app_counts):
@@ -189,12 +215,15 @@ def run_flagship(
             ds = read_syslog_lines_gz(files)
         else:
             ds = ray.data.read_parquet(files, override_num_blocks=len(files))
+            # this Dataset's own context copy: the global one is untouched
+            ds.context.target_max_block_size = parsed_block_bytes(
+                files, ds.context.target_max_block_size)
         # the router replaces whatever a crashed earlier attempt left of
         # increment inc and returns the counts of the rows it wrote: the
         # unit's manifest metrics cost no read of the routed output
-        sink_counts, reject_counts, host_app = _unit_counts(
-            *route_and_write(parse_enrich(ds), store, inc,
-                             {"input_files": files}))
+        *counts, tier = route_and_write(parse_enrich(ds), store, inc,
+                                        {"input_files": files})
+        sink_counts, reject_counts, host_app = _unit_counts(*counts)
         ok_rows = sum(sink_counts.values())
         rows = ok_rows + sum(reject_counts.values())
         mf.commit(
@@ -206,6 +235,7 @@ def run_flagship(
             reject_by_error=reject_counts,
             host_app=host_app,
             wall_s=round(time.time() - t0, 3),
+            **tier,
         )
         return rows, ok_rows
 

@@ -109,11 +109,13 @@ def _carry(ds, key: str, order_cols, value_col: str, out_col: str,
         return _carry_join(sorted_ds, states_ds, key, order_cols,
                            out_col, seed_fn, block_fn, finish_fn)
 
-    states = states_ds.to_pandas().sort_values([key] + order_cols,
-                                               kind="mergesort")
-    states = seed_fn(states)
-    cols = [key] + order_cols
-    seed = dict(zip(map(tuple, states[cols].to_numpy()), states["_seed"]))
+    seed = {}
+    if n_states:  # no state rows (no input rows) leaves no seed
+        states = states_ds.to_pandas().sort_values([key] + order_cols,
+                                                   kind="mergesort")
+        states = seed_fn(states)
+        cols = [key] + order_cols
+        seed = dict(zip(map(tuple, states[cols].to_numpy()), states["_seed"]))
     seed_ref = ray.put(seed)
 
     def _fill(df: pd.DataFrame) -> pd.DataFrame:

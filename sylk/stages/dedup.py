@@ -943,9 +943,7 @@ def sorted_neighborhood_pairs(docs_ds, window: int = 2, key_chars: int = 30,
                               batch_size=None)
 
     def _pairs(t: pa.Table) -> pd.DataFrame:
-        j = t.column("j").to_numpy(zero_copy_only=False)
-        i = t.column("i").to_numpy(zero_copy_only=False)
-        d = t.column("doc_id").to_numpy(zero_copy_only=False)
+        j, i, d = (_column(t, c) for c in ("j", "i", "doc_id"))
         order = np.lexsort((i, j))
         j_s, i_s, d_s = j[order], i[order], d[order]
         start_mask = np.ones(len(j_s), dtype=bool)

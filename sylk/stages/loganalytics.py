@@ -223,7 +223,7 @@ def cooccurrence_counts(ds, basket_cols, item_col: str):
     import ray
     import ray.data
 
-    from .dedup import _coarse_grouped_pairs, _keyed_pairs
+    from .dedup import _coarse_grouped_pairs, _column, _keyed_pairs
 
     basket_cols = list(basket_cols)
 
@@ -233,7 +233,12 @@ def cooccurrence_counts(ds, basket_cols, item_col: str):
 
     _, vtbl = collect(ds.map_batches(_vocab_partial, batch_format="pyarrow",
                                      batch_size=None))
-    vocab = sorted(set(vtbl.column(item_col).to_pylist()))
+    vocab = sorted(set(_column(vtbl, item_col).tolist()))
+    empty = pa.table({"type_a": pa.array([], pa.string()),
+                      "type_b": pa.array([], pa.string()),
+                      "n": pa.array([], pa.int64())})
+    if len(vocab) < 2:  # no pair of distinct items (or no rows at all)
+        return ray.data.from_arrow(empty)
     code_of = {v: i for i, v in enumerate(vocab)}
     vocab_ref = ray.put(code_of)
 
@@ -262,10 +267,7 @@ def cooccurrence_counts(ds, basket_cols, item_col: str):
         rows, _basket_key,
         lambda g: _keyed_pairs(g, basket_cols, id_col="_code")))
     if not len(tbl):
-        return ray.data.from_arrow(pa.table({
-            "type_a": pa.array([], pa.string()),
-            "type_b": pa.array([], pa.string()),
-            "n": pa.array([], pa.int64())}))
+        return ray.data.from_arrow(empty)
     merged = tbl.group_by(["a", "b"]).aggregate([("n", "sum")])
     a = merged.column("a").to_numpy(zero_copy_only=False)
     b = merged.column("b").to_numpy(zero_copy_only=False)

@@ -5,25 +5,35 @@ enum surface (facility.rs:87-114, severity.rs:57-68) — each parsed row
 lands in sink ``facility_name/severity_name``; each failed row lands in
 ``reject/<ParseErr variant>`` (parser.rs:13-45).
 
-Implementation is ONE range sort on the sink key followed by ONE write
-through :class:`RoutedSink` (a public ``ray.data.Datasink``): each write
-task writes its rows into the Hive layout ``route=<r>/route_key=<k>/``
-— the directory layout IS the fan-out (readers open exactly the sinks
-they need) — and counts the same in-memory rows as it goes, so the
-per-sink, per-reject and host/app counts come back from the write pass
-itself with no second read of the output.
+Implementation is ONE pass through :class:`RoutedSink` (a public
+``ray.data.Datasink``): it writes the rows into the Hive layout
+``route=<r>/route_key=<k>/`` — the directory layout IS the fan-out
+(readers open exactly the sinks they need) — and counts the same
+in-memory rows as it goes, so the per-sink, per-reject and host/app
+counts come back from the write pass itself with no second read of the
+output.
 
 The routed output is a :mod:`store_fold` store whose partitions are the
 sinks and whose increments are write units: increment ``inc_id`` writes
 ``route=<r>/route_key=<k>/inc<inc_id>.parquet`` (``.json`` for the
 JSONL sink) and its ``_done_inc<inc_id>.json`` marker LAST, so
 ``read_set`` (with ``as_of``) and ``fold(store_dir, SINKS)`` work on it
-unchanged.  Ray's range sort (the default pull-based strategy) merges
-each key range into one block, and the write hands each block to one
-task whole, so every row of one ``route_id`` reaches one task however
-large the sink is, and each sink gets one file per increment under a
-name that does not depend on the sampled sort boundaries: a rerun or a
-Ray task retry overwrites its own files by name.
+unchanged.  Every row of one ``route_id`` reaches one write call, so
+each sink gets one file per increment under a name that does not depend
+on how the rows were partitioned: a rerun or a Ray task retry
+overwrites its own files by name.
+
+The write has two tiers, picked from size alone (the block metadata of
+the routed rows, materialized once), which run the same sink steps
+(``on_write_start``, :meth:`RoutedSink.write_table`,
+``on_write_complete``):
+
+* up to ``store_fold._DRIVER_READ_LIMIT`` bytes of routed rows the
+  driver collects them, stable-sorts them by ``route_id`` and writes
+  them in one call — no exchange and no write task;
+* above it, Ray's range sort (the default pull-based strategy) merges
+  each key range into one block, and ``write_datasink`` hands each
+  block to one task whole.
 """
 
 from __future__ import annotations
@@ -35,9 +45,12 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 from ray.data import Datasink
 from ray.data.block import BlockAccessor
+from ray.data.datasource import WriteResult
 
 from ..functions.reference_semantics import ERROR_VARIANTS
+from . import store_fold
 from .aggregate import _partial_counts
+from .collect import collect
 from .store_fold import (atomic_write, check_watermark, remove_increment,
                          write_marker)
 
@@ -84,9 +97,10 @@ def add_route_columns(batch: pa.Table) -> pa.Table:
 
 
 class RoutedSink(Datasink):
-    """The routed write as one store ingest: each task writes its rows
-    into the Hive sink layout as increment ``inc_id`` and returns the
-    counts of the rows it wrote.
+    """The routed write as one store ingest: each write call (a Ray
+    write task, or the driver tier's one call) writes its rows into the
+    Hive sink layout as increment ``inc_id`` and returns the counts of
+    the rows it wrote.
 
     ``fmt="parquet"`` writes with ``pyarrow.dataset.write_dataset`` (the
     same call, layout and file schema as Ray's own Parquet sink: the
@@ -118,7 +132,14 @@ class RoutedSink(Datasink):
         tables = [t for t in tables if t.num_rows]
         if not tables:
             return None
-        table = pa.concat_tables(tables, promote_options="default")
+        return self.write_table(
+            pa.concat_tables(tables, promote_options="default"))
+
+    def write_table(self, table: pa.Table):
+        """The write body of both tiers: write ``table`` (non-empty,
+        holding every row of each sink it names) as this increment's
+        files of those sinks, and return its ``(routes, host_app)``
+        counts."""
         name = f"inc{self.inc_id}"
         if self.fmt == "json":
             self._write_json(table, name)
@@ -176,9 +197,22 @@ class RoutedSink(Datasink):
 
 def _route(parsed_ds, store_dir: str, inc_id: int, fmt: str, info):
     sink = RoutedSink(store_dir, inc_id, fmt, info)
-    ds = parsed_ds.map_batches(add_route_columns, batch_format="pyarrow")
-    ds.sort("route_id").write_datasink(sink)
-    return sink.counts
+    ds = parsed_ds.map_batches(add_route_columns,
+                               batch_format="pyarrow").materialize()
+    # None only when the plan produced no block at all
+    size = ds.size_bytes() or 0
+    if size <= store_fold._DRIVER_READ_LIMIT:
+        tier = "driver"
+        _, tbl = collect(ds)
+        sink.on_write_start()
+        # stable sort: a sink's rows keep their input order
+        rets = [sink.write_table(tbl.sort_by("route_id"))] \
+            if tbl.num_rows else []
+        sink.on_write_complete(WriteResult(tbl.num_rows, size, rets))
+    else:
+        tier = "exchange"
+        ds.sort("route_id").write_datasink(sink)
+    return (*sink.counts, {"route_tier": tier, "routed_bytes": size})
 
 
 def route_and_write(parsed_ds, store_dir: str, inc_id: int,
@@ -188,19 +222,26 @@ def route_and_write(parsed_ds, store_dir: str, inc_id: int,
     must already carry facility_name/severity_name (post-enrich);
     ``info`` adds fields to the increment's marker.
 
-    Returns ``(route_counts, host_app_counts)``: Arrow tables
+    Returns ``(route_counts, host_app_counts, tier)``: Arrow tables
     ``(route, route_key, n)`` over every routed row and ``(hostname,
-    appname, n)`` over the ok rows, counted by the write tasks from the
-    rows they wrote (see :class:`RoutedSink`); typed and empty when the
-    input has no rows.
+    appname, n)`` over the ok rows, counted by the write calls from the
+    rows they wrote (see :class:`RoutedSink`), typed and empty when the
+    input has no rows; and ``{"route_tier": "driver" | "exchange",
+    "routed_bytes": n}``, the tier that wrote and the block-metadata
+    size of the routed rows it was chosen from.
 
-    The write range-partitions on the sink key (Ray ``sort`` — the
-    Dataset-API expression of a hash-partitioned router) first, so each
-    sink directory gets O(1) files per block range instead of one file
-    per (input block x sink): without it a uniform key mixture writes
-    blocks x 193 tiny files, which at 10^12 rows means millions of
-    sub-MB objects per checkpoint unit.
-    The sort key is the dense int16 ``route_id`` (same clustering as the
+    Up to ``store_fold._DRIVER_READ_LIMIT`` bytes (a flagship unit of a
+    few files: 28,800 rows are 8.8 MB) the driver writes the collected,
+    sorted rows in one call; a unit that fits in the driver needs no
+    repartition, and the Ray range sort (sample, map and reduce stages)
+    plus write operator was nearly the whole cost of such a unit.
+    Above it the write range-partitions on the sink key first (Ray
+    ``sort`` — the Dataset-API expression of a hash-partitioned
+    router), so each sink directory gets O(1) files per block range
+    instead of one file per (input block x sink): without it a uniform
+    key mixture writes blocks x 193 tiny files, which at 10^12 rows
+    means millions of sub-MB objects per checkpoint unit.  Either way
+    the key is the dense int16 ``route_id`` (same clustering as the
     string pair, far cheaper to exchange/compare).
 
     Measured alternative (12M rows, 32 cpus, interleaved best-of-4;
@@ -216,8 +257,8 @@ def route_and_write_jsonl(parsed_ds, store_dir: str, inc_id: int,
                           info: dict | None = None):
     """Routed fan-out to newline-delimited JSON sinks — the shape a
     downstream log consumer (the crate's serde surface) ingests
-    directly.  Same sink, Hive layout, range-partition-by-sink policy,
-    store protocol and returned counts as :func:`route_and_write`; each
-    write task writes one ``inc<inc_id>.json`` per sink group it holds
-    (the pre-sort keeps groups-per-task O(1))."""
+    directly.  Same sink, Hive layout, tiers, store protocol and
+    returned counts as :func:`route_and_write`; each write call writes
+    one ``inc<inc_id>.json`` per sink group it holds (the sort keeps
+    groups per call O(1))."""
     return _route(parsed_ds, store_dir, inc_id, "json", info)

@@ -841,7 +841,7 @@ def token_typo_pairs(docs_ds, text_col: str = "text"):
     import ray
     import ray.data
 
-    from .dedup import _coarse_grouped_pairs, _keyed_pairs
+    from .dedup import _coarse_grouped_pairs, _column, _keyed_pairs
 
     def _vocab_partial(b: pa.Table) -> pa.Table:
         texts = b.column(text_col).to_pylist()
@@ -851,7 +851,7 @@ def token_typo_pairs(docs_ds, text_col: str = "text"):
     _, vtbl = collect(docs_ds.map_batches(_vocab_partial,
                                           batch_format="pyarrow",
                                           batch_size=None))
-    vocab = sorted(set(vtbl.column("w").to_pylist()))
+    vocab = sorted(set(_column(vtbl, "w").tolist()))
     if len(vocab) < 2:
         return ray.data.from_arrow(pa.table({
             "tok_a": pa.array([], pa.string()),

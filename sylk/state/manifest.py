@@ -9,6 +9,7 @@ written, one JSON line is appended to ``manifest.jsonl``:
      "sink_counts": {"<facility>/<severity>": <int>, ...},
      "reject_by_error": {"<ParseErr variant>": <int>, ...},
      "host_app": [[<hostname>, <appname>, <int>], ...],
+     "route_tier": "driver" | "exchange", "routed_bytes": <int>,
      "wall_s": <float>}
 
 ``rows`` counts every input row of the unit and ``parse_ok`` its
@@ -16,7 +17,10 @@ accepted rows.  ``sink_counts`` keys are the numeric facility/severity
 ids of the routed ok rows; ``reject_by_error`` counts the failed rows
 per variant; ``host_app`` counts the ok rows per (hostname, appname),
 with a nil term as "".  All three come from the routed write itself,
-and a run's rollups merge them across its units' lines.  A line without
+and a run's rollups merge them across its units' lines.
+``route_tier`` names the tier of the unit's routed write and
+``routed_bytes`` the in-memory size of its routed rows (block
+metadata) that the tier was chosen from.  A line without
 ``host_app`` (written by an older version) counts as not committed: its
 unit re-runs.
 

@@ -10,10 +10,12 @@ import shutil
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
+from conftest import scale_tier
 
 from sylk.functions import FACILITY_NAMES, SEVERITY_NAMES, parse_line
 from sylk.pipelines.flagship import parse_enrich, run_flagship
 from sylk.sources.transcripts import synth_batch, write_transcripts
+from sylk.stages import store_fold
 from sylk.stages.aggregate import salted_group_counts, sink_counts
 
 N_ROWS = 6000
@@ -213,6 +215,86 @@ def test_rollup_counters_come_from_manifest(ray_session, corpus_dir, tmp_path_fa
     assert r3["sink_counts"] == r1["sink_counts"]
     assert r3["reject_by_error"] == r1["reject_by_error"]
     assert r3["host_app_histogram"] == r1["host_app_histogram"]
+
+
+def test_manifest_records_route_tier(ray_session, corpus_dir, flagship_out,
+                                     tmp_path_factory, monkeypatch):
+    """Each unit's manifest line names the routed write's tier and the
+    routed bytes it was picked from; a resumed run reports the same
+    rollups as a fresh one, and so does a run in the exchange tier,
+    whose lines carry the same byte counts."""
+    import json
+
+    files = sorted(glob.glob(os.path.join(corpus_dir, "*.parquet")))
+    rollups = ("rows", "parse_ok", "sink_counts", "reject_by_error",
+               "host_app_histogram")
+
+    def lines(out):
+        with open(os.path.join(out, "manifest.jsonl")) as f:
+            recs = [json.loads(ln) for ln in f]
+        return {r["partition_id"]: (r["route_tier"], r["routed_bytes"])
+                for r in recs}
+
+    out = str(tmp_path_factory.mktemp("tier"))
+    first = run_flagship(files[:2], out, files_per_unit=2)
+    full = run_flagship(files, out, files_per_unit=2)
+    assert first["units_run"] == 1 and full["units_skipped"] == 1
+    for k in rollups:
+        assert full[k] == flagship_out[k], k
+    fresh = lines(out)
+    assert len(fresh) == len(files) // 2
+    assert all(t == "driver" and n > 0 for t, n in fresh.values())
+
+    exc = str(tmp_path_factory.mktemp("tier_exchange"))
+    with monkeypatch.context() as m:
+        scale_tier(m, store_fold, "_DRIVER_READ_LIMIT")
+        s = run_flagship(files, exc, files_per_unit=2)
+    for k in rollups:
+        assert s[k] == flagship_out[k], k
+    assert lines(exc) == {u: ("exchange", n) for u, (_, n) in fresh.items()}
+
+
+def test_unit_read_hint_comes_from_footers(ray_session, tmp_path,
+                                           monkeypatch):
+    """The unit's output-block hint is the largest input file's
+    uncompressed footer bytes times the parse expansion, capped by the
+    context's value; it covers the real parsed block, so no block is
+    split; the global context keeps its value."""
+    import ray.data
+
+    from sylk.pipelines import flagship
+    from sylk.stages.enrich import enrich_batch
+    from sylk.stages.parse import parse_batch
+    from sylk.stages.router import add_route_columns
+
+    write_transcripts(str(tmp_path), 1500, rows_per_file=1000)
+    files = sorted(glob.glob(os.path.join(str(tmp_path), "*.parquet")))
+    uncompressed = []
+    for f in files:
+        md = pq.ParquetFile(f).metadata
+        uncompressed.append(sum(md.row_group(i).total_byte_size
+                                for i in range(md.num_row_groups)))
+    want = max(uncompressed) * flagship._PARSE_EXPANSION
+    assert flagship.parsed_block_bytes(files, 1 << 30) == want
+    assert flagship.parsed_block_bytes(files, 4096) == 4096
+    assert flagship.parsed_block_bytes([], 4096) == 1
+    largest = files[uncompressed.index(max(uncompressed))]
+    block = add_route_columns(enrich_batch(parse_batch(pq.read_table(largest))))
+    assert block.nbytes <= want
+
+    ctx = ray.data.DataContext.get_current()
+    before = ctx.target_max_block_size
+    seen = []
+    hint = flagship.parsed_block_bytes
+
+    def spy(fs, cap):
+        seen.append((fs, cap))
+        return hint(fs, cap)
+
+    monkeypatch.setattr(flagship, "parsed_block_bytes", spy)
+    run_flagship(files, str(tmp_path / "out"), files_per_unit=2)
+    assert seen == [(files, before)]
+    assert ctx.target_max_block_size == before
 
 
 def test_raw_text_source_matches_parquet_path(ray_session, tmp_path):

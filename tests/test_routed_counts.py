@@ -1,6 +1,7 @@
 """The routed write reports its own counts: per-sink, per-reject and
-host/app counts come back from the write tasks and into the manifest,
-empty inputs give typed empty results, and the routed output is a
+host/app counts come back from the write and into the manifest, both
+write tiers leave the same files, rows, markers and counts, empty
+inputs give typed empty results, and the routed output is a
 store_fold store — routing one increment twice is idempotent, a retried
 write task leaves what a clean write leaves, and ``sylk compact --kind
 routed`` folds the sinks without changing the rows."""
@@ -15,10 +16,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from conftest import scale_tier
 from ray import cloudpickle
 
 from sylk.pipelines.flagship import parse_enrich, run_flagship
 from sylk.sources.transcripts import synth_batch, write_transcripts
+from sylk.stages import store_fold
 from sylk.stages.router import (
     HOST_APP_SCHEMA,
     ROUTE_COUNTS_SCHEMA,
@@ -130,7 +133,7 @@ def test_route_twice_into_one_dir_is_idempotent(ray_session, tmp_path):
         d = str(tmp_path / ext)
         runs = []
         for _ in range(2):
-            routes, host_app = route(ds, d, 7)
+            routes, host_app, _ = route(ds, d, 7)
             files, rows = _read_routed(d, ext)
             assert sum(rows.values(), collections.Counter()) == want, ext
             assert {f"route={r}/route_key={k}": n
@@ -144,25 +147,78 @@ def test_route_twice_into_one_dir_is_idempotent(ray_session, tmp_path):
         assert runs[0][2].equals(runs[1][2])
 
 
+def _route_tier(route, ds, d, inc_id, tier, monkeypatch):
+    """``route(ds, d, inc_id)`` in ``tier``: its returned counts sorted,
+    its tier fields, and the (files, rows) and marker it left."""
+    with monkeypatch.context() as m:
+        if tier == "exchange":
+            scale_tier(m, store_fold, "_DRIVER_READ_LIMIT")
+        routes, host_app, info = route(ds, d, inc_id)
+    assert info["route_tier"] == tier
+    ext = "json" if route is route_and_write_jsonl else "parquet"
+    return (_sorted_counts(routes, ["route", "route_key"]),
+            _sorted_counts(host_app, ["hostname", "appname"]),
+            info["routed_bytes"], _read_routed(d, ext), _marker(d, inc_id))
+
+
 def test_sink_larger_than_target_block_gets_one_file(ray_session, tmp_path,
                                                       monkeypatch):
-    """The range sort merges each key range into one block and the write
-    hands each block to one task whole, so a sink many times Ray's
-    target block size still gets one ``inc<n>`` file."""
+    """A sink many times Ray's target block size still gets one
+    ``inc<n>`` file in both tiers: the driver writes the sorted rows in
+    one call, and in the exchange tier the range sort merges each key
+    range into one block that the write hands to one task whole."""
     import ray.data
 
     ds, want = _parsed(6000)
     target = 8 << 10
     monkeypatch.setattr(ray.data.DataContext.get_current(),
                         "target_max_block_size", target)
-    route_and_write(ds, str(tmp_path), 0)
-    files, rows = _read_routed(str(tmp_path), "parquet")
-    assert all(names == {"inc0.parquet"} for names in files.values())
+    for tier in ("driver", "exchange"):
+        d = str(tmp_path / tier)
+        files, rows = _route_tier(route_and_write, ds, d, 0, tier,
+                                  monkeypatch)[3]
+        assert all(names == {"inc0.parquet"} for names in files.values())
+        assert sum(rows.values(), collections.Counter()) == want
+        largest = max(pq.ParquetFile(f).metadata.row_group(0).total_byte_size
+                      for f in glob.glob(os.path.join(d, "route=*",
+                                                      "route_key=*", "*")))
+        assert largest > 2 * target
+
+
+@pytest.mark.parametrize("fmt", ["parquet", "json"])
+def test_route_tiers_agree(ray_session, tmp_path, monkeypatch, fmt):
+    """The driver tier (collect, stable sort, one write call) and the
+    exchange tier (range sort, write tasks) of one routed write leave
+    the same file names, row multisets per sink, marker and counts:
+    on a first write, on a rerun of it, and on an empty rerun, which
+    leaves no file behind.  The driver tier starts no Ray sort."""
+    import ray.data
+
+    route = route_and_write if fmt == "parquet" else route_and_write_jsonl
+    ds, want = _parsed(1200)
+    empty = ds.filter(lambda r: False).materialize()
+    steps = {}
+    for tier in ("driver", "exchange"):
+        d = str(tmp_path / tier)
+        with monkeypatch.context() as m:
+            if tier == "driver":
+                def no_sort(*a, **k):
+                    raise AssertionError("the driver tier sorted in Ray")
+                m.setattr(ray.data.Dataset, "sort", no_sort)
+            steps[tier] = [_route_tier(route, inp, d, 3, tier, m)
+                           for inp in (ds, ds, empty)]
+    for drv, exc in zip(steps["driver"], steps["exchange"]):
+        assert drv[0].equals(exc[0]) and drv[1].equals(exc[1])
+        assert drv[2:] == exc[2:]
+    first, rerun, emptied = steps["driver"]
+    assert rerun[2:] == first[2:]
+    files, rows = first[3]
     assert sum(rows.values(), collections.Counter()) == want
-    largest = max(pq.ParquetFile(f).metadata.row_group(0).total_byte_size
-                  for f in glob.glob(os.path.join(str(tmp_path), "route=*",
-                                                  "route_key=*", "*")))
-    assert largest > 2 * target
+    assert all(names == {f"inc3.{fmt}"} for names in files.values())
+    assert first[4] == {"rows": sum(want.values())}
+    assert emptied[3] == ({}, {}) and emptied[4] == {"rows": 0}
+    assert emptied[0].schema == ROUTE_COUNTS_SCHEMA and not emptied[0].num_rows
+    assert emptied[1].schema == HOST_APP_SCHEMA and not emptied[1].num_rows
 
 
 class FailOnceSink(RoutedSink):

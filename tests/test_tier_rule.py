@@ -78,6 +78,7 @@ _PAIR_OPERATORS = {
     "ngram_jaccard_dup_pairs_prefix": ["a", "b", "jaccard"],
     "tfidf_cosine_pairs": ["a", "b", "cosine"],
     "winnow_dup_pairs": ["a", "b", "shared_fps"],
+    "sorted_neighborhood_pairs": ["a", "b", "jaccard"],
 }
 
 
@@ -96,6 +97,32 @@ def test_pair_operator_on_empty_input_is_typed_empty(ray_session, op):
     assert list(schema.names) == _PAIR_OPERATORS[op]
     assert [str(t) for t in schema.types] == \
         ["int64", "int64", "int64" if op == "winnow_dup_pairs" else "double"]
+    assert out.count() == 0
+
+
+@pytest.mark.parametrize("op", ["cooccurrence_counts", "token_typo_pairs"])
+def test_vocabulary_operator_on_empty_input_is_typed_empty(ray_session, op):
+    """The vocabulary-first pair operators read their vocabulary from
+    ``collect``'s table, which has no columns on 0 rows."""
+    import pyarrow as pa
+    import ray.data
+
+    from sylk.stages.loganalytics import cooccurrence_counts
+    from sylk.stages.text import token_typo_pairs
+
+    if op == "cooccurrence_counts":
+        out = cooccurrence_counts(ray.data.from_arrow(pa.table({
+            "u": pa.array([], pa.int64()), "h": pa.array([], pa.int64()),
+            "t": pa.array([], pa.string())})), ["u", "h"], "t")
+        want = [("type_a", "string"), ("type_b", "string"), ("n", "int64")]
+    else:
+        out = token_typo_pairs(ray.data.from_arrow(pa.table({
+            "doc_id": pa.array([], pa.int64()),
+            "text": pa.array([], pa.string())})))
+        want = [("tok_a", "string"), ("tok_b", "string")]
+    schema = out.schema()
+    assert schema is not None
+    assert list(zip(schema.names, map(str, schema.types))) == want
     assert out.count() == 0
 
 
