@@ -2773,9 +2773,9 @@ def q_supplier_brand_revenue(sf_dir: str) -> pa.Table:
 
 
 def q_priority_join_rollup(sf_dir: str) -> pa.Table:
-    """Fact-fact distributed hash join: lineitem x orders on orderkey —
-    both sides large, so hash-partitioned ``Dataset.join`` (one exchange
-    per side), then the two-phase rollup per o_orderpriority."""
+    """Fact-fact hash join: lineitem x orders on orderkey (``hash_join``:
+    in the driver at sandbox scale, one keyed exchange above its row
+    limit), then the two-phase rollup per o_orderpriority."""
     import os
 
     import ray.data
@@ -2843,8 +2843,8 @@ def q_mktsegment_rollup_bucketed(sf_dir: str) -> pa.Table:
 def q_customers_without_big_orders(sf_dir: str) -> pa.Table:
     """Anti-join: customers with no order over 400k, counted per market
     segment (the complement of the semi-join query).  Broadcast
-    distinct-key path at sandbox scale; ``left_anti`` Dataset.join
-    beyond the key limit (equivalence in tests)."""
+    distinct-key path at sandbox scale; ``hash_join``'s ``left_anti``
+    exchange beyond the key limit (equivalence in tests)."""
     import os
 
     import ray.data
@@ -5695,8 +5695,8 @@ def _hourly_type_counts(sf_dir: str, event_type: str, out_name: str):
     The count itself uses the LOCAL two-phase merge (per-block partials
     + driver pyarrow group_by — hour cardinality is calendar-bounded;
     Ray's sort-based groupby costs seconds even on tiny partial
-    tables), re-lifted to a Dataset so the downstream full-outer join
-    still runs as the distributed hash-partitioned ``Dataset.join``."""
+    tables), re-lifted to a Dataset for the downstream full-outer
+    ``hash_join``."""
     import os
 
     import ray.data
@@ -5724,8 +5724,8 @@ def q_view_click_full_outer(sf_dir: str) -> pa.Table:
     rollups (view-hours vs click-hours): hours seen by only one side
     survive with the other side's count null-filled to 0.  Both inputs
     are already-reduced aggregates (cardinality = #hours), so the
-    exchange is small regardless of corpus size; the join is the
-    hash-partitioned ``Dataset.join`` full_outer tier."""
+    join is small regardless of corpus size (``hash_join`` full_outer,
+    in the driver under its row limit)."""
     from ..stages.join import hash_join
 
     v = _hourly_type_counts(sf_dir, "view", "n_view")
@@ -5787,8 +5787,7 @@ def q_user_triangles(sf_dir: str) -> pa.Table:
     co-occurrence kernel — one exchange, vocab-bounded), triangles via
     the oriented wedge-join + closing-edge join
     (graph.triangle_counts), then per-member counts.  The classic
-    multi-join graph workload expressed as two keyed Dataset.join
-    exchanges."""
+    multi-join graph workload expressed as two ``hash_join`` calls."""
     import os
 
     import ray.data

@@ -24,10 +24,10 @@ from .collect import collect
 
 
 def _partial_counts_gen(batch: pa.Table, keys, ok_filter: bool | None):
-    """Generator wrapper: hash-shuffle/join stages upstream can emit
-    ZERO-COLUMN empty blocks for partitions that received no rows
-    (see join._sane_blocks); yield nothing for those instead of
-    raising FieldRef-not-found in the keyed group_by."""
+    """Generator wrapper: ``groupby`` aggregates and ``map_groups``
+    upstream can emit ZERO-COLUMN empty blocks for partitions that
+    received no rows; yield nothing for those instead of raising
+    FieldRef-not-found in the keyed group_by."""
     if batch.num_columns:
         yield _partial_counts(batch, keys, ok_filter)
 

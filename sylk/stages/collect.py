@@ -14,7 +14,10 @@ the installed Ray Data (2.49):
   reads the count, the schema and the blocks from that one result.
 * **Schemaless blocks.**  Empty blocks (from filters, joins and
   ``map_groups``) can arrive with zero columns, which ``concat_tables``
-  rejects against typed blocks; they are dropped.
+  rejects against typed blocks; they are dropped.  So are 0-row blocks
+  when any block has rows: they add nothing but a schema, and that one
+  can be stale (``select_columns`` over an aggregate leaves its 0-row
+  blocks unprojected).
 * **Pandas blocks.**  Blocks of a stage that emits
   ``batch_format="pandas"`` can come back as pandas frames; they are
   converted.
@@ -43,8 +46,10 @@ def collect(ds, limit: int | None = None):
               else pa.Table.from_pandas(b, preserve_index=False)
               for b in ray.get(mds.to_arrow_refs())]
     blocks = [b for b in blocks if b.num_columns > 0]
+    if any(b.num_rows for b in blocks):
+        return mds, pa.concat_tables([b for b in blocks if b.num_rows])
     if blocks:
-        return mds, pa.concat_tables(blocks)
+        return mds, blocks[0]
     schema = mds.schema()
     if schema is None:
         return mds, pa.table({})

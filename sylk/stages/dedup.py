@@ -23,11 +23,9 @@ north-rule):
   vector) to each candidate pair.  Below ``_DRIVER_PAIR_LIMIT``
   candidates, the needed rows are filtered WORKER-side against a
   broadcast id set (``ray.put`` once) so only candidate rows ever reach
-  the driver.  Above it, :func:`_verify_pairs_join` runs the fully
-  distributed path: explode each pair into two edge rows, hash-JOIN the
-  edges with the source on doc_id (the corpus is shuffled exactly once),
-  then assemble per pair with a groupby on (a, b) (only candidate-sized
-  data moves).
+  the driver.  Above it, :func:`_verify_pairs_join` collapses duplicate
+  pairs in one aggregate and attaches both payloads with two
+  ``join.hash_join`` calls (a-side, then b-side).
 
 Every tiered operator here picks its tier from input size alone: the
 bounded collect against the module limit.  Tests reach the exchange
@@ -325,6 +323,14 @@ def _keyed_pairs(tbl: pa.Table, keys, weight: str | None = None,
 _COARSE_GROUP_ROWS = 2_000_000
 
 
+def _coarse_group_count(n: int) -> int:
+    """Coarse hash groups for ``n`` exchanged rows: ~2M rows a group.
+    The cap bounds the shuffle's partition count; beyond it per-group
+    rows grow linearly with the corpus (a group is held in one worker
+    heap — at 2M rows a group the cap supports ~8x10^9 rows)."""
+    return max(32, min(4096, n // _COARSE_GROUP_ROWS + 1))
+
+
 def _coarse_grouped_pairs(rows_ds, key_fn, pairs_fn):
     """Distributed candidate expansion WITHOUT per-bucket pandas groups:
     hash each row's bucket key into ~rows/2M coarse partitions (a bucket
@@ -341,12 +347,7 @@ def _coarse_grouped_pairs(rows_ds, key_fn, pairs_fn):
     step is a keyed exchange, whose fixed cost scales with blocks x
     partitions.  Cross-group duplicate pairs (same pair via different
     bands) remain; the caller's aggregate collapses them."""
-    n = rows_ds.count()
-    # cap bounds the hash-shuffle partition count; beyond it per-group
-    # rows grow linearly with the corpus (lexsort holds one group in a
-    # worker heap — at 2M rows/group the cap supports ~8x10^9 index
-    # rows; shard by band first if a corpus ever exceeds that)
-    n_groups = max(32, min(4096, n // _COARSE_GROUP_ROWS + 1))
+    n_groups = _coarse_group_count(rows_ds.count())
 
     def _add_pkey(b: pa.Table) -> pa.Table:
         key = key_fn(b)
@@ -434,49 +435,36 @@ def _verify_broadcast(cand: pd.DataFrame, source_ds, id_col: str, val_col: str,
     return ray.data.from_pandas(cand).map_batches(_verify, batch_format="pandas")
 
 
-def _verify_pairs_join(pairs_ds, source_ds, id_col: str, val_col: str,
-                       pair_fn: Callable, out_col: str,
-                       num_partitions: int | None = None):
-    """Distributed pair verification (the 100 TB path): each candidate
-    is ONE (a, b) row; multi-band duplicates collapse in a hash
-    AGGREGATE (not map_groups); the source is hash-joined twice —
-    a-side then b-side — so both payloads land on the SAME row, and
-    verification is a per-batch map over thousands of pairs at a time.
-    No per-pair pandas group ever materializes (the round-1 simhash
-    hang and the round-2 verdict's #2 were exactly that shape).
-
-    ``num_partitions`` defaults to the cluster CPU count (the join's
-    aggregator pool must fit the cluster or the stage starves upstream
-    operators); at real corpus scale pass blocks-per-node x nodes."""
-    import ray
+def _no_verified_pairs(out_col: str):
     import ray.data
+
+    return ray.data.from_arrow(pa.table({
+        "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
+        out_col: pa.array([], pa.float64())}))
+
+
+def _verify_pairs_join(pairs_ds, source_ds, id_col: str, val_col: str,
+                       pair_fn: Callable, out_col: str):
+    """Pair verification above the broadcast tier: each candidate is ONE
+    (a, b) row; multi-band duplicates collapse in a hash AGGREGATE (not
+    map_groups); the source is joined twice with :func:`join.hash_join`
+    — a-side then b-side — so both payloads land on the SAME row, and
+    verification is a per-batch map over thousands of pairs at a time.
+    Each join runs in the driver only while its sides (the source
+    payload column included) fit in ``join._DRIVER_JOIN_LIMIT`` bytes,
+    and keeps the larger side's block count, so the map stays
+    parallel.  No per-pair pandas group ever materializes (the round-1
+    simhash hang and the round-2 verdict's #2 were exactly that
+    shape)."""
     from ray.data.aggregate import Count
 
-    # Sanitize: a schema'd empty seed guards against 0-row NO-schema
-    # blocks poisoning the hash ops (FieldRef unresolvable).  Then
-    # materialize FIRST — candidate-sized — so (a) the partition-count
-    # probe reads block metadata instead of executing the candidate
-    # pipeline a second time, and (b) a zero-candidate corpus skips the
-    # dedup aggregate and BOTH joins entirely.
-    seed = ray.data.from_pandas(_empty_pairs())
-    pairs_ds = seed.union(pairs_ds).materialize()
-    if num_partitions is None:
-        # scale partitions with DATA, not cluster size: each partition
-        # costs a HashShuffleAggregator actor startup (see the measured
-        # 19.9s -> 4.9s note in BASELINE.md for join.py's same fix)
-        from .join import _size_based_partitions
+    from .join import hash_join
 
-        num_partitions = _size_based_partitions(pairs_ds, source_ds)
+    # materialize FIRST — candidate-sized — so a zero-candidate corpus
+    # skips the dedup aggregate and BOTH joins with a typed empty
+    pairs_ds = pairs_ds.materialize()
     if pairs_ds.count() == 0:
-        return ray.data.from_pandas(
-            pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                          "b": pd.Series([], dtype="int64"),
-                          out_col: pd.Series([], dtype="float64")}))
-    # compact the many tiny map_groups blocks first: shuffle fixed cost
-    # scales with BLOCKS x partitions (measured 16s -> 2.6s on a 146k-row
-    # candidate set by going 65 -> 8 blocks), and the repartition itself
-    # is candidate-sized
-    pairs_ds = pairs_ds.repartition(num_partitions)
+        return _no_verified_pairs(out_col)
     # a pair colliding in d bands arrives d times; collapse in a hash
     # aggregate (candidate-sized exchange, vectorized reduce) so the
     # joins never ship a payload twice for the same pair
@@ -490,24 +478,14 @@ def _verify_pairs_join(pairs_ds, source_ds, id_col: str, val_col: str,
             return b.rename_columns([ja, va])
         return f
 
-    src_a = src.map_batches(_rename("_ja", "_va"), batch_format="pyarrow",
-                            batch_size=None, zero_copy_batch=True)
-    src_b = src.map_batches(_rename("_jb", "_vb"), batch_format="pyarrow",
-                            batch_size=None, zero_copy_batch=True)
     # a member missing from the source drops its pairs (inner join) —
     # same "not verifiable" semantics as the broadcast tier
-    from .join import _sane_blocks
-
-    src_a = src_a.map_batches(_sane_blocks, batch_format="pyarrow",
-                              batch_size=None, zero_copy_batch=True)
-    src_b = src_b.map_batches(_sane_blocks, batch_format="pyarrow",
-                              batch_size=None, zero_copy_batch=True)
-    j = pairs_ds.join(src_a, "inner", num_partitions,
-                      on=("a",), right_on=("_ja",))
-    j = j.map_batches(_sane_blocks, batch_format="pyarrow",
-                      batch_size=None, zero_copy_batch=True)
-    j = j.join(src_b, "inner", num_partitions,
-               on=("b",), right_on=("_jb",))
+    j = hash_join(pairs_ds, src.map_batches(
+        _rename("_ja", "_va"), batch_format="pyarrow", batch_size=None,
+        zero_copy_batch=True), on="a", right_on="_ja")
+    j = hash_join(j, src.map_batches(
+        _rename("_jb", "_vb"), batch_format="pyarrow", batch_size=None,
+        zero_copy_batch=True), on="b", right_on="_jb")
 
     def _verify_batch(b: pa.Table) -> pa.Table:
         oa, ob, ov = [], [], []
@@ -535,10 +513,7 @@ def _verify_pairs(cand, source_ds, id_col: str, val_col: str, pair_fn: Callable,
 
     if isinstance(cand, pd.DataFrame):
         if len(cand) == 0:
-            return ray.data.from_pandas(
-                pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                              "b": pd.Series([], dtype="int64"),
-                              out_col: pd.Series([], dtype="float64")}))
+            return _no_verified_pairs(out_col)
         if len(cand) > _DRIVER_PAIR_LIMIT:
             return _verify_pairs_join(
                 ray.data.from_pandas(cand[["a", "b"]]), source_ds,
@@ -727,10 +702,7 @@ def dup_ngram_spans(docs_ds, k: int = 8, text_col: str = "text",
         ["doc_id"], ["cnt"], count_name="_nr")
 
     # merge with the per-doc totals by UNION + sum rather than an outer
-    # join: every doc appears on the totals side, so no join is needed —
-    # and a corpus with zero duplicated grams leaves dup_counts with no
-    # blocks at all (unknown schema), which Ray's hash-shuffle join
-    # cannot take as a right side but union handles trivially.
+    # join: every doc appears on the totals side, so no join is needed.
     def _as_dup(b: pa.Table):
         if b.num_columns:  # empty groupbys emit schemaless blocks
             zero = pa.array(np.zeros(b.num_rows, np.int64), pa.int64())
@@ -1468,17 +1440,12 @@ def embedding_dup_pairs(emb_ds, threshold: float = 0.98, n_bands: int = 16,
                               _cos_q_gate, "qcos").materialize()
 
     def _surv_ids(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0:
-            return pa.table({"_sid": pa.array([], pa.int64())})
         return pa.table({"_sid": pa.array(np.concatenate(
             [b.column("a").to_numpy(zero_copy_only=False),
              b.column("b").to_numpy(zero_copy_only=False)]).astype(
                  np.int64), pa.int64())})
 
     def _surv_pairs(b: pa.Table) -> pa.Table:
-        if b.num_columns == 0:
-            return pa.table({"a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64())})
         return b.select(["a", "b"])
 
     packed = emb_ds.map_batches(_pack, batch_format="pyarrow",
@@ -1549,9 +1516,8 @@ def semantic_dedup(emb_ds, threshold: float = 0.95, k: int = 8,
 
     # distributed tier: label both pair endpoints (pairs side is the
     # small one), keep same-cluster pairs, anti-join the drop ids.
-    # zero-block guard: Ray's hash-shuffle join can't take an empty
-    # no-schema side (dup_ngram_spans precedent) — and count() here is
-    # metadata-cheap on the already-materialized pairs.
+    # no pairs, nothing to drop (count() is metadata-cheap on the
+    # already-materialized pairs)
     if mpairs.count() == 0:
         return assign.sort(id_col)
 

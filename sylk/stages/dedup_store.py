@@ -307,9 +307,6 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
                          right_on=("_sband", "_sbh"))
 
         def _ab(b: pa.Table) -> pa.Table:
-            if b.num_columns == 0:
-                return pa.table({"a": pa.array([], pa.int64()),
-                                 "b": pa.array([], pa.int64())})
             return pa.table({"a": b.column("doc_id"),
                              "b": b.column("_old")})
 

@@ -289,7 +289,6 @@ def degree_orient(edges_ds, a_col: str = "a", b_col: str = "b"):
 
 
 def triangle_counts(edges_ds, a_col: str = "a", b_col: str = "b",
-                    num_partitions: int | None = None,
                     orient: str = "degree"):
     """Per-vertex triangle participation over a unique-edge Dataset
     (every undirected edge stored once): wedge hash-join (edges as
@@ -325,12 +324,11 @@ def triangle_counts(edges_ds, a_col: str = "a", b_col: str = "b",
                                batch_size=None)
     e23 = edges_ds.map_batches(_ren("w2", "u3"), batch_format="pyarrow",
                                batch_size=None)
-    wedges = hash_join(e12, e23, on="u2", right_on="w2",
-                       num_partitions=num_partitions)
+    wedges = hash_join(e12, e23, on="u2", right_on="w2")
     closing = edges_ds.map_batches(_ren("u1", "u3"),
                                    batch_format="pyarrow", batch_size=None)
     tri = hash_join(wedges, closing, on=("u1", "u3"),
-                    right_on=("u1", "u3"), num_partitions=num_partitions)
+                    right_on=("u1", "u3"))
 
     def _members(b: pa.Table) -> pa.Table:
         out = np.concatenate([

@@ -11,16 +11,22 @@ shapes, chosen by side sizes:
   (zero shuffle of the fact side).  The 100-TB default for star-schema
   dims: the dim must fit in a worker heap (nation/region always;
   customer only at sandbox scale — documented per query).
-* :func:`hash_join` — both sides large: ``Dataset.join`` (hash
-  partition both inputs on the key, join per partition).  One
-  all-to-all exchange per side; ``num_partitions`` defaults to the
-  cluster CPU count, at real scale pass blocks-per-node x nodes.
-* :func:`semi_join` / :func:`anti_join` — tiered like the dedup
-  verification paths: up to ``_DRIVER_KEY_LIMIT`` right rows, a
-  broadcast key-set filter (``pyarrow.compute.is_in`` per block, no
-  shuffle at all); above it, ``Dataset.join`` ``left_semi`` /
-  ``left_anti`` (equivalence is tested in tests/test_join.py by
-  lowering the limit).
+* :func:`hash_join` — the one equi-join of two Datasets, in two tiers
+  picked from the in-memory bytes of both materialized sides (block
+  metadata).  Up to ``_DRIVER_JOIN_LIMIT`` bytes (the 64 MiB
+  driver-table class of ``store_fold._DRIVER_READ_LIMIT``), both sides
+  are collected and joined by one pyarrow ``Table.join`` in the driver
+  (no shuffle, no task), and the result is split into as many blocks as
+  the larger side had.  Above it, each block packs its rows into coarse
+  key-hash groups (one row per group, the rows as Arrow IPC bytes), one
+  public ``groupby().map_groups`` co-locates each group of both sides,
+  and the same pyarrow join runs per group.  No private Ray API is used.
+* :func:`semi_join` / :func:`anti_join` — up to ``_DRIVER_JOIN_LIMIT``
+  bytes of right keys, a broadcast key-set filter
+  (``pyarrow.compute.is_in`` per block, no shuffle at all); above it,
+  ``hash_join``'s ``left_semi`` / ``left_anti`` exchange.
+  tests/test_join.py runs every join in both tiers by lowering the
+  limit.
 
 Aggregation after a join uses :func:`grouped_agg` — per-block pyarrow
 ``group_by`` partials (combiner) then one small ``groupby`` of the
@@ -35,81 +41,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .collect import collect
+from .store_fold import _DRIVER_READ_LIMIT
 
-# up to this many right-side rows (which bound its distinct keys),
-# semi/anti joins broadcast the key set instead of shuffling the left
-# side.
-_DRIVER_KEY_LIMIT = 5_000_000
-
-
-def _check_hash_shuffle_api(op_cls, bundle_cls) -> None:
-    """Refuse to patch a Ray whose private API moved: the patch below
-    wraps ``op_cls._do_add_input_inner(self, input_bundle, input_index)``
-    and rebuilds bundles with ``bundle_cls(..., owns_blocks=, schema=)``.
-    Raises ``RuntimeError`` naming the Ray version otherwise."""
-    import inspect
-
-    import ray
-
-    params = list(inspect.signature(op_cls._do_add_input_inner).parameters)
-    bundle_params = inspect.signature(bundle_cls).parameters
-    if (params != ["self", "input_bundle", "input_index"]
-            or "owns_blocks" not in bundle_params
-            or "schema" not in bundle_params):
-        raise RuntimeError(
-            f"ray {ray.__version__}: the hash-shuffle schema-broadcast "
-            f"patch expects {op_cls.__name__}._do_add_input_inner(self, "
-            f"input_bundle, input_index) and {bundle_cls.__name__}("
-            f"owns_blocks=, schema=); got {params} and "
-            f"{list(bundle_params)}")
-
-
-def _patch_hash_shuffle_schema_broadcast() -> None:
-    """Work around a Ray 2.49 hash-shuffle bug: the operator broadcasts
-    the input schema to all aggregators only with the FIRST block of
-    each input sequence (``_has_schemas_broadcasted``), but
-    ``_shuffle_block`` returns early for 0-row blocks WITHOUT sending
-    anything — so when the first block happens to be empty (a seed
-    union, a filter that emptied a block, a map task that yielded
-    nothing), partitions that receive no rows finalize a ZERO-COLUMN
-    table and ``pyarrow.Table.join`` dies with ArrowInvalid
-    "No match ... FieldRef.Name(<key>)".
-
-    Fix: drop 0-row blocks from each input bundle before the operator
-    sees them, so the first block it processes (and broadcasts schema
-    from) is always non-empty.  Idempotent; driver-side only."""
-    from ray.data._internal.execution.interfaces.ref_bundle import RefBundle
-    from ray.data._internal.execution.operators import hash_shuffle as _hs
-
-    cls = _hs.HashShufflingOperatorBase
-    if getattr(cls, "_sylk_schema_broadcast_patch", False):
-        return
-    _check_hash_shuffle_api(cls, RefBundle)
-    orig = cls._do_add_input_inner
-
-    def _patched(self, input_bundle, input_index):
-        pairs = [(r, m) for r, m in zip(input_bundle.block_refs,
-                                        input_bundle.metadata)
-                 if m.num_rows is None or m.num_rows > 0]
-        if len(pairs) < len(input_bundle.block_refs):
-            if not pairs:
-                return None
-            input_bundle = RefBundle(tuple(pairs),
-                                     owns_blocks=input_bundle.owns_blocks,
-                                     schema=input_bundle.schema)
-        return orig(self, input_bundle, input_index)
-
-    cls._do_add_input_inner = _patched
-    cls._sylk_schema_broadcast_patch = True
-
-
-_patch_hash_shuffle_schema_broadcast()
-
-
-def _default_partitions() -> int:
-    import ray
-
-    return max(2, int(ray.cluster_resources().get("CPU", 8)))
+# in-memory bytes of both sides (block metadata) up to which hash_join
+# runs in the driver, and of the right keys up to which semi/anti
+# broadcast a key set; above it, one public groupby exchange
+_DRIVER_JOIN_LIMIT = _DRIVER_READ_LIMIT
 
 
 def broadcast_join(fact_ds, dim: pa.Table, on, right_on=None,
@@ -167,83 +104,171 @@ def cross_join(left_ds, right: pa.Table):
                                zero_copy_batch=True)
 
 
-_JOIN_PARTITION_BYTES = 256 << 20  # target per-partition input
+def _names(cols) -> tuple:
+    return (cols,) if isinstance(cols, str) else tuple(cols)
 
 
-def _size_based_partitions(left_ds, right_ds) -> int:
-    """Partition count for Dataset.join: scale with DATA (one partition
-    per ~256 MiB of joined input, estimated from parquet metadata /
-    block metadata without executing), clamped to [2, 2 x cluster CPUs].
-    Each partition costs a shuffle-aggregator task and actor startup, so
-    tiny inputs must not pay for 32 of them; huge inputs cap at 2 x CPUs
-    and grow per-partition size instead (use partition_size_hint /
-    more nodes beyond that)."""
-    import math
-
-    try:
-        total = (left_ds.size_bytes() or 0) + (right_ds.size_bytes() or 0)
-    except Exception:
-        total = 0
-    if not total:
-        return _default_partitions()
-    want = math.ceil(total / _JOIN_PARTITION_BYTES)
-    return max(2, min(want, 2 * _default_partitions()))
+def _key_types(lt: pa.Table, rt: pa.Table, on, right_on) -> list:
+    """The types both sides' keys are cast to (pyarrow joins equal key
+    types only): the left side's, or the right side's where the left
+    has no columns (an empty side that Ray left schemaless), or int64
+    where neither has."""
+    if lt.num_columns:
+        return [lt.schema.field(k).type for k in on]
+    if rt.num_columns:
+        return [rt.schema.field(k).type for k in right_on]
+    return [pa.int64()] * len(on)
 
 
-def _strip_schema_metadata(b: pa.Table) -> pa.Table:
-    # pandas-born schema metadata confuses Ray's shuffle schema dedup;
-    # drop it (zero-copy).
-    return b.replace_schema_metadata(None) if b.schema.metadata else b
+def _conform(t: pa.Table, keys, types) -> pa.Table:
+    """``t`` with its key columns cast to ``types``; a table with no
+    columns becomes the empty table of its key columns."""
+    if not t.num_columns:
+        return pa.table({k: pa.array([], ty) for k, ty in zip(keys, types)})
+    for k, ty in zip(keys, types):
+        i = t.schema.get_field_index(k)
+        if t.schema.field(i).type != ty:
+            t = t.set_column(i, k, t.column(i).cast(ty))
+    return t
 
 
-def _sane_blocks(b: pa.Table):
-    # Two hash-shuffle poisons, scrubbed at every join boundary (in AND
-    # out): (1) blocks born from pandas carry a schema-metadata dict that
-    # Ray's shuffle schema dedup can't hash (warns per block) — drop it
-    # (zero-copy); (2) Ray's join finalize emits ZERO-COLUMN empty blocks
-    # for partitions that received no rows, and a later pyarrow join
-    # can't resolve its key fields against that empty schema
-    # (ArrowInvalid "No match ... FieldRef") — drop such blocks entirely
-    # (a generator UDF may yield nothing for a block).
-    if b.num_columns:
-        yield b.replace_schema_metadata(None) if b.schema.metadata else b
+def _join_tables(lt: pa.Table, rt: pa.Table, on, right_on,
+                 join_type: str) -> pa.Table:
+    types = _key_types(lt, rt, on, right_on)
+    return _conform(lt, on, types).join(
+        _conform(rt, right_on, types), keys=list(on),
+        right_keys=list(right_on), join_type=join_type.replace("_", " "))
 
 
-def hash_join(left_ds, right_ds, on, right_on=None, join_type: str = "inner",
-              num_partitions: int | None = None):
-    """Distributed hash join (both sides large): partition both inputs
-    on the key, join per partition (``Dataset.join``)."""
-    if num_partitions is None:
-        num_partitions = _size_based_partitions(left_ds, right_ds)
-    left_ds = left_ds.map_batches(_sane_blocks,
-                                  batch_format="pyarrow", batch_size=None,
-                                  zero_copy_batch=True)
-    right_ds = right_ds.map_batches(_sane_blocks,
-                                    batch_format="pyarrow", batch_size=None,
-                                    zero_copy_batch=True)
-    on = (on,) if isinstance(on, str) else tuple(on)
-    right_on = ((right_on,) if isinstance(right_on, str) else tuple(right_on)) \
-        if right_on is not None else on
-    joined = left_ds.join(right_ds, join_type, num_partitions,
-                          on=on, right_on=right_on)
-    return joined.map_batches(_sane_blocks, batch_format="pyarrow",
-                              batch_size=None, zero_copy_batch=True)
+def _ipc(t: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
+
+
+_PACKED = pa.schema([("_g", pa.int64()), ("_side", pa.int8()),
+                     ("_blob", pa.large_binary())])
+
+
+def _pack(side: int, keys, types, n_groups: int):
+    """Block -> one ``(_g, _side, _blob)`` row per coarse group the block
+    touches, ``_blob`` the group's rows as an Arrow IPC stream.  The
+    group is ``mix64(hash_pandas_object(keys)) % n_groups``; a row with
+    a null key matches nothing, so it goes to group 0."""
+    from ..functions.hashing import mix64
+
+    def _f(b: pa.Table) -> pa.Table:
+        if not b.num_rows:
+            return _PACKED.empty_table()
+        b = _conform(b, keys, types)
+        kt = b.select(list(keys))
+        valid = pc.is_valid(kt.column(0))
+        for c in kt.columns[1:]:
+            valid = pc.and_(valid, pc.is_valid(c))
+        valid = valid.to_numpy(zero_copy_only=False)
+        h = pd.util.hash_pandas_object(kt.filter(valid).to_pandas(),
+                                       index=False).to_numpy()
+        g = np.zeros(len(b), np.int64)
+        g[valid] = (mix64(h) % np.uint64(n_groups)).astype(np.int64)
+        order = np.argsort(g, kind="stable")
+        b, g = b.take(pa.array(order)), g[order]
+        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+        ends = np.r_[starts[1:], len(g)]
+        return pa.table(
+            [pa.array(g[starts]), pa.array(np.full(len(starts), side, np.int8)),
+             pa.array([_ipc(b.slice(s, e - s)) for s, e in zip(starts, ends)],
+                      pa.large_binary())], schema=_PACKED)
+
+    return _f
+
+
+def _exchange_join(lds, rds, on, right_on, join_type: str):
+    """Both sides hash-packed into coarse groups (one row per block and
+    group, the rows as Arrow IPC bytes), one ``groupby("_g").map_groups``
+    over their union, and the driver tier's pyarrow join per group.
+    ``lds``/``rds`` are materialized."""
+    import ray.data
+
+    from .dedup import _coarse_group_count
+
+    # one row of each side types a group's missing side (and the keys)
+    lh, rh = (collect(ds.limit(1))[1] for ds in (lds, rds))
+    types = _key_types(lh, rh, on, right_on)
+    lh = _conform(lh.slice(0, 0), on, types)
+    rh = _conform(rh.slice(0, 0), right_on, types)
+    n = lds.count() + rds.count()
+    if not n:
+        return ray.data.from_arrow(_join_tables(lh, rh, on, right_on,
+                                                join_type))
+    n_groups = _coarse_group_count(n)
+
+    def _join_group(g: pa.Table) -> pa.Table:
+        sides = g.column("_side").to_numpy()
+        blobs = g.column("_blob").combine_chunks()
+        lt, rt = (pa.concat_tables(
+            [empty] + [pa.ipc.open_stream(blobs[i].as_buffer()).read_all()
+                       for i in np.flatnonzero(sides == side)],
+            promote_options="default") for side, empty in ((0, lh), (1, rh)))
+        return _join_tables(lt, rt, on, right_on, join_type)
+
+    packed = [ds.map_batches(_pack(side, keys, types, n_groups),
+                             batch_format="pyarrow", batch_size=None,
+                             zero_copy_batch=True)
+              for side, ds, keys in ((0, lds, on), (1, rds, right_on))]
+    # as many blocks as the larger side: the sort's output keeps the
+    # block count, so a chain of joins would otherwise double it per join
+    return packed[0].union(packed[1]).repartition(
+        max(lds.num_blocks(), rds.num_blocks())).groupby("_g").map_groups(
+            _join_group, batch_format="pyarrow")
+
+
+def _size(mds) -> int:
+    # None only when the plan produced no block at all
+    return mds.size_bytes() or 0
+
+
+def hash_join(left_ds, right_ds, on, right_on=None, join_type: str = "inner"):
+    """Equi-join two Datasets (``join_type`` as in ``Dataset.join``:
+    ``inner``, ``left_outer``, ``full_outer``, ``left_semi``, ...).
+
+    Two tiers, picked from the in-memory bytes of both materialized
+    sides: up to ``_DRIVER_JOIN_LIMIT`` both are collected and joined by
+    one pyarrow ``Table.join`` in the driver, and the result is sliced
+    into as many blocks as the larger side had, so a map after the join
+    stays parallel; above it :func:`_exchange_join` co-locates equal
+    keys through one public ``groupby().map_groups`` and runs the same
+    pyarrow join per group.  The right keys are cast to the left key
+    types, and an empty side with no schema is typed as its key
+    columns."""
+    import ray.data
+
+    on = _names(on)
+    right_on = on if right_on is None else _names(right_on)
+    lds, rds = left_ds.materialize(), right_ds.materialize()
+    if _size(lds) + _size(rds) > _DRIVER_JOIN_LIMIT:
+        return _exchange_join(lds, rds, on, right_on, join_type)
+    out = _join_tables(collect(lds)[1], collect(rds)[1], on, right_on,
+                       join_type)
+    step = max(1, -(-out.num_rows // max(lds.num_blocks(), rds.num_blocks())))
+    return ray.data.from_arrow(
+        [out.slice(i, step) for i in range(0, out.num_rows, step)] or out)
 
 
 def _semi_anti(left_ds, right_ds, on: str, right_key: str, anti: bool):
     import ray
 
     # One materialization of the right key column decides the tier from
-    # its block-metadata row count (distinct keys <= rows) and feeds
-    # either tier, so an unmaterialized right plan runs once: a bare
-    # count() would execute it, and unique() or the join again.
-    # Over-limit inputs take the native left_semi/left_anti Dataset.join.
-    keys_ds, tbl = collect(right_ds.select_columns([right_key]),
-                           _DRIVER_KEY_LIMIT)
-    if tbl is None:
+    # its block-metadata bytes (distinct keys <= rows) and feeds either
+    # tier, so an unmaterialized right plan runs once: a bare count()
+    # would execute it, and unique() or the join again.  Over-limit
+    # inputs take hash_join's left_semi/left_anti exchange.
+    keys_ds = right_ds.select_columns([right_key]).materialize()
+    if _size(keys_ds) > _DRIVER_JOIN_LIMIT:
         jt = "left_anti" if anti else "left_semi"
         return hash_join(left_ds, keys_ds, on=(on,), right_on=(right_key,),
                          join_type=jt)
+    _, tbl = collect(keys_ds)
     # SQL semi/anti semantics: a NULL right key never matches, so drop
     # it; pc.is_in already treats left NULLs as non-members and casts
     # the value set to the left key's type (a dictionary set it cannot)
@@ -286,6 +311,12 @@ def cents_column(batch: pa.Table, out: str, expr_cols, fn) -> pa.Table:
     arrs = [batch.column(c).to_numpy(zero_copy_only=False) for c in expr_cols]
     x = fn(*arrs)
     return batch.append_column(out, pa.array(np.floor(x + 0.5).astype(np.int64)))
+
+
+def _strip_schema_metadata(b: pa.Table) -> pa.Table:
+    # pandas-born schema metadata confuses Ray's shuffle schema dedup;
+    # drop it (zero-copy).
+    return b.replace_schema_metadata(None) if b.schema.metadata else b
 
 
 def grouped_agg(ds, keys, sum_cols, count_name: str = "n"):
@@ -463,8 +494,7 @@ def _bloom_maybe(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def bloom_semi_join(left_ds, right_ds, on: str, right_key: str | None = None,
-                    anti: bool = False, n_bits: int = _BLOOM_BITS,
-                    num_partitions: int | None = None):
+                    anti: bool = False, n_bits: int = _BLOOM_BITS):
     """Exact semi/anti join with a bloom pre-filter on the LEFT side —
     the shuffle-reduction pattern for the distributed path:
 
@@ -499,8 +529,7 @@ def bloom_semi_join(left_ds, right_ds, on: str, right_key: str | None = None,
                                  batch_size=None)
     jt = "left_anti" if anti else "left_semi"
     joined = hash_join(maybes, right_ds.select_columns([right_key]),
-                       on=(on,), right_on=(right_key,), join_type=jt,
-                       num_partitions=num_partitions)
+                       on=(on,), right_on=(right_key,), join_type=jt)
     if not anti:
         return joined
     definite = left_ds.map_batches(_split(False), batch_format="pyarrow",
@@ -553,42 +582,38 @@ def union_by_name(ds_list):
 
 def _distinct_rows(ds, cols):
     """DISTINCT over ``cols`` — hash aggregate, composite-key exchange
-    of the projected columns only.  Aggregate partitions that received
-    no groups emit 0-row blocks with NO schema, which poison a
-    downstream acero join (FieldRef unresolvable); union with a
-    schema'd empty seed + repartition concatenates them away."""
-    import ray.data
+    of the projected columns only.  The count column is dropped in a
+    map, not with ``select_columns``, which can leave an aggregate's
+    0-row blocks unprojected (an empty result would then carry it)."""
     from ray.data.aggregate import Count
 
-    proj = ds.map_batches(lambda b: b.select(list(cols)),
-                          batch_format="pyarrow", batch_size=None)
-    agg = (proj.groupby(list(cols)).aggregate(Count(alias_name="_c"))
-           .select_columns(list(cols)))
-    seed = ray.data.from_arrow(proj.schema().base_schema.empty_table())
-    return seed.union(agg).repartition(_default_partitions())
+    def _project(b: pa.Table) -> pa.Table:
+        return b.select(list(cols))
+
+    proj = ds.map_batches(_project, batch_format="pyarrow", batch_size=None)
+    return proj.groupby(list(cols)).aggregate(
+        Count(alias_name="_c")).map_batches(_project, batch_format="pyarrow",
+                                            batch_size=None)
 
 
-def intersect_distinct(a_ds, b_ds, cols, num_partitions: int | None = None):
+def intersect_distinct(a_ds, b_ds, cols):
     """``SELECT DISTINCT cols FROM a INTERSECT SELECT ... FROM b`` —
     distinct both sides, then a left_semi hash join on the full column
     tuple (set semantics: output rows are unique)."""
     cols = [cols] if isinstance(cols, str) else list(cols)
     return hash_join(_distinct_rows(a_ds, cols), _distinct_rows(b_ds, cols),
-                     on=tuple(cols), join_type="left_semi",
-                     num_partitions=num_partitions)
+                     on=tuple(cols), join_type="left_semi")
 
 
-def except_distinct(a_ds, b_ds, cols, num_partitions: int | None = None):
+def except_distinct(a_ds, b_ds, cols):
     """``... EXCEPT ...`` — distinct A rows with no exact match in B
     (left_anti on the full column tuple)."""
     cols = [cols] if isinstance(cols, str) else list(cols)
     return hash_join(_distinct_rows(a_ds, cols), _distinct_rows(b_ds, cols),
-                     on=tuple(cols), join_type="left_anti",
-                     num_partitions=num_partitions)
+                     on=tuple(cols), join_type="left_anti")
 
 
-def salted_join(left_ds, right_ds, on: str, n_salts: int = 8,
-                num_partitions: int | None = None):
+def salted_join(left_ds, right_ds, on: str, n_salts: int = 8):
     """Skew-safe distributed hash join: when one left-side key is hot,
     a plain hash join lands that key's every row in ONE partition.
     Salting splits the hot key ``n_salts`` ways — the left side gets a
@@ -599,11 +624,6 @@ def salted_join(left_ds, right_ds, on: str, n_salts: int = 8,
     Use when the right side is small relative to the skew it absorbs
     (dim tables); equivalence vs hash_join is exact.
     """
-    left_ds = left_ds.map_batches(_sane_blocks, batch_format="pyarrow",
-                                  batch_size=None, zero_copy_batch=True)
-    right_ds = right_ds.map_batches(_sane_blocks, batch_format="pyarrow",
-                                    batch_size=None, zero_copy_batch=True)
-
     def _salt_left(b: pa.Table) -> pa.Table:
         salt = np.arange(len(b), dtype=np.int64) % n_salts
         return b.append_column("_salt", pa.array(salt, pa.int64()))
@@ -618,6 +638,5 @@ def salted_join(left_ds, right_ds, on: str, n_salts: int = 8,
                              batch_size=None)
     rt = right_ds.map_batches(_replicate_right, batch_format="pyarrow",
                               batch_size=None)
-    joined = hash_join(lt, rt, on=[on, "_salt"],
-                       num_partitions=num_partitions)
+    joined = hash_join(lt, rt, on=[on, "_salt"])
     return joined.drop_columns(["_salt"])

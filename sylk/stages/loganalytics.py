@@ -100,9 +100,9 @@ def rate_spikes(ds, key: str = "hostname", window_col: str = "hour",
 
     Shape: one two-phase count to the (key, window) grain, a second
     keyed aggregate over those reduced rows for per-key totals, then a
-    hash join of the two reduced tables.  Both exchanges move reduced
-    rows only; the join partitions scale with data size
-    (join._size_based_partitions), never with raw stream rows.
+    hash join of the two reduced tables.  The exchanges and the join
+    move reduced rows only, never raw stream rows (``join.hash_join``
+    joins them in the driver while they fit its row limit).
     """
     from .aggregate import grouped_counts
     from .join import hash_join

@@ -161,6 +161,9 @@ def ann_topk_ivf(emb_ds, queries: np.ndarray, k: int = 10, n_cells: int = 16,
     """
     import ray
 
+    # materialized once: train's count and sample pass and the assign
+    # map would each run the input plan again
+    emb_ds = emb_ds.materialize()
     index = IVFIndex.train(emb_ds, n_cells=n_cells, sample=sample, seed=seed)
     assigned = emb_ds.map_batches(index.assign_batch, batch_format="pyarrow")
     q = _normalize(np.asarray(queries, dtype=np.float64))

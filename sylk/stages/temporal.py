@@ -99,8 +99,7 @@ def asof_join_value(left_ds, right_ds, key: str, t_col: str, tiebreak: str,
 
 
 def range_join(left_ds, right_ds, t_col: str, lo_col: str, hi_col: str,
-               granule: int, key: str | None = None,
-               num_partitions: int | None = None):
+               granule: int, key: str | None = None):
     """Inner join on ``left.t BETWEEN right.lo AND right.hi`` (both
     inclusive), optionally AND an equi-key.  Returns left columns +
     right columns.
@@ -137,7 +136,7 @@ def range_join(left_ds, right_ds, t_col: str, lo_col: str, hi_col: str,
     rt = right_ds.map_batches(_explode_right, batch_format="pyarrow",
                               batch_size=None)
     on = ("_g", key) if key else ("_g",)
-    joined = hash_join(lt, rt, on=on, num_partitions=num_partitions)
+    joined = hash_join(lt, rt, on=on)
 
     def _contain(b: pa.Table) -> pa.Table:
         t = b.column(t_col)

@@ -1,7 +1,8 @@
 """The one driver gather: ``collect`` runs an unmaterialized plan once,
 returns one Arrow table whatever the block kinds, and types its empty
-result; ``semi_join`` decides its tier, and the first ``ann_ingest``
-trains and writes, without running their input twice."""
+result; ``semi_join`` decides its tier, the first ``ann_ingest`` trains
+and writes, and ``ann_topk_ivf`` trains and probes, without running
+their input twice."""
 
 import pyarrow as pa
 import pytest
@@ -58,13 +59,34 @@ def test_collect_converts_pandas_and_types_empty(ray_session):
     assert empty.schema.field("k").type == pa.int64()
 
 
+def test_collect_drops_empty_blocks_with_a_stale_schema(ray_session):
+    """A 0-row block whose schema differs from the blocks with rows
+    (an unprojected empty aggregate block) adds no rows and is dropped.
+    An all-empty result keeps its first block's schema, so a projection
+    runs in a map (as ``join._distinct_rows`` does): no unprojected
+    block survives it, and ``hash_join`` types such a schemaless side
+    as its key columns (tests/test_join.py::
+    test_set_ops_keep_the_projected_schema)."""
+    import ray.data
+
+    stale = pa.table({"g": pa.array([], pa.int64()),
+                      "df": pa.array([], pa.int64())})
+    rows = pa.table({"g": pa.array([1, 2], pa.int64())})
+    _, tbl = collect(ray.data.from_arrow([stale, rows]))
+    assert tbl.schema.names == ["g"] and tbl.column("g").to_pylist() == [1, 2]
+    _, empty = collect(ray.data.from_arrow([stale, rows.slice(0, 0)])
+                       .map_batches(lambda b: b.select(["g"]),
+                                    batch_format="pyarrow"))
+    assert empty.num_rows == 0 and "df" not in empty.schema.names
+
+
 @pytest.mark.parametrize("tier", ["driver", "exchange"])
 def test_semi_join_runs_the_right_side_once(ray_session, tmp_path,
                                             monkeypatch, tier):
     import ray.data
 
     if tier == "exchange":
-        scale_tier(monkeypatch, join, "_DRIVER_KEY_LIMIT")
+        scale_tier(monkeypatch, join, "_DRIVER_JOIN_LIMIT")
     log = tmp_path / "calls"
     left = ray.data.from_arrow(pa.table({"k": pa.array([1, 2, 3, 4, 5],
                                                        pa.int64()),
@@ -106,3 +128,29 @@ def test_first_ann_ingest_runs_its_input_once(ray_session, tmp_path,
     ref = IVFIndex.train(ray.data.from_arrow(blocks), n_cells=4, sample=8)
     np.testing.assert_array_equal(
         np.load(f"{store}/centroids.npy"), ref.centroids)
+
+
+def test_ann_topk_ivf_runs_its_input_once(ray_session, tmp_path):
+    """``ann_topk_ivf`` trains on a hash-threshold sample and assigns
+    cells from one materialized input, so an upstream UDF runs once per
+    block (train's count, its sample pass and the assign map used to run
+    it three times)."""
+    import numpy as np
+    import ray.data
+
+    from sylk.stages.similarity import ann_topk_ivf
+
+    rng = np.random.default_rng(3)
+    blocks = [pa.table({
+        "vec_id": pa.array(range(i, i + 40), pa.int64()),
+        "embedding": pa.array(rng.standard_normal((40, 4)).tolist(),
+                              pa.list_(pa.float32()))}) for i in (0, 40)]
+    log = tmp_path / "calls"
+    # sample=8 of 80 rows: train takes its hash-threshold filter path
+    got = ann_topk_ivf(ray.data.from_arrow(blocks).map_batches(
+        _counted(str(log)), batch_format="pyarrow", batch_size=None),
+        rng.standard_normal((2, 4)), k=3, n_cells=4, nprobe=2,
+        sample=8).to_pandas()
+    assert _calls(log) == 2
+    assert sorted(got.query_idx.unique()) == [0, 1]
+    assert (got.groupby("query_idx").size() == 3).all()

@@ -1,5 +1,5 @@
-"""Join operator family: broadcast vs distributed equivalence, semi/anti
-tiering, post-join two-phase aggregation."""
+"""Join operator family: broadcast vs distributed equivalence, the two
+tiers of hash_join and semi/anti, post-join two-phase aggregation."""
 
 import pandas as pd
 import pyarrow as pa
@@ -44,7 +44,7 @@ def test_semi_anti_tiering(tables, monkeypatch):
     rds = ray.data.from_arrow(right)
     semi_b = J.semi_join(left, rds, on="k").to_pandas()
     anti_b = J.anti_join(left, rds, on="k").to_pandas()
-    scale_tier(monkeypatch, J, "_DRIVER_KEY_LIMIT")
+    scale_tier(monkeypatch, J, "_DRIVER_JOIN_LIMIT")
     semi_d = J.semi_join(left, rds, on="k").to_pandas()
     anti_d = J.anti_join(left, rds, on="k").to_pandas()
     key = ["k", "v"]
@@ -156,16 +156,19 @@ def test_bloom_prefilter_drops_rows(ray_session):
     assert _bloom_maybe(bits, np.arange(100, dtype=np.int64)).all()
 
 
-def test_hash_join_first_block_empty(ray_session):
-    """Regression for the Ray hash-shuffle schema-broadcast bug: the
-    operator broadcasts schemas only with the FIRST block it shuffles,
-    and a 0-row first block used to eat that broadcast, leaving empty
-    partitions zero-column (ArrowInvalid FieldRef on finalize).  The
-    join.py monkeypatch drops 0-row blocks from shuffle inputs."""
-    import pyarrow as pa
-    import ray.data
+def _both_tiers(monkeypatch, fn):
+    """``fn()`` in the driver tier, then in the exchange tier."""
+    out = [fn()]
+    with monkeypatch.context() as m:
+        scale_tier(m, J, "_DRIVER_JOIN_LIMIT")
+        out.append(fn())
+    return out
 
-    from sylk.stages.join import hash_join
+
+def test_hash_join_first_block_empty(ray_session, monkeypatch):
+    """A 0-row first block on one side: Ray's own hash-shuffle join once
+    lost the schema with it and failed on partitions with no rows."""
+    import ray.data
 
     empty = pa.table({"k": pa.array([], pa.int64()),
                       "x": pa.array([], pa.int64())})
@@ -175,28 +178,198 @@ def test_hash_join_first_block_empty(ray_session):
     right = ray.data.from_arrow(pa.table({
         "k": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
         "y": pa.array([7, 7, 7, 7, 7, 7], pa.int64())}))
-    out = hash_join(left, right, on=("k",), num_partitions=4).take_all()
-    assert sorted((r["k"], r["x"], r["y"]) for r in out) == \
-        [(3, 1, 7), (4, 2, 7)]
+    for out in _both_tiers(monkeypatch, lambda: J.hash_join(
+            left, right, on=("k",)).take_all()):
+        assert sorted((r["k"], r["x"], r["y"]) for r in out) == \
+            [(3, 1, 7), (4, 2, 7)]
 
 
-def test_hash_join_full_outer_coalesces_keys(ray_session):
+def test_hash_join_full_outer_coalesces_keys(ray_session, monkeypatch):
     """full_outer keeps unmatched rows from BOTH sides with the key
     coalesced into one column and the missing side null."""
-    import pyarrow as pa
     import ray.data
-
-    from sylk.stages.join import hash_join
 
     left = ray.data.from_arrow(pa.table({"h": [1, 2, 3],
                                          "x": [10, 20, 30]}))
     right = ray.data.from_arrow(pa.table({"h": [2, 3, 4],
                                           "y": [5, 6, 7]}))
-    out = hash_join(left, right, on="h", join_type="full_outer",
-                    num_partitions=2).to_pandas().set_index("h").sort_index()
-    assert set(out.index) == {1, 2, 3, 4}
-    assert out.loc[1].isna()["y"] and out.loc[4].isna()["x"]
-    assert out.loc[2, "x"] == 20 and out.loc[2, "y"] == 5
+    for out in _both_tiers(monkeypatch, lambda: J.hash_join(
+            left, right, on="h", join_type="full_outer").to_pandas()):
+        out = out.set_index("h").sort_index()
+        assert set(out.index) == {1, 2, 3, 4}
+        assert out.loc[1].isna()["y"] and out.loc[4].isna()["x"]
+        assert out.loc[2, "x"] == 20 and out.loc[2, "y"] == 5
+
+
+def _sides(case):
+    """(left, right, on, right_on, join_type) Datasets for one case: a
+    null key and duplicate keys on both sides, in several blocks."""
+    import ray.data
+
+    k32 = pa.int32() if case == "int32_key" else pa.int64()
+    lblocks = [pa.table({"k": pa.array([0, 1, 2, None], k32),
+                         "j": pa.array([0, 1, 0, 1], pa.int64()),
+                         "x": ["a", "b", "c", "d"]}),
+               pa.table({"k": pa.array([2, 3, 5, 5], k32),
+                         "j": pa.array([0, 1, 1, 0], pa.int64()),
+                         "x": ["e", "f", "g", "h"]})]
+    if case == "first_block_empty":
+        lblocks.insert(0, lblocks[0].slice(0, 0))
+    rtable = pa.table({"rk": pa.array([1, 2, 2, 4, 5, None], pa.int64()),
+                       "rj": pa.array([1, 0, 0, 0, 1, 1], pa.int64()),
+                       "y": [10, 20, 21, 40, 50, 60]})
+    left = ray.data.from_arrow(lblocks)
+    right = ray.data.from_arrow([rtable.slice(0, 3), rtable.slice(3)])
+    on, right_on, jt = "k", "rk", case
+    if case == "composite":
+        on, right_on, jt = ("k", "j"), ("rk", "rj"), "full_outer"
+    elif case in ("int32_key", "first_block_empty"):
+        jt = "full_outer"
+    elif case.startswith("empty_"):
+        _, side, kind = case.split("_")
+        jt = "full_outer"
+
+        def _empty(b: pa.Table) -> pa.Table:
+            return b.slice(0, 0) if kind == "typed" else pa.table({})
+
+        if side == "left":
+            left = left.map_batches(_empty, batch_format="pyarrow")
+        else:
+            right = right.map_batches(_empty, batch_format="pyarrow")
+    return left, right, on, right_on, jt
+
+
+def _answer(ds):
+    rows = sorted((tuple(sorted(r.items())) for r in ds.take_all()), key=repr)
+    schema = ds.schema()
+    return rows, list(zip(schema.names, map(str, schema.types)))
+
+
+_CASES = ["inner", "left_outer", "full_outer", "left_semi", "left_anti",
+          "composite", "int32_key", "first_block_empty",
+          "empty_left_typed", "empty_left_schemaless",
+          "empty_right_typed", "empty_right_schemaless"]
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_hash_join_tiers_agree(ray_session, monkeypatch, case):
+    """The driver tier (with Ray's Dataset.join and groupby patched to
+    raise: it starts no shuffle) and the exchange tier give the same
+    rows and the same output schema."""
+    import ray.data
+
+    def _no_shuffle(*a, **k):
+        raise AssertionError("the driver tier started a shuffle")
+
+    left, right, on, right_on, jt = _sides(case)
+    with monkeypatch.context() as m:
+        m.setattr(ray.data.Dataset, "join", _no_shuffle)
+        m.setattr(ray.data.Dataset, "groupby", _no_shuffle)
+        driver = _answer(J.hash_join(left, right, on, right_on, jt))
+    with monkeypatch.context() as m:
+        scale_tier(m, J, "_DRIVER_JOIN_LIMIT")
+        exchange = _answer(J.hash_join(left, right, on, right_on, jt))
+    assert driver == exchange
+    rows, schema = driver
+    if case == "int32_key":
+        assert ("k", "int32") in schema
+    if case in ("inner", "left_semi", "left_anti"):
+        keys = sorted(dict(r)["k"] for r in rows if dict(r)["k"] is not None)
+        assert keys == {"inner": [1, 2, 2, 2, 2, 5, 5],
+                        "left_semi": [1, 2, 2, 5, 5],
+                        "left_anti": [0, 3]}[case]
+    # a schemaless empty side is typed as its key columns alone
+    if case == "empty_right_typed":
+        assert len(rows) == 8 and [n for n, _ in schema] == ["k", "j", "x",
+                                                             "rj", "y"]
+    if case == "empty_right_schemaless":
+        assert len(rows) == 8 and [n for n, _ in schema] == ["k", "j", "x"]
+    if case.startswith("empty_left"):
+        assert len(rows) == 6 and schema[0] == ("k", "int64")
+
+
+def test_hash_join_tier_follows_block_bytes(ray_session, monkeypatch):
+    """The tier is picked from the in-memory bytes of both materialized
+    sides: at their sum the driver joins, one byte below it the public
+    groupby exchange runs."""
+    import ray.data
+
+    left = ray.data.from_arrow(pa.table({"k": list(range(100)),
+                                         "x": ["x" * 50] * 100}))
+    right = ray.data.from_arrow(pa.table({"k": list(range(0, 100, 2))}))
+    size = left.size_bytes() + right.size_bytes()
+    groupbys = []
+    real = ray.data.Dataset.groupby
+
+    def _spy(self, *a, **k):
+        groupbys.append(a)
+        return real(self, *a, **k)
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", _spy)
+    for limit, exchanged in ((size, False), (size - 1, True)):
+        monkeypatch.setattr(J, "_DRIVER_JOIN_LIMIT", limit)
+        groupbys.clear()
+        assert J.hash_join(left, right, on="k").count() == 50
+        assert bool(groupbys) == exchanged
+
+
+@pytest.mark.parametrize("tier", ["driver", "exchange"])
+def test_verify_pairs_join_keeps_the_input_blocks(ray_session, monkeypatch,
+                                                  tier):
+    """Pair verification above the broadcast tier keeps the 4 blocks of
+    its inputs in both tiers (the driver tier slices each join's result
+    into as many blocks as its larger input), so the Python pair map
+    after the joins runs in parallel, and both tiers verify the same
+    pairs."""
+    import ray.data
+
+    from sylk.stages import dedup as D
+
+    if tier == "exchange":
+        scale_tier(monkeypatch, J, "_DRIVER_JOIN_LIMIT")
+    n = 6000
+    # every candidate twice (two colliding bands), plus a pair whose b
+    # is missing from the source
+    pairs = pa.table({
+        "a": pa.array(list(range(n)) * 2 + [0], pa.int64()),
+        "b": pa.array([(i + 1) % n for i in range(n)] * 2 + [n + 5],
+                      pa.int64())})
+    src = pa.table({"doc_id": pa.array(range(n), pa.int64()), "text": [str(i % 7) for i in range(n)]})
+    pairs_ds = ray.data.from_arrow([pairs.slice(i, 3001)
+                                    for i in range(0, len(pairs), 3001)])
+    src_ds = ray.data.from_arrow([src.slice(i, 1500)
+                                  for i in range(0, n, 1500)])
+
+    def _same(ta, tb):
+        return 1.0 if ta == tb else None
+
+    out = D._verify_pairs_join(pairs_ds, src_ds, "doc_id", "text", _same,
+                               "score").materialize()
+    got = sorted((r["a"], r["b"]) for r in out.take_all())
+    # i % 7 == (i + 1) % 7 only at the wrap-around n - 1 -> 0
+    assert got == [(n - 1, 0)]
+    assert out.num_blocks() == 4
+
+
+def test_set_ops_keep_the_projected_schema(ray_session, monkeypatch):
+    """An empty INTERSECT / EXCEPT has the projected columns only: the
+    DISTINCT's count column never reaches a block of the result."""
+    import ray
+    import ray.data
+
+    a = ray.data.from_arrow([pa.table({"g": [1, 1], "x": [0, 1]}),
+                             pa.table({"g": [2, 2], "x": [0, 1]})])
+    b = ray.data.from_arrow(pa.table({"g": [9], "x": [0]}))
+    for out in _both_tiers(monkeypatch, lambda: [
+            J.intersect_distinct(a, b, ["g"]),
+            J.except_distinct(b, b, "g"),
+            J.except_distinct(a.filter(expr="g > 5"), b, ["g"])]):
+        for ds in out:
+            ds = ds.materialize()
+            assert ds.count() == 0
+            assert {tuple(t.schema.names)
+                    for t in ray.get(ds.to_arrow_refs()) if t.num_columns} \
+                <= {("g",)}
 
 
 def test_union_by_name_aligns_schemas(ray_session):

@@ -256,11 +256,7 @@ def _steps(kind, store):
     seen = []
     for inc, which in ((1, "base"), (2, "first"), (2, "second"),
                        (3, "empty"), (4, "third")):
-        # an empty near-dup increment fails before its write, in the
-        # in-increment pair join (a join over an empty side)
-        if not (kind == "neardup" and which == "empty"):
-            seen.append((inc, _write(kind, store, inc, which),
-                         _on_disk(store)))
+        seen.append((inc, _write(kind, store, inc, which), _on_disk(store)))
     if kind == "text":
         seen.append(("delete", index_delete(store, [100, 200], del_id=1)))
     elif kind == "ann":

@@ -1,11 +1,10 @@
 """One tier rule: tiered operators pick their driver or exchange tier
-from input size alone, with typed results and no flag to override it;
-plus the guard on the private Ray API that join.py patches."""
+from input size alone, with typed results and no flag or partition
+count to override it; and no private Ray API anywhere under sylk/."""
 
 import importlib
 import inspect
 import pkgutil
-import re
 import warnings
 
 import pytest
@@ -33,8 +32,8 @@ def test_no_operator_takes_a_distributed_flag():
                 params = inspect.signature(obj).parameters
             except (TypeError, ValueError):
                 continue
-            if "distributed" in params:
-                flagged.append(qualname)
+            flagged += [f"{qualname}({p})" for p in
+                        ("distributed", "num_partitions") if p in params]
     assert not flagged, f"tier override parameters: {flagged}"
 
 
@@ -143,30 +142,19 @@ def test_winnow_no_shared_fingerprint_is_typed_empty(ray_session):
     assert out.count() == 0
 
 
-def test_hash_shuffle_patch_guard_rejects_moved_api():
-    import ray
-    from ray.data._internal.execution.interfaces.ref_bundle import RefBundle
+def test_no_private_ray_api():
+    """sylk runs on Ray's public API alone: no import from, and no patch
+    of, ``ray.data._internal`` or ``ray._private``."""
+    from pathlib import Path
 
-    from sylk.stages.join import _check_hash_shuffle_api
+    import sylk
 
-    class _Op:
-        def _do_add_input_inner(self, input_bundle, input_index):
-            pass
-
-    class _MovedOp:
-        def _do_add_input_inner(self, bundle, input_index, ctx=None):
-            pass
-
-    class _OldBundle:
-        def __init__(self, blocks, owns_blocks):
-            pass
-
-    version = re.escape(ray.__version__)
-    with pytest.raises(RuntimeError, match=version):
-        _check_hash_shuffle_api(_MovedOp, RefBundle)
-    with pytest.raises(RuntimeError, match=version):
-        _check_hash_shuffle_api(_Op, _OldBundle)
-    _check_hash_shuffle_api(_Op, RefBundle)  # the installed Ray passes
+    root = Path(sylk.__file__).parent
+    found = [f"{p.relative_to(root)}: {needle}"
+             for p in sorted(root.rglob("*.py"))
+             for needle in ("ray.data._internal", "ray._private")
+             if needle in p.read_text()]
+    assert not found, f"private Ray API: {found}"
 
 
 def test_fill_forward_raises_no_future_warning(ray_session):

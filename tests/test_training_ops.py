@@ -717,7 +717,7 @@ def test_dup_ngram_spans_planted(ray_session, monkeypatch):
     # the distributed tier (semi-join + union-sum exchanges) must
     # census identically to the driver numpy pass
     scale_tier(monkeypatch, D, "_DRIVER_TRIPLE_LIMIT")
-    scale_tier(monkeypatch, J, "_DRIVER_KEY_LIMIT")
+    scale_tier(monkeypatch, J, "_DRIVER_JOIN_LIMIT")
     dist = (dup_ngram_spans(ray.data.from_items(docs), k=8)
             .to_pandas().set_index("doc_id").sort_index())
     assert dist.equals(out.sort_index())
@@ -794,7 +794,7 @@ def test_semantic_dedup_distributed_tier(ray_session, monkeypatch):
     base = (semantic_dedup(ds, threshold=0.95, k=2)
             .to_pandas().sort_values("vec_id").reset_index(drop=True))
     scale_tier(monkeypatch, D, "_DRIVER_TRIPLE_LIMIT", "_DRIVER_PAIR_LIMIT")
-    scale_tier(monkeypatch, J, "_DRIVER_KEY_LIMIT")
+    scale_tier(monkeypatch, J, "_DRIVER_JOIN_LIMIT")
     dist = (semantic_dedup(ds, threshold=0.95, k=2)
             .to_pandas().sort_values("vec_id").reset_index(drop=True))
     assert dist.equals(base)
