@@ -5,7 +5,12 @@ Runs every ``queries()`` entry at sf0.01, runs the matching
 compares row count, column names/types, and order-insensitive values
 (sorted by all columns).  Exit non-zero on any mismatch.
 
-Usage: python tools/check_oracle.py [sf_dir] [query ...]
+Each line prints the entry's sylk time (the query plus its
+``to_pandas()``) apart from its total, which adds the DuckDB oracle and
+the comparison; the last line sums the sylk times against the wall
+time of the whole run.
+
+Usage: python scripts/check_oracle.py [sf_dir] [query ...]
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
 
 
+def _took(t0: float, sylk_s: float) -> str:
+    return f"sylk {sylk_s:.1f}s, total {time.time() - t0:.1f}s"
+
+
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
@@ -46,6 +55,7 @@ def main() -> int:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')")
 
     failures = []
+    start, sylk_sum = time.time(), 0.0
     for name, fn in qs.items():
         if only and name not in only:
             continue
@@ -57,9 +67,11 @@ def main() -> int:
             failures.append(name)
             print(f"FAIL {name}: query raised {type(ex).__name__}: {ex}")
             continue
+        sylk_s = time.time() - t0
+        sylk_sum += sylk_s
         if name not in sql:
             print(f"ok   {name}: rows-only ({len(got_df)} rows, "
-                  f"{time.time()-t0:.1f}s)")
+                  f"{_took(t0, sylk_s)})")
             continue
         exp_df = con.execute(sql[name]).df()
         a, b = _canon(got_df), _canon(exp_df)
@@ -86,8 +98,10 @@ def main() -> int:
             failures.append(name)
             print(f"FAIL {name}: " + "; ".join(status[:3]))
         else:
-            print(f"ok   {name}: {len(a)} rows match oracle ({time.time()-t0:.1f}s)")
+            print(f"ok   {name}: {len(a)} rows match oracle "
+                  f"({_took(t0, sylk_s)})")
     print(f"\n{len(failures)} failures" + (f": {failures}" if failures else ""))
+    print(f"sylk {sylk_sum:.1f}s of {time.time() - start:.1f}s wall")
     return 1 if failures else 0
 
 

@@ -422,9 +422,9 @@ def q_exact_dedup(sf_dir: str) -> pa.Table:
 
 
 def q_lang_id(sf_dir: str) -> pa.Table:
-    from ..stages.text import LangId
+    from ..stages.text import lang_id_batch
 
-    ds = _docs(sf_dir).map_batches(LangId, batch_format="pyarrow", concurrency=2)
+    ds = _docs(sf_dir).map_batches(lang_id_batch, batch_format="pyarrow")
     cols = ["doc_id", "lang_pred", "lang_conf"]
     return _table(ds.select_columns(cols), cols)
 
@@ -3630,7 +3630,7 @@ _LINE_GOOD = (
 _LINE_BAD = "'<' || CAST(192 + event_id % 100 AS VARCHAR) || '>1 - - - - - -'"
 _ROLE = "CASE event_id % 3 WHEN 0 THEN 'user' WHEN 1 THEN 'assistant' ELSE 'tool' END"
 
-# language-ID SQL mirror of sylk.stages.text.LangId (argmax tie-break =
+# language-ID SQL mirror of sylk.stages.text.lang_id_batch (argmax tie-break =
 # first language in (en, de, fr, es) order; conf > 0.02 else 'und')
 _LANG_WORDS = {
     "en": ("the", "and", "of", "to", "a", "in", "is", "it", "that", "for"),

@@ -102,9 +102,6 @@ def host_app_histogram(parsed_ds):
 _COMBINED_KEYS = ["kind", "ok", "facility", "severity", "error", "hostname", "appname"]
 _SINK_PART = ["ok", "facility", "severity", "error"]
 _HOST_PART = ["ok", "hostname", "appname"]
-# up to this many per-block partial rows the final merge runs on the
-# driver; above it, a Ray groupby finalizes
-_COMBINED_DRIVER_LIMIT = 5_000_000
 
 
 def _clean_key(col):
@@ -149,8 +146,8 @@ def combined_counts(parsed_ds):
     appname n``).  Use :func:`rollups_from_combined` on the result.
 
     Final merge strategy: per-block partials are O(key cardinality) rows
-    — a few hundred per block — so up to ``_COMBINED_DRIVER_LIMIT``
-    partial rows they collect to the driver and merge with pyarrow's
+    — a few hundred per block — so while they fit the driver budget
+    (``collect.fits``) they collect to the driver and merge with pyarrow's
     multithreaded C++ ``group_by`` (a tree-reduce whose root is small).
     Above it (host/app histograms over millions of hosts) a Ray groupby
     shuffle finalizes instead.
@@ -158,7 +155,7 @@ def combined_counts(parsed_ds):
     partials = parsed_ds.map_batches(
         _partial_combined, batch_format="pyarrow", batch_size=None
     )
-    partials, tbl = collect(partials, _COMBINED_DRIVER_LIMIT)
+    partials, tbl = collect(partials, tiered=True)
     if tbl is None:
         final = partials.groupby(_COMBINED_KEYS).aggregate(Sum("n", alias_name="n"))
         return final.to_pandas()

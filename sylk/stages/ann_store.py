@@ -32,14 +32,14 @@ are the shared :mod:`store_fold` contract.
 Distribution: the input is materialized once, and that one pass feeds
 the first increment's centroid sample and the write.
 :func:`store_fold.write_increment` writes the increment by cell: up to
-``store_fold._DRIVER_INGEST_LIMIT`` bytes of input the driver assigns
+an eighth of the one driver budget in bytes of input the driver assigns
 cells over the collected table and writes each cell's slice; above it
 one hash-shuffle (``groupby(cell).map_groups``) hands each cell to a
 task that writes its file, and no driver state scales with the data
 (the stats table is n_cells rows).  The query is a pruned
 brute-force over the probed cells' files only, in one of two tiers
 picked from the on-disk size of that read set plus the tombstone files
-alone (``store_fold._DRIVER_READ_LIMIT``, 64 MiB): below it, the driver
+alone (the driver budget, ``collect.fits``, 64 MiB): below it, the driver
 reads the files with pyarrow, masks tombstones and runs the matmul
 top-k kernel (``similarity._topk_partial``) once over the one table;
 above it, ``read_parquet`` -> tombstone anti-join -> the same kernel

@@ -16,10 +16,11 @@ Skew-safe two-pass shape (a hot key never occupies one task's heap):
    EARLIER runs (shift+ffill for fill-forward, exclusive prefix-sum for
    running totals).  Two tiers:
 
-   * **broadcast** (default under ``_DRIVER_SEED_LIMIT`` state rows):
-     the driver orders the state rows and broadcasts one seed dict
-     (``ray.put`` once) — O(#blocks + #keys) driver memory.
-   * **distributed** (above the limit): state rows hash into coarse
+   * **broadcast** (while the state rows fit the driver budget,
+     ``collect(ds, tiered=True)``): the driver orders the state rows
+     and broadcasts one seed dict (``ray.put`` once) — O(#blocks +
+     #keys) driver memory.
+   * **distributed** (above the budget): state rows hash into coarse
      co-located groups by key (a key never splits), the per-run seeds
      come from VECTORIZED pandas groupby-shift/cumsum inside each
      coarse group (C kernels, never a per-key Python group), and the
@@ -45,10 +46,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-# above this many state rows the seed dict would strain driver memory /
-# broadcast; the hash-join tier takes over (decision made from block
-# metadata, never by collecting first)
-_DRIVER_SEED_LIMIT = 5_000_000
+from .collect import collect
 
 _SEED_GROUP_ROWS = 2_000_000
 
@@ -101,18 +99,17 @@ def _carry(ds, key: str, order_cols, value_col: str, out_col: str,
 
     order_cols = list(order_cols)
     sorted_ds = ds.sort([key] + order_cols).materialize()
-    states_ds = sorted_ds.map_batches(state_fn, batch_format="pandas",
-                                      batch_size=None).materialize()
-    n_states = states_ds.count()
-
-    if n_states > _DRIVER_SEED_LIMIT:
+    # the tier is decided from block metadata, never by collecting first
+    states_ds, tbl = collect(sorted_ds.map_batches(
+        state_fn, batch_format="pandas", batch_size=None), tiered=True)
+    if tbl is None:
         return _carry_join(sorted_ds, states_ds, key, order_cols,
                            out_col, seed_fn, block_fn, finish_fn)
 
     seed = {}
-    if n_states:  # no state rows (no input rows) leaves no seed
-        states = states_ds.to_pandas().sort_values([key] + order_cols,
-                                                   kind="mergesort")
+    if tbl.num_rows:  # no state rows (no input rows) leaves no seed
+        states = tbl.to_pandas().sort_values([key] + order_cols,
+                                             kind="mergesort")
         states = seed_fn(states)
         cols = [key] + order_cols
         seed = dict(zip(map(tuple, states[cols].to_numpy()), states["_seed"]))

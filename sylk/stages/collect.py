@@ -1,5 +1,13 @@
-"""The one driver gather: bring a small Dataset to the driver as one
-Arrow table.
+"""The one driver gather and the one driver budget.
+
+Every tiered operator picks its driver or exchange tier by one rule:
+its input fits in the driver when :func:`fits` its bytes, in-memory
+bytes from block metadata (``size_bytes()``) or Parquet bytes on disk
+(``os.stat``), against ``DRIVER_BUDGET`` (64 MiB).  Row counts decide no
+tier: at 8-322 B per row a row limit lets wide rows fill the driver.
+``fits`` reads the budget when it is called, so tests reach every
+exchange tier by setting ``DRIVER_BUDGET`` to -1 (``scale_tier`` in
+tests/conftest.py).
 
 Every operator that moves rows to the driver (a tier decision, a
 vocabulary-sized partial merge, a broadcast side) goes through
@@ -11,7 +19,7 @@ the installed Ray Data (2.49):
   its schema, so a ``map_batches(f)`` upstream calls ``f`` twice per
   block; ``count()`` followed by another consumer (``unique()``, a
   block read) runs it again too.  ``collect`` materializes once and
-  reads the count, the schema and the blocks from that one result.
+  reads the size, the schema and the blocks from that one result.
 * **Schemaless blocks.**  Empty blocks (from filters, joins and
   ``map_groups``) can arrive with zero columns, which ``concat_tables``
   rejects against typed blocks; they are dropped.  So are 0-row blocks
@@ -20,34 +28,47 @@ the installed Ray Data (2.49):
   blocks unprojected).
 * **Pandas blocks.**  Blocks of a stage that emits
   ``batch_format="pandas"`` can come back as pandas frames; they are
-  converted.
+  converted.  Such a block's all-null column arrives typed ``null``,
+  and the concatenation promotes it to the other blocks' type.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 
+# bytes a driver tier may hold: every full-size benchmark unit and store
+# fits (a flagship unit of 28,800 rows is 8.8 MB, stores hold 2-6 MB)
+DRIVER_BUDGET = 64 << 20
 
-def collect(ds, limit: int | None = None):
+
+def fits(*nbytes) -> bool:
+    """True when the summed ``nbytes`` fit in the driver budget.  A
+    ``None`` (``size_bytes()`` of a plan that produced no block) counts
+    as 0 bytes."""
+    return sum(n or 0 for n in nbytes) <= DRIVER_BUDGET
+
+
+def collect(ds, tiered: bool = False):
     """Materialize ``ds`` once and return ``(materialized_ds, table)``.
 
-    ``table`` is the whole dataset as one Arrow table, or ``None`` when
-    the row count (read from block metadata) is above ``limit``: the
-    driver never holds rows it is about to reject, and the caller's
-    exchange tier runs on ``materialized_ds`` without recomputing it.
-    An empty result is typed from the materialized schema (``pa.table({})``
-    when there is none)."""
+    ``table`` is the whole dataset as one Arrow table.  With ``tiered``
+    it is ``None`` when the in-memory bytes (block metadata) do not
+    :func:`fit <fits>`: the driver never holds rows it is about to
+    reject, and the caller's exchange tier runs on ``materialized_ds``
+    without recomputing it.  An empty result is typed from the
+    materialized schema (``pa.table({})`` when there is none)."""
     import ray
 
     mds = ds.materialize()
-    if limit is not None and mds.count() > limit:
+    if tiered and not fits(mds.size_bytes()):
         return mds, None
     blocks = [b if isinstance(b, pa.Table)
               else pa.Table.from_pandas(b, preserve_index=False)
               for b in ray.get(mds.to_arrow_refs())]
     blocks = [b for b in blocks if b.num_columns > 0]
     if any(b.num_rows for b in blocks):
-        return mds, pa.concat_tables([b for b in blocks if b.num_rows])
+        return mds, pa.concat_tables([b for b in blocks if b.num_rows],
+                                     promote_options="default")
     if blocks:
         return mds, blocks[0]
     schema = mds.schema()

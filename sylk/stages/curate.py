@@ -15,9 +15,9 @@ Scale notes
 * ``decontaminate`` is two-tier like the dedup/join families: the
   benchmark (eval-set) side is small by definition, so the default tier
   broadcasts its distinct shingles once per worker (pandas hash Index,
-  vectorized membership); above ``_BENCH_BROADCAST_LIMIT`` benchmark
-  (doc, shingle) pairs it switches to a distributed semi-join on the
-  shingle key — the tier DECISION reads the pair count from the
+  vectorized membership); when the benchmark (doc, shingle) pairs do
+  not fit the driver budget it switches to a distributed semi-join on
+  the shingle key — the tier DECISION reads the pairs' bytes from the
   materialized pairs' block metadata (``collect``) before any row
   reaches the driver.
 * All redaction/counting regexes are RE2-compatible so the DuckDB
@@ -133,12 +133,6 @@ def _shingle_pairs_batch(batch: pa.Table, k: int, text_col: str = "text",
                      "shingle": pa.array(shingles, pa.string())})
 
 
-# benchmark sides above this many distinct (doc, shingle) pairs switch
-# to the distributed semi-join tier (eval sets are tiny vs the corpus,
-# so the broadcast tier is the expected path)
-_BENCH_BROADCAST_LIMIT = 2_000_000
-
-
 class _ShingleFlagger:
     """Actor-pool stage: holds the broadcast benchmark-shingle hash
     index (built once per actor in ``__init__``), flags corpus pairs
@@ -166,8 +160,8 @@ def decontaminate(docs_ds, bench_ds, k: int = 8,
     (or audit) before training.
 
     Tiers: broadcast the benchmark shingles (the 100-TB-corpus default —
-    eval sets are megabytes) unless the benchmark pair count exceeds
-    ``_BENCH_BROADCAST_LIMIT``, then a distributed semi-join on the
+    eval sets are megabytes) unless the benchmark pairs do not fit the
+    driver budget, then a distributed semi-join on the
     shingle key (both tiers produce identical output; see
     tests/test_curate.py)."""
     import ray
@@ -180,7 +174,7 @@ def decontaminate(docs_ds, bench_ds, k: int = 8,
         batch_format="pyarrow", batch_size=None)
     bench_pairs, tbl = collect(bench_ds.map_batches(
         lambda b: _shingle_pairs_batch(b, k, text_col, id_col),
-        batch_format="pyarrow", batch_size=None), _BENCH_BROADCAST_LIMIT)
+        batch_format="pyarrow", batch_size=None), tiered=True)
     if tbl is None:
         hits = semi_join(pairs, bench_pairs, on="shingle")
     else:

@@ -41,10 +41,10 @@ task is independent: in-bucket first-per-key reduction (vectorized
 lexsort), store-partition read, anti-filter, two file writes.  No
 driver state at any size.  :func:`neardup_ingest` writes its band rows
 through :func:`store_fold.write_increment`, so a small increment's
-bands are partitioned and written in the driver
-(``store_fold._DRIVER_INGEST_LIMIT``); both stores fold through
-:func:`store_fold.fold`, in the driver up to
-``store_fold._DRIVER_READ_LIMIT`` bytes of partition files.
+bands are partitioned and written in the driver (up to an eighth of
+the one driver budget, ``collect.fits``); both stores fold through
+:func:`store_fold.fold`, in the driver while the partition files fit
+the budget.
 """
 
 from __future__ import annotations
@@ -345,10 +345,8 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
         # fixed overhead — CLAUDE.md): a bounded candidate collect
         # routes small pair sets through the broadcast verifier (texts
         # arrive via a worker-side is-in filter, never a full stream);
-        # above the limit, semi-join-pruned texts + the edge-join path.
-        from .dedup import _DRIVER_PAIR_LIMIT
-
-        cand, ctbl = collect(cand, _DRIVER_PAIR_LIMIT)
+        # above the budget, semi-join-pruned texts + the edge-join path.
+        cand, ctbl = collect(cand, tiered=True)
         verified = None
         if ctbl is not None:
             if ctbl.num_rows:

@@ -29,13 +29,6 @@ _SCALE = 1_000_000_000_000  # rank fixed point (1e12)
 _PSCALE = 1_000_000         # edge-probability fixed point (1e6)
 
 
-# below this many edges the whole iteration runs vectorized on the
-# driver (numpy, same fixed-point arithmetic); above it, each round is
-# a Dataset hash-join + groupby.  Same tier pattern (metadata-bounded
-# DECISION, then collect) as join._semi_anti / collect.collect.
-_DRIVER_EDGE_LIMIT = 2_000_000
-
-
 def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
              weight_col: str | None = None, iterations: int = 5,
              damping_pct: int = 85, node_col: str = "node",
@@ -76,7 +69,10 @@ def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
 
     edges = edges_ds.map_batches(_ev, batch_format="pyarrow",
                                  batch_size=None)
-    edges, tbl = collect(edges, _DRIVER_EDGE_LIMIT)
+    # while the edges fit the driver budget the whole iteration runs
+    # vectorized on the driver (numpy, same fixed-point arithmetic);
+    # above it, each round is a Dataset hash-join + groupby
+    edges, tbl = collect(edges, tiered=True)
     if tbl is not None:
         return _pagerank_driver(tbl, iterations, damping_pct,
                                 node_col, rank_col)
@@ -214,8 +210,8 @@ def degree_orient(edges_ds, a_col: str = "a", b_col: str = "b"):
     fan-out from degree^2 to the arboricity-style bound — the standard
     skew mitigation for distributed triangle enumeration.
 
-    Tiers: the degree table is node-cardinality-bounded, so under
-    ``_DRIVER_EDGE_LIMIT`` it broadcasts once (ray.put) and the
+    Tiers: the degree table is node-cardinality-bounded, so while it
+    fits the driver budget it broadcasts once (ray.put) and the
     re-orient is a per-block searchsorted lookup; above the bound two
     renamed hash joins attach endpoint
     degrees — the pagerank tier pattern."""
@@ -239,7 +235,7 @@ def degree_orient(edges_ds, a_col: str = "a", b_col: str = "b"):
         swap = (db < da) | ((db == da) & (bb < a))
         return (np.where(swap, bb, a), np.where(swap, a, bb))
 
-    deg, dtbl = collect(deg, _DRIVER_EDGE_LIMIT)
+    deg, dtbl = collect(deg, tiered=True)
     if dtbl is not None:
         nodes = dtbl.column("node").to_numpy(
             zero_copy_only=False).astype(np.int64)

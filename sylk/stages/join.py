@@ -13,20 +13,19 @@ shapes, chosen by side sizes:
   customer only at sandbox scale — documented per query).
 * :func:`hash_join` — the one equi-join of two Datasets, in two tiers
   picked from the in-memory bytes of both materialized sides (block
-  metadata).  Up to ``_DRIVER_JOIN_LIMIT`` bytes (the 64 MiB
-  driver-table class of ``store_fold._DRIVER_READ_LIMIT``), both sides
-  are collected and joined by one pyarrow ``Table.join`` in the driver
-  (no shuffle, no task), and the result is split into as many blocks as
-  the larger side had.  Above it, each block packs its rows into coarse
-  key-hash groups (one row per group, the rows as Arrow IPC bytes), one
-  public ``groupby().map_groups`` co-locates each group of both sides,
-  and the same pyarrow join runs per group.  No private Ray API is used.
-* :func:`semi_join` / :func:`anti_join` — up to ``_DRIVER_JOIN_LIMIT``
-  bytes of right keys, a broadcast key-set filter
-  (``pyarrow.compute.is_in`` per block, no shuffle at all); above it,
-  ``hash_join``'s ``left_semi`` / ``left_anti`` exchange.
-  tests/test_join.py runs every join in both tiers by lowering the
-  limit.
+  metadata).  When both fit the one driver budget together
+  (``collect.fits``, 64 MiB), both sides are collected and joined by
+  one pyarrow ``Table.join`` in the driver (no shuffle, no task), and
+  the result is split into as many blocks as the larger side had.
+  Above it, each block packs its rows into coarse key-hash groups (one
+  row per group, the rows as Arrow IPC bytes), one public
+  ``groupby().map_groups`` co-locates each group of both sides, and the
+  same pyarrow join runs per group.  No private Ray API is used.
+* :func:`semi_join` / :func:`anti_join` — while the right keys fit
+  the budget, a broadcast key-set filter (``pyarrow.compute.is_in`` per
+  block, no shuffle at all); above it, ``hash_join``'s ``left_semi`` /
+  ``left_anti`` exchange.  tests/test_join.py runs every join in both
+  tiers by lowering the budget.
 
 Aggregation after a join uses :func:`grouped_agg` — per-block pyarrow
 ``group_by`` partials (combiner) then one small ``groupby`` of the
@@ -40,13 +39,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .collect import collect
-from .store_fold import _DRIVER_READ_LIMIT
-
-# in-memory bytes of both sides (block metadata) up to which hash_join
-# runs in the driver, and of the right keys up to which semi/anti
-# broadcast a key set; above it, one public groupby exchange
-_DRIVER_JOIN_LIMIT = _DRIVER_READ_LIMIT
+from .collect import collect, fits
 
 
 def broadcast_join(fact_ds, dim: pa.Table, on, right_on=None,
@@ -135,9 +128,20 @@ def _conform(t: pa.Table, keys, types) -> pa.Table:
 def _join_tables(lt: pa.Table, rt: pa.Table, on, right_on,
                  join_type: str) -> pa.Table:
     types = _key_types(lt, rt, on, right_on)
-    return _conform(lt, on, types).join(
-        _conform(rt, right_on, types), keys=list(on),
-        right_keys=list(right_on), join_type=join_type.replace("_", " "))
+    lt, rt = _conform(lt, on, types), _conform(rt, right_on, types)
+    if join_type in ("left_semi", "left_anti"):
+        # pyarrow's join rejects list-typed non-key columns (embeddings,
+        # positions): join the keys and a row index only, then take the
+        # matching left rows in their order
+        keys = pa.table([*lt.select(list(on)).columns,
+                         pa.array(np.arange(lt.num_rows))],
+                        names=[*on, "__row"])
+        hit = keys.join(rt.select(list(right_on)), keys=list(on),
+                        right_keys=list(right_on),
+                        join_type=join_type.replace("_", " "))
+        return lt.take(np.sort(hit.column("__row").to_numpy()))
+    return lt.join(rt, keys=list(on), right_keys=list(right_on),
+                   join_type=join_type.replace("_", " "))
 
 
 def _ipc(t: pa.Table) -> bytes:
@@ -223,17 +227,12 @@ def _exchange_join(lds, rds, on, right_on, join_type: str):
             _join_group, batch_format="pyarrow")
 
 
-def _size(mds) -> int:
-    # None only when the plan produced no block at all
-    return mds.size_bytes() or 0
-
-
 def hash_join(left_ds, right_ds, on, right_on=None, join_type: str = "inner"):
     """Equi-join two Datasets (``join_type`` as in ``Dataset.join``:
     ``inner``, ``left_outer``, ``full_outer``, ``left_semi``, ...).
 
     Two tiers, picked from the in-memory bytes of both materialized
-    sides: up to ``_DRIVER_JOIN_LIMIT`` both are collected and joined by
+    sides: when they fit the driver budget both are collected and joined by
     one pyarrow ``Table.join`` in the driver, and the result is sliced
     into as many blocks as the larger side had, so a map after the join
     stays parallel; above it :func:`_exchange_join` co-locates equal
@@ -246,7 +245,7 @@ def hash_join(left_ds, right_ds, on, right_on=None, join_type: str = "inner"):
     on = _names(on)
     right_on = on if right_on is None else _names(right_on)
     lds, rds = left_ds.materialize(), right_ds.materialize()
-    if _size(lds) + _size(rds) > _DRIVER_JOIN_LIMIT:
+    if not fits(lds.size_bytes(), rds.size_bytes()):
         return _exchange_join(lds, rds, on, right_on, join_type)
     out = _join_tables(collect(lds)[1], collect(rds)[1], on, right_on,
                        join_type)
@@ -261,14 +260,13 @@ def _semi_anti(left_ds, right_ds, on: str, right_key: str, anti: bool):
     # One materialization of the right key column decides the tier from
     # its block-metadata bytes (distinct keys <= rows) and feeds either
     # tier, so an unmaterialized right plan runs once: a bare count()
-    # would execute it, and unique() or the join again.  Over-limit
-    # inputs take hash_join's left_semi/left_anti exchange.
-    keys_ds = right_ds.select_columns([right_key]).materialize()
-    if _size(keys_ds) > _DRIVER_JOIN_LIMIT:
+    # would execute it, and unique() or the join again.  Keys over the
+    # budget take hash_join's left_semi/left_anti exchange.
+    keys_ds, tbl = collect(right_ds.select_columns([right_key]), tiered=True)
+    if tbl is None:
         jt = "left_anti" if anti else "left_semi"
         return hash_join(left_ds, keys_ds, on=(on,), right_on=(right_key,),
                          join_type=jt)
-    _, tbl = collect(keys_ds)
     # SQL semi/anti semantics: a NULL right key never matches, so drop
     # it; pc.is_in already treats left NULLs as non-members and casts
     # the value set to the left key's type (a dictionary set it cannot)

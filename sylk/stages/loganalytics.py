@@ -204,10 +204,12 @@ def cooccurrence_counts(ds, basket_cols, item_col: str):
     both.  -> Dataset[(type_a, type_b, n)], type_a < type_b.
 
     Shape (one shuffle total, no Dataset.join):
-    1. item vocabulary: per-block unique partials, driver merge —
-       bounded by item cardinality (event types / SKUs; document the
-       bound if items are high-cardinality and switch to a hash join).
-    2. per-block LOCAL distinct of (basket..., code) rows (pyarrow C++
+    1. item vocabulary: per-block unique partials, one driver merge,
+       broadcast once as a sorted Arrow array.  Its bound is the number
+       of distinct item values (event types / SKUs), not rows; items of
+       that many values would need a hash join here instead.
+    2. per-block LOCAL distinct of (basket..., code) rows, each item's
+       code its ``pc.index_in`` position in the vocabulary (pyarrow C++
        group_by) — shrinks the exchange to near the distinct grain.
     3. ONE hash exchange on mix64(basket) into coarse groups sized from
        the row count: a basket never splits, so each coarse group holds
@@ -239,19 +241,15 @@ def cooccurrence_counts(ds, basket_cols, item_col: str):
                       "n": pa.array([], pa.int64())})
     if len(vocab) < 2:  # no pair of distinct items (or no rows at all)
         return ray.data.from_arrow(empty)
-    code_of = {v: i for i, v in enumerate(vocab)}
-    vocab_ref = ray.put(code_of)
+    vocab_ref = ray.put(pa.array(vocab, vtbl.schema.field(item_col).type))
 
     from ..functions.hashing import mix64
 
     def _local_distinct(b: pa.Table) -> pa.Table:
-        cmap = ray.get(vocab_ref)
-        items = b.column(item_col).to_pylist()
-        codes = np.fromiter((cmap[v] for v in items), dtype=np.int64,
-                            count=len(items))
+        codes = pc.index_in(b.column(item_col), value_set=ray.get(vocab_ref))
         t = pa.table({**{c: b.column(c).cast(pa.int64())
                          for c in basket_cols},
-                      "_code": pa.array(codes)})
+                      "_code": codes.cast(pa.int64())})
         return t.group_by(basket_cols + ["_code"]).aggregate([])
 
     def _basket_key(t: pa.Table) -> np.ndarray:

@@ -28,9 +28,9 @@ the routed rows, materialized once), which run the same sink steps
 (``on_write_start``, :meth:`RoutedSink.write_table`,
 ``on_write_complete``):
 
-* up to ``store_fold._DRIVER_READ_LIMIT`` bytes of routed rows the
-  driver collects them, stable-sorts them by ``route_id`` and writes
-  them in one call — no exchange and no write task;
+* while the routed rows fit the one driver budget (``collect.fits``,
+  64 MiB) the driver collects them, stable-sorts them by ``route_id``
+  and writes them in one call — no exchange and no write task;
 * above it, Ray's range sort (the default pull-based strategy) merges
   each key range into one block, and ``write_datasink`` hands each
   block to one task whole.
@@ -48,9 +48,8 @@ from ray.data.block import BlockAccessor
 from ray.data.datasource import WriteResult
 
 from ..functions.reference_semantics import ERROR_VARIANTS
-from . import store_fold
 from .aggregate import _partial_counts
-from .collect import collect
+from .collect import collect, fits
 from .store_fold import (atomic_write, check_watermark, remove_increment,
                          write_marker)
 
@@ -201,7 +200,7 @@ def _route(parsed_ds, store_dir: str, inc_id: int, fmt: str, info):
                                batch_format="pyarrow").materialize()
     # None only when the plan produced no block at all
     size = ds.size_bytes() or 0
-    if size <= store_fold._DRIVER_READ_LIMIT:
+    if fits(size):
         tier = "driver"
         _, tbl = collect(ds)
         sink.on_write_start()
@@ -230,9 +229,9 @@ def route_and_write(parsed_ds, store_dir: str, inc_id: int,
     "routed_bytes": n}``, the tier that wrote and the block-metadata
     size of the routed rows it was chosen from.
 
-    Up to ``store_fold._DRIVER_READ_LIMIT`` bytes (a flagship unit of a
-    few files: 28,800 rows are 8.8 MB) the driver writes the collected,
-    sorted rows in one call; a unit that fits in the driver needs no
+    While they fit the driver budget (``collect.fits``; a flagship unit
+    of a few files: 28,800 rows are 8.8 MB) the driver writes the
+    collected, sorted rows in one call; a unit that fits in the driver needs no
     repartition, and the Ray range sort (sample, map and reduce stages)
     plus write operator was nearly the whole cost of such a unit.
     Above it the write range-partitions on the sink key first (Ray

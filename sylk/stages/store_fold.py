@@ -34,23 +34,22 @@ Contract:
   ``inc_id <= upto``: a rerun below the horizon would land in a
   shadowed file.  ``compact`` is a name no increment can produce, so a
   rerun never overwrites folded history.
-* Writes pick their tier from size alone, too, and each tier runs the
-  same per-partition function.  An increment of up to
-  ``_DRIVER_INGEST_LIMIT`` bytes of input (materialized once, sized
-  from block metadata) is mapped, sorted by partition and written
-  slice by slice in the driver; above it one
+* Writes pick their tier from size alone, too, against the one driver
+  budget (``collect.fits``), and each tier runs the same per-partition
+  function.  An increment whose input (materialized once, sized from
+  block metadata) fits eight times over is mapped, sorted by partition
+  and written slice by slice in the driver; above it one
   ``groupby(part).map_groups`` exchange writes the partitions.  A fold
-  whose partition files hold up to ``_DRIVER_READ_LIMIT`` bytes
-  (``os.stat``) folds its partitions in a driver loop; above it, in
-  one Ray task each.
+  whose partition files (``os.stat``) fit folds its partitions in a
+  driver loop; above it, in one Ray task each.
 * Tombstones follow the same marker-last rule; the fold's ``reduce``
   hook (:func:`purge`) is where tombstoned rows stop existing on disk.
   The purge and :func:`driver_read` share one tombstone reader.
 * Probes pick their tier from the on-disk size of what they open,
   alone: :func:`driver_read` sums the ``os.stat`` sizes of a read set
-  plus the marker-complete tombstone files, and up to
-  ``_DRIVER_READ_LIMIT`` bytes of Parquet returns the read set as one
-  driver table with tombstoned ids already dropped (no Ray Data plan);
+  plus the marker-complete tombstone files, and when those Parquet
+  bytes fit the budget returns the read set as one driver table with
+  tombstoned ids already dropped (no Ray Data plan);
   above it, it returns None and the probe builds its exchange plan.
 
 Single writer: ingests, deletes and folds run one at a time."""
@@ -66,23 +65,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .collect import collect
+from .collect import collect, fits
 
 __all__ = ["atomic_write", "atomic_json", "complete_increments",
            "write_marker", "read_marker", "increment_ids", "unmark",
            "remove_increment", "inc_file", "write_increment", "read_set",
            "watermark", "check_watermark", "check_as_of", "delete_files",
            "write_tombstones", "driver_read", "typed_result", "purge", "fold"]
-
-# bytes of Parquet (read set + tombstones) up to which a probe reads its
-# files in the driver, and up to which a fold folds in the driver; the
-# full-size benchmark stores hold 2-6 MB
-_DRIVER_READ_LIMIT = 64 << 20
-# in-memory bytes of increment input up to which write_increment maps
-# and partitions it in the driver: text postings take ~9x their input
-# (604,596 B of docs gave 5,444,162 B of postings), so 8 MiB of input
-# keeps the driver table near the _DRIVER_READ_LIMIT class
-_DRIVER_INGEST_LIMIT = 8 << 20
 
 
 def atomic_write(path: str, write_fn) -> None:
@@ -164,8 +153,9 @@ def write_increment(ds, store_dir: str, inc_id: int, part_col: str,
     ``inc_id`` at or below the watermark, and removes the increment's
     marker and files before writing, so a rerun leaves exactly what a
     clean write leaves.  The input is materialized once and sized from
-    block metadata: up to ``_DRIVER_INGEST_LIMIT`` bytes, ``fn`` runs
-    once over the collected table and the driver writes its sorted
+    block metadata: when eight times its bytes fit the driver budget,
+    ``fn`` runs once over the collected table and the driver writes its
+    sorted
     per-partition slices; above it, ``fn`` runs per block and one
     ``groupby(part).map_groups`` exchange writes the partitions.  Both
     tiers write with the same ``_one``, and ``fn`` must map each row
@@ -193,8 +183,9 @@ def write_increment(ds, store_dir: str, inc_id: int, part_col: str,
                          "n_rows": pa.array([out.num_rows], pa.int64())})
 
     ds = ds.materialize()
-    size = ds.size_bytes()
-    if size is not None and size <= _DRIVER_INGEST_LIMIT:
+    # text postings take ~9x their input (604,596 B of docs gave
+    # 5,444,162 B of postings)
+    if fits(8 * (ds.size_bytes() or 0)):
         _, tbl = collect(ds)
         slices = []
         if tbl.num_rows:
@@ -314,11 +305,11 @@ def driver_read(store_dir: str, files: list[str], columns: list[str],
     """The driver tier of a store read: ``files`` (a non-empty read set)
     concatenated into one table of ``columns``, without the rows whose
     ``id_col`` a marker-complete tombstone (other than ``exclude``)
-    holds.  None when the read set plus those tombstone files exceed
-    ``_DRIVER_READ_LIMIT`` bytes on disk; the sizes come from
-    ``os.stat`` alone, so the tier is chosen before anything is read."""
+    holds.  None when the read set plus those tombstone files do not
+    fit the driver budget on disk; the sizes come from ``os.stat``
+    alone, so the tier is chosen before anything is read."""
     dels = delete_files(store_dir, exclude=exclude)
-    if sum(os.stat(f).st_size for f in files + dels) > _DRIVER_READ_LIMIT:
+    if not fits(*(os.stat(f).st_size for f in files + dels)):
         return None
     # partitioning=None: the partition key (``term=``, ``cell=``) is a
     # data column too, so a Hive read would merge it with the path's
@@ -356,9 +347,9 @@ def fold(store_dir: str, part_glob: str, reduce=None,
     ``upto`` becomes one ``compact<upto>.parquet`` (``reduce`` maps the
     concatenated table first; ``cap``, when given, bounds ``upto`` from
     above), written tmp -> rename; then the sources and shadowed
-    leftovers are deleted, and the watermark is written last.  Up to
-    ``_DRIVER_READ_LIMIT`` bytes of partition files (``os.stat`` sizes)
-    the partitions fold in a driver loop, above it in one Ray task each
+    leftovers are deleted, and the watermark is written last.  When the
+    partition files (``os.stat`` sizes) fit the driver budget the
+    partitions fold in a driver loop, above it in one Ray task each
     (``reduce`` is pickled to them); both run the same ``_one``.  A
     crash anywhere leaves every read set answering as before; rerunning
     the fold finishes the job."""
@@ -394,9 +385,8 @@ def fold(store_dir: str, part_glob: str, reduce=None,
         return (len(src) + len(stale), int(bool(src)))
 
     pdirs = sorted(glob.glob(os.path.join(store_dir, part_glob)))
-    size = sum(os.stat(f).st_size for d in pdirs
-               for f in glob.glob(os.path.join(d, "*.parquet")))
-    if size <= _DRIVER_READ_LIMIT:
+    if fits(*(os.stat(f).st_size for d in pdirs
+              for f in glob.glob(os.path.join(d, "*.parquet")))):
         res = [_one(d) for d in pdirs]
     else:
         import ray

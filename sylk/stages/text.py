@@ -156,38 +156,30 @@ def gopher_flags_batch(batch: pa.Table, text_col: str = "text",
     })
 
 
-class LangId:
-    """Actor-pool language-ID stage: stopword-profile scoring.
+# one case-insensitive stopword alternation per language, built once
+_LANG_PATTERNS = {lang: r"(?i)\b(?:" + "|".join(words) + r")\b"
+                  for lang, words in _LANG_PROFILES.items()}
 
-    Stateful pattern: the per-language regexes are compiled ONCE per actor
-    in ``__init__`` (broadcast-equivalent — tiny profiles rebuilt per
-    worker, never re-shipped per batch)."""
 
-    def __init__(self):
-        self._pats = {
-            lang: r"(?i)\b(?:" + "|".join(words) + r")\b"
-            for lang, words in _LANG_PROFILES.items()
-        }
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        toks = pc.cast(
-            pc.count_substring_regex(batch.column("text"), _TOKEN_RE), pa.float64()
-        )
-        safe = pc.max_element_wise(toks, 1.0)
-        scores = {
-            lang: pc.divide(
-                pc.cast(pc.count_substring_regex(batch.column("text"), pat), pa.float64()),
-                safe,
-            ).to_numpy(zero_copy_only=False)
-            for lang, pat in self._pats.items()
-        }
-        langs = list(scores)
-        mat = np.vstack([scores[lang] for lang in langs])
-        best = mat.argmax(axis=0)
-        conf = mat.max(axis=0)
-        pred = np.where(conf > 0.02, np.array(langs, dtype=object)[best], "und")
-        batch = batch.append_column("lang_pred", pa.array(pred, pa.string()))
-        return batch.append_column("lang_conf", pa.array(conf, pa.float64()))
+def lang_id_batch(batch: pa.Table) -> pa.Table:
+    """Language ID by stopword-profile scoring: append ``lang_pred``
+    (the language with the highest stopword share of the tokens, the
+    first of en, de, fr, es on a tie; ``und`` at a share of 0.02 or
+    less) and ``lang_conf`` (that share).  A stateless block map."""
+    toks = pc.cast(
+        pc.count_substring_regex(batch.column("text"), _TOKEN_RE), pa.float64()
+    )
+    safe = pc.max_element_wise(toks, 1.0)
+    langs = list(_LANG_PATTERNS)
+    mat = np.vstack([
+        pc.divide(pc.cast(pc.count_substring_regex(batch.column("text"), pat),
+                          pa.float64()), safe).to_numpy(zero_copy_only=False)
+        for pat in _LANG_PATTERNS.values()])
+    best = mat.argmax(axis=0)
+    conf = mat.max(axis=0)
+    pred = np.where(conf > 0.02, np.array(langs, dtype=object)[best], "und")
+    batch = batch.append_column("lang_pred", pa.array(pred, pa.string()))
+    return batch.append_column("lang_conf", pa.array(conf, pa.float64()))
 
 
 def fingerprint_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:

@@ -35,14 +35,15 @@ increment agrees on the bucket of a term.
 Scale shape: ingest is one postings explode (the vectorized
 ``term_tf_rows`` factorize kernel) + one partitioned write by bucket
 per increment, in one of two tiers picked from the input's in-memory
-size (``store_fold._DRIVER_INGEST_LIMIT``, 8 MiB): below it the driver
+size (``store_fold.write_increment``: up to 8 MiB, an eighth of the one
+driver budget, since postings take ~9x their input): below it the driver
 explodes the collected docs once and writes each bucket's slice of the
 sorted postings; above it the explode runs per block and ONE hash
 shuffle by bucket hands each bucket to a task that writes its file, so
 no driver state scales with the data.  Probes (BM25, AND, phrase and
 ``index_delete``'s candidate lookup) have two tiers, picked from the
-on-disk size of the read set plus the tombstone files alone
-(``store_fold._DRIVER_READ_LIMIT``, 64 MiB of Parquet): below it the
+on-disk size of the read set plus the tombstone files alone (the
+driver budget, ``collect.fits``, 64 MiB of Parquet): below it the
 driver reads the pruned files with pyarrow
 (:func:`store_fold.driver_read`, tombstones already masked) and runs
 the block kernels (``_df``, ``_contrib``, ``_hits``, ``_slots``) once
@@ -119,12 +120,11 @@ def index_ingest(docs_ds, store_dir: str, inc_id: int,
     on return); returns the per-bucket stats table (bucket, n_rows).
 
     ONE pass over the increment: the postings explode + one
-    partitioned write by bucket (in the driver up to
-    ``store_fold._DRIVER_INGEST_LIMIT`` bytes of docs, else one hash
-    shuffle).  The marker's (n_docs, n_tokens) corpus stats —
-    N counts EMPTY docs too, exactly like ``bm25_scores``'s oracle —
-    are summed from the just-written doc-length partition file, not a
-    second text scan.
+    partitioned write by bucket (in the driver up to an eighth of the
+    driver budget in bytes of docs, else one hash shuffle).  The
+    marker's (n_docs, n_tokens) corpus stats — N counts EMPTY docs too,
+    exactly like ``bm25_scores``'s oracle — are summed from the
+    just-written doc-length partition file, not a second text scan.
 
     ``positions=False`` drops the per-posting position lists (~35%
     smaller postings files, measured at sf0.1 x32 — BM25 and AND

@@ -32,10 +32,10 @@ overwrite the compacted history of other keys or land a run that the
 compact file would shadow.
 
 Scale shape: a write is one partitioned write of the increment — in
-the driver up to ``store_fold._DRIVER_INGEST_LIMIT`` bytes of input,
-else one hash exchange; reads stream per-bucket tasks, and compaction
-folds buckets in the driver up to ``store_fold._DRIVER_READ_LIMIT``
-bytes of runs, else per-bucket tasks (bounded by bucket size not store
+the driver up to an eighth of the one driver budget (``collect.fits``)
+in bytes of input, else one hash exchange; reads stream per-bucket
+tasks, and compaction folds buckets in the driver while their runs fit
+the budget, else per-bucket tasks (bounded by bucket size not store
 size); the per-bucket run count grows with the increment count and is
 exactly what compaction bounds.
 """

@@ -20,9 +20,10 @@ def ray_session():
     ray.shutdown()
 
 
-def scale_tier(monkeypatch, module, *names):
-    """Send every operator gated by the named ``_*_LIMIT`` constants of
-    ``module`` to its exchange tier: operators pick a tier from input
-    size alone, and a limit of -1 puts even an empty input above it."""
-    for name in names:
-        monkeypatch.setattr(module, name, -1)
+def scale_tier(monkeypatch):
+    """Send every tiered operator to its exchange tier: operators pick a
+    tier from input bytes alone against ``collect.DRIVER_BUDGET``, and a
+    budget of -1 puts even an empty input above it."""
+    from sylk.stages import collect
+
+    monkeypatch.setattr(collect, "DRIVER_BUDGET", -1)

@@ -115,19 +115,21 @@ def test_ngram_partial_overflow_string_fallback():
     assert got == dict(exp)
 
 
-def test_bounded_collect_probe(ray_session):
-    """Above the limit the driver never receives a concatenated table —
-    the decision comes from materialized block metadata."""
+def test_bounded_collect_probe(ray_session, monkeypatch):
+    """Above the budget the driver never receives a concatenated table —
+    the decision comes from materialized block metadata bytes."""
     import ray.data
 
-    from sylk.stages.collect import collect
+    from sylk.stages import collect as C
 
     ds = ray.data.range(100).map_batches(
         lambda b: pa.table({"x": b.column("id")}), batch_format="pyarrow")
-    mds, tbl = collect(ds, limit=10)
+    monkeypatch.setattr(C, "DRIVER_BUDGET", 100 * 8 - 1)
+    mds, tbl = C.collect(ds, tiered=True)
     assert tbl is None
     assert mds.count() == 100  # still usable for the distributed tier
-    mds2, tbl2 = collect(ds, limit=1000)
+    monkeypatch.setattr(C, "DRIVER_BUDGET", 100 * 8)
+    mds2, tbl2 = C.collect(ds, tiered=True)
     assert tbl2 is not None and len(tbl2) == 100
 
 

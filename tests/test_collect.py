@@ -34,15 +34,20 @@ def _two_blocks(log):
         _counted(str(log)), batch_format="pyarrow", batch_size=None)
 
 
-def test_collect_runs_the_plan_once_per_block(ray_session, tmp_path):
+def test_collect_runs_the_plan_once_per_block(ray_session, tmp_path,
+                                              monkeypatch):
+    from sylk.stages import collect as C
+
     log = tmp_path / "calls"
-    mds, tbl = collect(_two_blocks(log))
+    mds, tbl = collect(_two_blocks(log), tiered=True)
     assert sorted(tbl.column("k").to_pylist(), key=str) == [1, 2, 3, None]
     assert mds.count() == 4
     assert _calls(log) == 2
-    # above the limit: no table, and the materialized side is reused
+    # one byte over the budget: no table, and the materialized side is
+    # reused
+    monkeypatch.setattr(C, "DRIVER_BUDGET", mds.size_bytes() - 1)
     log2 = tmp_path / "calls2"
-    mds, tbl = collect(_two_blocks(log2), limit=3)
+    mds, tbl = collect(_two_blocks(log2), tiered=True)
     assert tbl is None and mds.count() == 4
     assert _calls(log2) == 2
 
@@ -86,7 +91,7 @@ def test_semi_join_runs_the_right_side_once(ray_session, tmp_path,
     import ray.data
 
     if tier == "exchange":
-        scale_tier(monkeypatch, join, "_DRIVER_JOIN_LIMIT")
+        scale_tier(monkeypatch)
     log = tmp_path / "calls"
     left = ray.data.from_arrow(pa.table({"k": pa.array([1, 2, 3, 4, 5],
                                                        pa.int64()),
@@ -106,12 +111,11 @@ def test_first_ann_ingest_runs_its_input_once(ray_session, tmp_path,
     import numpy as np
     import ray.data
 
-    from sylk.stages import store_fold
     from sylk.stages.ann_store import ann_ingest
     from sylk.stages.similarity import IVFIndex
 
     if tier == "exchange":
-        scale_tier(monkeypatch, store_fold, "_DRIVER_INGEST_LIMIT")
+        scale_tier(monkeypatch)
     rng = np.random.default_rng(7)
     blocks = [pa.table({
         "vec_id": pa.array(range(i, i + 40), pa.int64()),

@@ -6,7 +6,6 @@ import pyarrow as pa
 import pytest
 from conftest import scale_tier
 
-from sylk.stages import curate
 from sylk.stages.curate import (
     _shingle_pairs_batch,
     decontaminate,
@@ -105,7 +104,7 @@ def test_decontaminate_distributed_equivalence(monkeypatch):
     corpus, bench = _decon_datasets()
     a = {(r["doc_id"], r["n_hit"])
          for r in decontaminate(corpus, bench, k=8).take_all()}
-    scale_tier(monkeypatch, curate, "_BENCH_BROADCAST_LIMIT")
+    scale_tier(monkeypatch)
     b = {(r["doc_id"], r["n_hit"])
          for r in decontaminate(corpus, bench, k=8).take_all()}
     assert a == b and a

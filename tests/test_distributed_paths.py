@@ -9,8 +9,6 @@ import pyarrow as pa
 import pytest
 from conftest import scale_tier
 
-import sylk.stages.aggregate as aggregate
-import sylk.stages.asof as asof
 import sylk.stages.dedup as dedup
 from sylk.sources.transcripts import synth_batch
 from sylk.stages.aggregate import combined_counts, grouped_counts, rollups_from_combined
@@ -33,7 +31,7 @@ def _norm(df, keys):
 
 def test_combined_counts_distributed_equals_driver_merge(parsed, monkeypatch):
     local = combined_counts(parsed)
-    scale_tier(monkeypatch, aggregate, "_COMBINED_DRIVER_LIMIT")
+    scale_tier(monkeypatch)
     dist = combined_counts(parsed)
     for a, b in zip(rollups_from_combined(local), rollups_from_combined(dist)):
         keys = [c for c in a.columns if c != "n"]
@@ -67,7 +65,7 @@ def test_minhash_distributed_branch(ray_session, monkeypatch):
     ]
     ds = ray.data.from_items(docs)
     fast = dedup.minhash_dup_pairs(ds, threshold=0.5).to_pandas()
-    monkeypatch.setattr(dedup, "_DRIVER_TRIPLE_LIMIT", 0)
+    scale_tier(monkeypatch)
     dist = dedup.minhash_dup_pairs(ray.data.from_items(docs), threshold=0.5).to_pandas()
     key = ["a", "b"]
     pd.testing.assert_frame_equal(_norm(fast, key), _norm(dist, key), check_dtype=False)
@@ -85,7 +83,7 @@ def test_simhash_distributed_branch(ray_session, monkeypatch):
         {"doc_id": 3, "text": "the quick brown fox jumps over the lazy dog today"},
     ]
     fast = dedup.simhash_dup_pairs(ray.data.from_items(docs), max_hamming=8).to_pandas()
-    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT")
+    scale_tier(monkeypatch)
     dist = dedup.simhash_dup_pairs(ray.data.from_items(docs), max_hamming=8).to_pandas()
     key = ["a", "b"]
     pd.testing.assert_frame_equal(_norm(fast, key), _norm(dist, key), check_dtype=False)
@@ -106,7 +104,7 @@ def test_winnow_distributed_branch(ray_session, monkeypatch):
         {"doc_id": 3, "text": base},
     ]
     fast = dedup.winnow_dup_pairs(ray.data.from_items(docs), min_shared=3).to_pandas()
-    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT")
+    scale_tier(monkeypatch)
     dist = dedup.winnow_dup_pairs(ray.data.from_items(docs), min_shared=3).to_pandas()
     key = ["a", "b"]
     pd.testing.assert_frame_equal(
@@ -133,7 +131,7 @@ def test_ngram_jaccard_distributed_branch(ray_session, monkeypatch):
     ]
     fast = dedup.ngram_jaccard_dup_pairs(
         ray.data.from_items(docs), threshold=0.3).to_pandas()
-    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT")
+    scale_tier(monkeypatch)
     dist = dedup.ngram_jaccard_dup_pairs(
         ray.data.from_items(docs), threshold=0.3).to_pandas()
     key = ["a", "b"]
@@ -163,7 +161,7 @@ def test_embedding_distributed_branch(ray_session, monkeypatch):
     })
     fast = dedup.embedding_dup_pairs(
         ray.data.from_arrow(t), threshold=0.97).to_pandas()
-    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT", "_DRIVER_PAIR_LIMIT")
+    scale_tier(monkeypatch)
     dist = dedup.embedding_dup_pairs(
         ray.data.from_arrow(t), threshold=0.97).to_pandas()
     key = ["a", "b"]
@@ -185,7 +183,7 @@ def test_minhash_join_verify_branch(ray_session, monkeypatch):
         )
     ]
     fast = dedup.minhash_dup_pairs(ray.data.from_items(docs), threshold=0.5).to_pandas()
-    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT", "_DRIVER_PAIR_LIMIT")
+    scale_tier(monkeypatch)
     dist = dedup.minhash_dup_pairs(ray.data.from_items(docs), threshold=0.5).to_pandas()
     key = ["a", "b"]
     pd.testing.assert_frame_equal(_norm(fast, key), _norm(dist, key), check_dtype=False)
@@ -214,7 +212,7 @@ def test_ngram_prefix_equals_full_index(ray_session, monkeypatch):
         pre = dedup.ngram_jaccard_dup_pairs_prefix(
             ray.data.from_items(docs), threshold=thr).to_pandas()
         with monkeypatch.context() as m:
-            scale_tier(m, dedup, "_DRIVER_TRIPLE_LIMIT", "_DRIVER_PAIR_LIMIT")
+            scale_tier(m)
             pre_d = dedup.ngram_jaccard_dup_pairs_prefix(
                 ray.data.from_items(docs), threshold=thr).to_pandas()
         key = ["a", "b"]
@@ -257,7 +255,7 @@ def test_fill_forward_distributed_equals_broadcast(ray_session, monkeypatch):
     ds = ray.data.from_items(rows, override_num_blocks=16)
     base = fill_forward(ds, "k", ["o"], "v", "ff").to_pandas()
     ds2 = ray.data.from_items(rows, override_num_blocks=16)
-    scale_tier(monkeypatch, asof, "_DRIVER_SEED_LIMIT")
+    scale_tier(monkeypatch)
     dist = fill_forward(ds2, "k", ["o"], "v", "ff").to_pandas()
     key = ["k", "o"]
     pd.testing.assert_frame_equal(_norm(base, key), _norm(dist, key),
@@ -275,7 +273,7 @@ def test_running_total_distributed_equals_broadcast(ray_session, monkeypatch):
     ds = ray.data.from_items(rows, override_num_blocks=16)
     base = running_total(ds, "k", ["o"], "v", "rt").to_pandas()
     ds2 = ray.data.from_items(rows, override_num_blocks=16)
-    scale_tier(monkeypatch, asof, "_DRIVER_SEED_LIMIT")
+    scale_tier(monkeypatch)
     dist = running_total(ds2, "k", ["o"], "v", "rt").to_pandas()
     key = ["k", "o"]
     pd.testing.assert_frame_equal(_norm(base, key), _norm(dist, key),
@@ -294,7 +292,7 @@ def test_running_max_distributed_equals_broadcast(ray_session, monkeypatch):
     ds = ray.data.from_items(rows, override_num_blocks=16)
     base = running_max(ds, "k", ["o"], "v", "rm").to_pandas()
     ds2 = ray.data.from_items(rows, override_num_blocks=16)
-    scale_tier(monkeypatch, asof, "_DRIVER_SEED_LIMIT")
+    scale_tier(monkeypatch)
     dist = running_max(ds2, "k", ["o"], "v", "rm").to_pandas()
     key = ["k", "o"]
     pd.testing.assert_frame_equal(_norm(base, key), _norm(dist, key),
@@ -321,7 +319,7 @@ def test_ngram_containment_distributed_branch(ray_session, monkeypatch):
     ]
     fast = dedup.ngram_containment_pairs(
         ray.data.from_items(docs), threshold=0.9).to_pandas()
-    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT")
+    scale_tier(monkeypatch)
     dist = dedup.ngram_containment_pairs(
         ray.data.from_items(docs), threshold=0.9).to_pandas()
     key = ["a", "b"]
@@ -351,7 +349,7 @@ def test_snm_distributed_equals_driver(ray_session, monkeypatch):
     ]
     fast = dedup.sorted_neighborhood_pairs(
         ray.data.from_items(docs), window=2, threshold=0.5).to_pandas()
-    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT", "_DRIVER_PAIR_LIMIT")
+    scale_tier(monkeypatch)
     dist = dedup.sorted_neighborhood_pairs(
         ray.data.from_items(docs), window=2, threshold=0.5).to_pandas()
     key = ["a", "b"]
@@ -388,7 +386,7 @@ def test_connected_components_tier_equivalence(ray_session, monkeypatch):
     e_ds = ray.data.from_arrow(edges)
     fast = connected_components(n_ds, e_ds).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    scale_tier(monkeypatch, dedup, "_CC_DRIVER_EDGE_LIMIT")
+    scale_tier(monkeypatch)
     slow = connected_components(n_ds, e_ds).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert fast.equals(slow)
@@ -423,7 +421,7 @@ def test_embedding_two_stage_near_threshold(ray_session, monkeypatch):
     })
     fast = dedup.embedding_dup_pairs(
         ray.data.from_arrow(t), threshold=0.97).to_pandas()
-    scale_tier(monkeypatch, dedup, "_DRIVER_TRIPLE_LIMIT", "_DRIVER_PAIR_LIMIT")
+    scale_tier(monkeypatch)
     dist = dedup.embedding_dup_pairs(
         ray.data.from_arrow(t), threshold=0.97).to_pandas()
     key = ["a", "b"]
@@ -451,7 +449,7 @@ def test_dedup_turns_tiers_agree(ray_session, monkeypatch):
     blocks = [_turns(shard), _turns(shard[:3]), _turns([(3, 0, "user")])]
     key = ["conv_id", "turn_idx"]
     driver = dedup.dedup_turns(ray.data.from_arrow(blocks)).to_pandas()
-    scale_tier(monkeypatch, dedup, "_DRIVER_TURN_LIMIT")
+    scale_tier(monkeypatch)
     exchange = dedup.dedup_turns(ray.data.from_arrow(blocks)).to_pandas()
     pd.testing.assert_frame_equal(_norm(driver, key), _norm(exchange, key),
                                   check_dtype=False)

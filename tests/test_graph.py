@@ -5,7 +5,6 @@ import pyarrow as pa
 import pytest
 from conftest import scale_tier
 
-from sylk.stages import graph
 from sylk.stages.text import chunk_documents_batch
 
 
@@ -23,7 +22,7 @@ def test_pagerank_tiers_bit_identical(ray_session, monkeypatch):
     ds = ray.data.from_items(
         [{"src": s, "dst": d, "w": w} for s, d, w in edges])
     drv = _ranks(pagerank(ds, weight_col="w"))
-    scale_tier(monkeypatch, graph, "_DRIVER_EDGE_LIMIT")
+    scale_tier(monkeypatch)
     dist = _ranks(pagerank(ds, weight_col="w"))
     assert drv == dist
     assert set(drv) == {"a", "b", "c", "d"}
@@ -208,7 +207,7 @@ def test_triangle_degree_orientation_bounds_hot_vertex(ray_session,
     # the hash-join tier (above the edge limit) agrees with the
     # broadcast tier
     with monkeypatch.context() as m:
-        scale_tier(m, graph, "_DRIVER_EDGE_LIMIT")
+        scale_tier(m)
         od = degree_orient(eds).to_pandas()
     assert (sorted(map(tuple, od[["a", "b"]].to_numpy()))
             == sorted(map(tuple, oriented[["a", "b"]].to_numpy())))

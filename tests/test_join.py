@@ -6,6 +6,7 @@ import pyarrow as pa
 import pytest
 from conftest import scale_tier
 
+from sylk.stages import collect
 from sylk.stages import join as J
 
 SF = "/root/testdata/sf0.001"
@@ -44,7 +45,7 @@ def test_semi_anti_tiering(tables, monkeypatch):
     rds = ray.data.from_arrow(right)
     semi_b = J.semi_join(left, rds, on="k").to_pandas()
     anti_b = J.anti_join(left, rds, on="k").to_pandas()
-    scale_tier(monkeypatch, J, "_DRIVER_JOIN_LIMIT")
+    scale_tier(monkeypatch)
     semi_d = J.semi_join(left, rds, on="k").to_pandas()
     anti_d = J.anti_join(left, rds, on="k").to_pandas()
     key = ["k", "v"]
@@ -160,7 +161,7 @@ def _both_tiers(monkeypatch, fn):
     """``fn()`` in the driver tier, then in the exchange tier."""
     out = [fn()]
     with monkeypatch.context() as m:
-        scale_tier(m, J, "_DRIVER_JOIN_LIMIT")
+        scale_tier(m)
         out.append(fn())
     return out
 
@@ -215,6 +216,10 @@ def _sides(case):
                          "x": ["e", "f", "g", "h"]})]
     if case == "first_block_empty":
         lblocks.insert(0, lblocks[0].slice(0, 0))
+    if case.startswith("list_"):  # a list-typed payload column
+        lblocks = [b.append_column("v", pa.array(
+            [[i] for i in range(b.num_rows)], pa.list_(pa.int64())))
+            for b in lblocks]
     rtable = pa.table({"rk": pa.array([1, 2, 2, 4, 5, None], pa.int64()),
                        "rj": pa.array([1, 0, 0, 0, 1, 1], pa.int64()),
                        "y": [10, 20, 21, 40, 50, 60]})
@@ -225,6 +230,8 @@ def _sides(case):
         on, right_on, jt = ("k", "j"), ("rk", "rj"), "full_outer"
     elif case in ("int32_key", "first_block_empty"):
         jt = "full_outer"
+    elif case.startswith("list_"):
+        jt = case[len("list_"):]
     elif case.startswith("empty_"):
         _, side, kind = case.split("_")
         jt = "full_outer"
@@ -248,14 +255,17 @@ def _answer(ds):
 _CASES = ["inner", "left_outer", "full_outer", "left_semi", "left_anti",
           "composite", "int32_key", "first_block_empty",
           "empty_left_typed", "empty_left_schemaless",
-          "empty_right_typed", "empty_right_schemaless"]
+          "empty_right_typed", "empty_right_schemaless",
+          "list_left_semi", "list_left_anti"]
 
 
 @pytest.mark.parametrize("case", _CASES)
 def test_hash_join_tiers_agree(ray_session, monkeypatch, case):
     """The driver tier (with Ray's Dataset.join and groupby patched to
     raise: it starts no shuffle) and the exchange tier give the same
-    rows and the same output schema."""
+    rows and the same output schema.  A semi/anti join keeps a
+    list-typed left column, which pyarrow's join rejects outside the
+    keys (the ``list_`` cases)."""
     import ray.data
 
     def _no_shuffle(*a, **k):
@@ -267,17 +277,17 @@ def test_hash_join_tiers_agree(ray_session, monkeypatch, case):
         m.setattr(ray.data.Dataset, "groupby", _no_shuffle)
         driver = _answer(J.hash_join(left, right, on, right_on, jt))
     with monkeypatch.context() as m:
-        scale_tier(m, J, "_DRIVER_JOIN_LIMIT")
+        scale_tier(m)
         exchange = _answer(J.hash_join(left, right, on, right_on, jt))
     assert driver == exchange
     rows, schema = driver
     if case == "int32_key":
         assert ("k", "int32") in schema
-    if case in ("inner", "left_semi", "left_anti"):
+    if jt in ("inner", "left_semi", "left_anti"):
         keys = sorted(dict(r)["k"] for r in rows if dict(r)["k"] is not None)
         assert keys == {"inner": [1, 2, 2, 2, 2, 5, 5],
                         "left_semi": [1, 2, 2, 5, 5],
-                        "left_anti": [0, 3]}[case]
+                        "left_anti": [0, 3]}[jt]
     # a schemaless empty side is typed as its key columns alone
     if case == "empty_right_typed":
         assert len(rows) == 8 and [n for n, _ in schema] == ["k", "j", "x",
@@ -290,8 +300,8 @@ def test_hash_join_tiers_agree(ray_session, monkeypatch, case):
 
 def test_hash_join_tier_follows_block_bytes(ray_session, monkeypatch):
     """The tier is picked from the in-memory bytes of both materialized
-    sides: at their sum the driver joins, one byte below it the public
-    groupby exchange runs."""
+    sides: at a driver budget of their sum the driver joins, one byte
+    below it the public groupby exchange runs."""
     import ray.data
 
     left = ray.data.from_arrow(pa.table({"k": list(range(100)),
@@ -307,7 +317,7 @@ def test_hash_join_tier_follows_block_bytes(ray_session, monkeypatch):
 
     monkeypatch.setattr(ray.data.Dataset, "groupby", _spy)
     for limit, exchanged in ((size, False), (size - 1, True)):
-        monkeypatch.setattr(J, "_DRIVER_JOIN_LIMIT", limit)
+        monkeypatch.setattr(collect, "DRIVER_BUDGET", limit)
         groupbys.clear()
         assert J.hash_join(left, right, on="k").count() == 50
         assert bool(groupbys) == exchanged
@@ -326,7 +336,7 @@ def test_verify_pairs_join_keeps_the_input_blocks(ray_session, monkeypatch,
     from sylk.stages import dedup as D
 
     if tier == "exchange":
-        scale_tier(monkeypatch, J, "_DRIVER_JOIN_LIMIT")
+        scale_tier(monkeypatch)
     n = 6000
     # every candidate twice (two colliding bands), plus a pair whose b
     # is missing from the source

@@ -15,7 +15,6 @@ from conftest import scale_tier
 from sylk.functions import FACILITY_NAMES, SEVERITY_NAMES, parse_line
 from sylk.pipelines.flagship import parse_enrich, run_flagship
 from sylk.sources.transcripts import synth_batch, write_transcripts
-from sylk.stages import store_fold
 from sylk.stages.aggregate import salted_group_counts, sink_counts
 
 N_ROWS = 6000
@@ -247,7 +246,7 @@ def test_manifest_records_route_tier(ray_session, corpus_dir, flagship_out,
 
     exc = str(tmp_path_factory.mktemp("tier_exchange"))
     with monkeypatch.context() as m:
-        scale_tier(m, store_fold, "_DRIVER_READ_LIMIT")
+        scale_tier(m)
         s = run_flagship(files, exc, files_per_unit=2)
     for k in rollups:
         assert s[k] == flagship_out[k], k

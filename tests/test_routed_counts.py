@@ -21,7 +21,6 @@ from ray import cloudpickle
 
 from sylk.pipelines.flagship import parse_enrich, run_flagship
 from sylk.sources.transcripts import synth_batch, write_transcripts
-from sylk.stages import store_fold
 from sylk.stages.router import (
     HOST_APP_SCHEMA,
     ROUTE_COUNTS_SCHEMA,
@@ -152,7 +151,7 @@ def _route_tier(route, ds, d, inc_id, tier, monkeypatch):
     its tier fields, and the (files, rows) and marker it left."""
     with monkeypatch.context() as m:
         if tier == "exchange":
-            scale_tier(m, store_fold, "_DRIVER_READ_LIMIT")
+            scale_tier(m)
         routes, host_app, info = route(ds, d, inc_id)
     assert info["route_tier"] == tier
     ext = "json" if route is route_and_write_jsonl else "parquet"

@@ -333,14 +333,6 @@ def _tiers(kinds):
             + [pytest.param(k, True, id=f"{k}-exchange") for k in kinds])
 
 
-def _exchange(monkeypatch):
-    """Send every store write, fold and probe to its exchange tier."""
-    from sylk.stages import store_fold
-
-    scale_tier(monkeypatch, store_fold, "_DRIVER_INGEST_LIMIT",
-               "_DRIVER_READ_LIMIT")
-
-
 def _files(store):
     return sorted(os.path.relpath(f, store)
                   for f in glob.glob(os.path.join(store, "**"),
@@ -359,7 +351,7 @@ def test_rerun_replaces_its_increment(ray_session, tmp_path, monkeypatch,
     from sylk.stages.store_fold import read_marker
 
     if exchange:
-        _exchange(monkeypatch)
+        scale_tier(monkeypatch)
     store, ref = str(tmp_path / "store"), str(tmp_path / "ref")
     for inc, which in ((1, "base"), (2, "first"), (2, "second")):
         _write(kind, store, inc, which)
@@ -407,7 +399,7 @@ def test_crash_before_marker(ray_session, tmp_path, monkeypatch, kind,
     from sylk.stages import store_fold
 
     if exchange:
-        _exchange(monkeypatch)
+        scale_tier(monkeypatch)
     store, before, ref = (str(tmp_path / d)
                           for d in ("store", "before", "ref"))
     for d in (store, before, ref):

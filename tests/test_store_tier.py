@@ -1,14 +1,14 @@
-"""Store tiers.  Probes: below ``store_fold._DRIVER_READ_LIMIT`` bytes
-of read set the probes (BM25, AND, phrase, ANN, index_delete's
-candidate lookup) answer from one driver pyarrow table; above it they
-build Ray Data plans.  Both tiers must give the same answers, under
-``as_of``, after tombstones and after a compaction; every empty answer
-is typed; the driver tier starts no Ray read.  Writes: below
-``store_fold._DRIVER_INGEST_LIMIT`` bytes of input an increment is
-partitioned and written in the driver, and below
-``_DRIVER_READ_LIMIT`` bytes of partition files a fold runs in a driver
-loop; both tiers leave the same store, and the driver tier starts no
-shuffle and no task."""
+"""Store tiers.  Probes: while the read set fits the driver budget
+(``collect.DRIVER_BUDGET``, bytes on disk) the probes (BM25, AND,
+phrase, ANN, index_delete's candidate lookup) answer from one driver
+pyarrow table; above it they build Ray Data plans.  Both tiers must
+give the same answers, under ``as_of``, after tombstones and after a
+compaction; every empty answer is typed; the driver tier starts no Ray
+read.  Writes: while eight times its input bytes fit the budget an
+increment is partitioned and written in the driver, and while its
+partition files fit it a fold runs in a driver loop; both tiers leave
+the same store, and the driver tier starts no shuffle and no task.
+``scale_tier`` sends every step to its exchange tier."""
 
 import glob
 import json
@@ -89,11 +89,10 @@ def _ann_answers(ann, **kw):
 
 def _both_tiers(monkeypatch, fn):
     """``fn()`` in the driver tier, then in the exchange tier."""
-    from sylk.stages import store_fold
 
     driver = fn()
     with monkeypatch.context() as m:
-        scale_tier(m, store_fold, "_DRIVER_READ_LIMIT")
+        scale_tier(m)
         exchange = fn()
     return driver, exchange
 
@@ -140,7 +139,6 @@ def test_index_delete_agrees_across_tiers(ray_session, tmp_path,
                                           monkeypatch):
     import ray.data
 
-    from sylk.stages import store_fold
     from sylk.stages.text_index import compact_text_index
 
     ti, _ = _stores(tmp_path)
@@ -155,7 +153,7 @@ def test_index_delete_agrees_across_tiers(ray_session, tmp_path,
     for del_id, ids in batches:
         driver = _delete_result(ti, ids, del_id)
         with monkeypatch.context() as m:
-            scale_tier(m, store_fold, "_DRIVER_READ_LIMIT")
+            scale_tier(m)
             exchange = _delete_result(twin, ids, del_id)
         assert driver == exchange
         assert driver[0]["deleted"] > 0 or del_id == 2
@@ -165,17 +163,16 @@ def test_index_delete_agrees_across_tiers(ray_session, tmp_path,
     compact_text_index(twin)
     driver = _delete_result(ti, [1, 4, 3], 4)
     with monkeypatch.context() as m:
-        scale_tier(m, store_fold, "_DRIVER_READ_LIMIT")
+        scale_tier(m)
         exchange = _delete_result(twin, [1, 4, 3], 4)
     assert driver == exchange and driver[0]["deleted"] == 2
 
 
 @pytest.fixture(params=["driver", "exchange"])
 def tier(request, monkeypatch):
-    from sylk.stages import store_fold
 
     if request.param == "exchange":
-        scale_tier(monkeypatch, store_fold, "_DRIVER_READ_LIMIT")
+        scale_tier(monkeypatch)
     return request.param
 
 
@@ -231,7 +228,7 @@ def test_driver_tier_starts_no_ray_read(ray_session, tmp_path, monkeypatch):
     assert glob.glob(os.path.join(ti, "_deletes", "_done_del1.json"))
 
 
-# --- write tiers: store_fold._DRIVER_INGEST_LIMIT and the fold's size rule --
+# --- write tiers: write_increment's and the fold's size rule ---------------
 
 def _on_disk(store):
     """Every file of the store: Parquet as its row multiset, the rest as
@@ -280,12 +277,10 @@ def test_ingests_and_folds_agree_across_tiers(ray_session, tmp_path,
     leave the same partition files, row multisets, markers, centroids
     and watermark, and return the same stats, through reruns, an empty
     increment, tombstone purges and a watermark refusal."""
-    from sylk.stages import store_fold
 
     driver = _steps(kind, str(tmp_path / "driver"))
     with monkeypatch.context() as m:
-        scale_tier(m, store_fold, "_DRIVER_INGEST_LIMIT",
-                   "_DRIVER_READ_LIMIT")
+        scale_tier(m)
         exchange = _steps(kind, str(tmp_path / "exchange"))
     assert driver == exchange
     fold = next(s for s in driver if s[0] == "fold")
@@ -296,7 +291,7 @@ def test_ingests_and_folds_agree_across_tiers(ray_session, tmp_path,
 
 def test_driver_tier_writes_without_shuffle_or_task(ray_session, tmp_path,
                                                     monkeypatch):
-    """Below the limits, text, ANN and upsert ingests (the first ANN one
+    """Within the budget, text, ANN and upsert ingests (the first ANN one
     trains the centroids) and their folds run with
     ``Dataset.groupby`` and ``ray.remote`` raising."""
     import ray

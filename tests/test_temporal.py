@@ -142,7 +142,6 @@ def test_lag_lead_match_pandas(ray_session):
 def test_lag_distributed_equals_broadcast(ray_session, monkeypatch):
     import ray.data
 
-    from sylk.stages import asof
     from sylk.stages.asof import lag
 
     rng = np.random.default_rng(43)
@@ -150,7 +149,7 @@ def test_lag_distributed_equals_broadcast(ray_session, monkeypatch):
                        "v": rng.standard_normal(500)})
     base = lag(ray.data.from_pandas(df).repartition(8),
                "k", ["o"], "v", "lg").to_pandas()
-    scale_tier(monkeypatch, asof, "_DRIVER_SEED_LIMIT")
+    scale_tier(monkeypatch)
     dist = lag(ray.data.from_pandas(df).repartition(8),
                "k", ["o"], "v", "lg").to_pandas()
     key = ["k", "o"]

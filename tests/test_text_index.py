@@ -387,11 +387,10 @@ def test_bm25_repeated_query_term_matches_oneshot(ray_session, tmp_path,
     import ray.data
 
     from conftest import scale_tier
-    from sylk.stages import store_fold
     from sylk.stages.text import bm25_scores
 
     if tier == "exchange":
-        scale_tier(monkeypatch, store_fold, "_DRIVER_READ_LIMIT")
+        scale_tier(monkeypatch)
     store = str(tmp_path / "store")
     tbl = pa.table({"doc_id": pa.array([1, 2, 3, 4], pa.int64()),
                     "text": pa.array(["a b a", "b c", "c d", "a"])})

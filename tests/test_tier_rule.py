@@ -1,6 +1,7 @@
 """One tier rule: tiered operators pick their driver or exchange tier
-from input size alone, with typed results and no flag or partition
-count to override it; and no private Ray API anywhere under sylk/."""
+from input bytes alone, against one driver budget, with typed results
+and no flag or partition count to override it; and no private Ray API
+anywhere under sylk/."""
 
 import importlib
 import inspect
@@ -140,6 +141,67 @@ def test_winnow_no_shared_fingerprint_is_typed_empty(ray_session):
     assert list(schema.names) == ["a", "b", "shared_fps"]
     assert [str(t) for t in schema.types] == ["int64"] * 3
     assert out.count() == 0
+
+
+def test_one_driver_budget():
+    """Every tier switch asks ``collect.fits`` about bytes: no module
+    under sylk/ defines a ``_..._LIMIT`` tier constant or compares a
+    ``.count()`` or ``len(...)`` with one, ``collect`` sizes from block
+    metadata (no ``count()``), and ``DRIVER_BUDGET`` is named in
+    stages/collect.py alone (a ``from ... import`` copy would freeze the
+    budget against ``scale_tier``)."""
+    import re
+    from pathlib import Path
+
+    import sylk
+    from sylk.stages import collect
+
+    root = Path(sylk.__file__).parent
+    const = re.compile(r"^\s*_?[A-Z][A-Z0-9_]*_LIMIT\s*=", re.M)
+    compare = re.compile(
+        r"(\.count\(\)|\blen\([^()]*\))\s*[<>]=?\s*[\w.]*_LIMIT\b"
+        r"|\b[\w.]*_LIMIT\s*[<>]=?\s*(\S+\.count\(\)|len\()")
+    found = []
+    for p in sorted(root.rglob("*.py")):
+        text = p.read_text()
+        found += [f"{p.relative_to(root)}: {m.group(0).strip()}"
+                  for rx in (const, compare) for m in rx.finditer(text)]
+        if p != root / "stages" / "collect.py" and "DRIVER_BUDGET" in text:
+            found.append(f"{p.relative_to(root)}: DRIVER_BUDGET")
+    assert not found, f"tier rules besides collect.fits: {found}"
+    assert "count()" not in inspect.getsource(collect.collect)
+    assert collect.DRIVER_BUDGET == 64 << 20
+
+
+def test_wide_rows_take_the_exchange_tier(ray_session, monkeypatch):
+    """The tier follows bytes, not rows: 18,000 transcript rows with
+    4 KB of text (72 MB) send ``dedup_turns`` to its groupby exchange,
+    while the same rows without the text merge in the driver.  A row
+    limit (the 5M rows it once was) kept both in the driver."""
+    import pyarrow as pa
+    import ray.data
+
+    from sylk.stages.dedup import dedup_turns
+
+    n = 18_000
+    keys = {"conv_id": pa.array(range(n), pa.int64()),
+            "turn_idx": pa.array([0] * n, pa.int64())}
+    wide = pa.table({**keys, "text": pa.array(["w" * 4096] * n)})
+    groupbys = []
+    real = ray.data.Dataset.groupby
+
+    def _spy(self, *a, **k):
+        groupbys.append(a)
+        return real(self, *a, **k)
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", _spy)
+    for tbl, exchanged in ((pa.table(keys), False), (wide, True)):
+        groupbys.clear()
+        # half the keys twice, the copies in another block
+        ds = ray.data.from_arrow([tbl, tbl.slice(0, n // 2)])
+        out = dedup_turns(ds)
+        assert out.count() == n
+        assert bool(groupbys) == exchanged
 
 
 def test_no_private_ray_api():

@@ -7,7 +7,6 @@ import pytest
 from conftest import scale_tier
 
 from sylk.stages import dedup as D
-from sylk.stages import join as J
 from sylk.stages.dedup import (
     embedding_dup_pairs,
     exact_dedup,
@@ -25,8 +24,8 @@ from sylk.stages.multimodal import (
 )
 from sylk.stages.similarity import ann_topk_bruteforce, ann_topk_ivf
 from sylk.stages.text import (
-    LangId,
     fingerprint_batch,
+    lang_id_batch,
     quality_score_batch,
     token_count_batch,
 )
@@ -68,7 +67,7 @@ def test_lang_id():
         "der Hund und die Katze sind nicht in das Haus",
         "zzz qqq xxx www",  # no profile hits
     ]})
-    out = LangId()(t).to_pylist()
+    out = lang_id_batch(t).to_pylist()
     assert out[0]["lang_pred"] == "en"
     assert out[1]["lang_pred"] == "de"
     assert out[2]["lang_pred"] == "und"
@@ -648,7 +647,7 @@ def test_tfidf_cosine_pairs(ray_session, monkeypatch):
 
     # the distributed tier (above the token-row limit) must produce the
     # identical pair set
-    scale_tier(monkeypatch, D, "_DRIVER_TRIPLE_LIMIT")
+    scale_tier(monkeypatch)
     out_d = tfidf_cosine_pairs(ray.data.from_items(docs),
                                threshold=0.5).to_pandas()
     assert (sorted(zip(out_d.a, out_d.b, out_d.cosine))
@@ -669,9 +668,14 @@ def test_tfidf_token_rows_tf_counts():
 
 
 def test_tfidf_vocab_join_fallback(ray_session, monkeypatch):
-    """Vocab above the broadcast limit takes the hash-join idf tier —
-    must produce the identical pair set."""
+    """Token rows in the exchange tier with the vocabulary broadcast, and
+    with the vocabulary over the budget too (the hash-join idf tier),
+    produce the identical pair set.  The budget sits between the two
+    sizes: the vocabulary (16 B per distinct term) is smaller than the
+    token rows (24 B per doc and term)."""
     import ray.data
+
+    from sylk.stages import collect
 
     boiler = "terms and conditions apply all rights reserved contact us"
     docs = [
@@ -680,12 +684,26 @@ def test_tfidf_vocab_join_fallback(ray_session, monkeypatch):
         {"doc_id": 2, "text": boiler + " aardvark bison caribou dingo"},
         {"doc_id": 3, "text": boiler + " einkorn farro spelt teff"},
     ]
-    scale_tier(monkeypatch, D, "_DRIVER_TRIPLE_LIMIT")
+    rows = ray.data.from_items(docs).map_batches(
+        D.tfidf_token_rows, batch_format="pyarrow", batch_size=None)
+    monkeypatch.setattr(collect, "DRIVER_BUDGET",
+                        rows.materialize().size_bytes() - 1)
+    puts = []
+    real_put = ray.put
+
+    def _spy(obj, *a, **k):
+        puts.append(obj)
+        return real_put(obj, *a, **k)
+
+    monkeypatch.setattr(ray, "put", _spy)
     base = D.tfidf_cosine_pairs(ray.data.from_items(docs),
                                 threshold=0.5).to_pandas()
-    monkeypatch.setattr(D, "_TFIDF_VOCAB_BROADCAST_LIMIT", 0)
+    assert any(isinstance(p, tuple) for p in puts)  # the vocab broadcast
+    scale_tier(monkeypatch)
+    puts.clear()
     fb = D.tfidf_cosine_pairs(ray.data.from_items(docs),
                               threshold=0.5).to_pandas()
+    assert not any(isinstance(p, tuple) for p in puts)
     assert (sorted(zip(fb.a, fb.b, fb.cosine))
             == sorted(zip(base.a, base.b, base.cosine)) != [])
 
@@ -716,8 +734,7 @@ def test_dup_ngram_spans_planted(ray_session, monkeypatch):
            .to_pandas().set_index("doc_id"))
     # the distributed tier (semi-join + union-sum exchanges) must
     # census identically to the driver numpy pass
-    scale_tier(monkeypatch, D, "_DRIVER_TRIPLE_LIMIT")
-    scale_tier(monkeypatch, J, "_DRIVER_JOIN_LIMIT")
+    scale_tier(monkeypatch)
     dist = (dup_ngram_spans(ray.data.from_items(docs), k=8)
             .to_pandas().set_index("doc_id").sort_index())
     assert dist.equals(out.sort_index())
@@ -793,8 +810,7 @@ def test_semantic_dedup_distributed_tier(ray_session, monkeypatch):
     ds = ray.data.from_arrow(_semdedup_table())
     base = (semantic_dedup(ds, threshold=0.95, k=2)
             .to_pandas().sort_values("vec_id").reset_index(drop=True))
-    scale_tier(monkeypatch, D, "_DRIVER_TRIPLE_LIMIT", "_DRIVER_PAIR_LIMIT")
-    scale_tier(monkeypatch, J, "_DRIVER_JOIN_LIMIT")
+    scale_tier(monkeypatch)
     dist = (semantic_dedup(ds, threshold=0.95, k=2)
             .to_pandas().sort_values("vec_id").reset_index(drop=True))
     assert dist.equals(base)
