@@ -73,7 +73,12 @@ def main() -> int:
             print(f"ok   {name}: rows-only ({len(got_df)} rows, "
                   f"{_took(t0, sylk_s)})")
             continue
-        exp_df = con.execute(sql[name]).df()
+        try:
+            exp_df = con.execute(sql[name]).df()
+        except Exception as ex:  # noqa: BLE001
+            failures.append(name)
+            print(f"FAIL {name}: oracle raised {type(ex).__name__}: {ex}")
+            continue
         a, b = _canon(got_df), _canon(exp_df)
         status = []
         if list(a.columns) != list(b.columns):

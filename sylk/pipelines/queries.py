@@ -27,7 +27,7 @@ import pyarrow.compute as pc
 from ..functions.reference_semantics import FACILITY_NAMES, SEVERITY_NAMES
 from ..sources.transcripts import transcripts_from_events
 from ..stages.aggregate import grouped_counts_local, salted_group_counts
-from ..stages.collect import collect
+from ..stages.collect import collect, to_dataset
 from ..stages.parse import parse_batch
 from ..stages.router import add_route_columns
 from .flagship import parse_enrich
@@ -3353,8 +3353,7 @@ def q_value_mad_per_type(sf_dir: str) -> pa.Table:
     mad_df["med"] = mad_df["event_type"].map(med_map)
     out = pa.Table.from_pandas(mad_df[["event_type", "med", "mad"]],
                                preserve_index=False)
-    import ray.data as rd
-    return _table(rd.from_arrow(out), ["event_type", "med", "mad"])
+    return _table(to_dataset(out), ["event_type", "med", "mad"])
 
 
 def q_value_k_corr(sf_dir: str) -> pa.Table:
@@ -3415,8 +3414,7 @@ def q_new_hostapp_per_day(sf_dir: str) -> pa.Table:
     first = parts.groupby(["hostname", "appname"]).aggregate(
         Min("day", alias_name="day"))
     out = grouped_counts_local(first, ["day"])
-    import ray.data as rd
-    return _table(rd.from_arrow(out), ["day", "n"])
+    return _table(to_dataset(out), ["day", "n"])
 
 
 def q_type_share(sf_dir: str) -> pa.Table:
@@ -5517,7 +5515,9 @@ def build_oracle_sql() -> dict[str, str]:
         SELECT w_start, event_type, n FROM r WHERE rk = 1"""
     d["type_value_geomean"] = """
         SELECT event_type,
-               ROUND(exp(SUM(ln(value)) / CAST(COUNT(*) AS DOUBLE)), 6)
+               ROUND(CASE WHEN MIN(value) = 0 THEN 0.0
+                     ELSE exp(SUM(ln(NULLIF(value, 0)))
+                              / CAST(COUNT(*) AS DOUBLE)) END, 6)
                  AS geomean,
                COUNT(*) AS n
         FROM events GROUP BY 1"""
@@ -5716,7 +5716,7 @@ def _hourly_type_counts(sf_dir: str, event_type: str, out_name: str):
     counts = grouped_counts_local(
         ev.map_batches(_hour, batch_format="pyarrow", batch_size=None),
         ["hour"])
-    return ray.data.from_arrow(counts.rename_columns(["hour", out_name]))
+    return to_dataset(counts.rename_columns(["hour", out_name]))
 
 
 def q_view_click_full_outer(sf_dir: str) -> pa.Table:
@@ -5869,7 +5869,8 @@ def q_type_value_geomean(sf_dir: str) -> pa.Table:
     per-block additive partials of (Σ ln v, count) per type, driver
     merge, exp(Σ/n) finish.  Same 6dp protocol as entropy/doc_logprob;
     op order mirrored exactly (SUM(ln v) / CAST(n AS DOUBLE), exp,
-    round)."""
+    round).  A type holding a 0 has geometric mean 0: ln 0 = -inf, and
+    exp(-inf) = 0."""
     import os
 
     import ray.data
@@ -5879,8 +5880,10 @@ def q_type_value_geomean(sf_dir: str) -> pa.Table:
 
     def _part(b: pa.Table) -> pa.Table:
         v = b.column("value").to_numpy(zero_copy_only=False)
+        with np.errstate(divide="ignore"):
+            lv = np.log(v)
         t = pa.table({"event_type": b.column("event_type"),
-                      "lv": pa.array(np.log(v), pa.float64())})
+                      "lv": pa.array(lv, pa.float64())})
         g = t.group_by(["event_type"]).aggregate(
             [("lv", "sum"), ([], "count_all")])
         return g.rename_columns(["event_type", "s", "n"])
@@ -6063,7 +6066,7 @@ def q_type_hod_grid(sf_dir: str) -> pa.Table:
                   .sort_by("event_type")
     hods = pa.table({"hod": pa.array(np.arange(24, dtype=np.int64),
                                      pa.int64())})
-    grid = cross_join(ray.data.from_arrow(types), hods)
+    grid = cross_join(to_dataset(types), hods)
 
     import ray
 

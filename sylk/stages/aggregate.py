@@ -20,7 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
-from .collect import collect
+from .collect import collect, to_dataset
 
 
 def _partial_counts_gen(batch: pa.Table, keys, ok_filter: bool | None):
@@ -407,8 +407,6 @@ def rollup_counts(parsed_ds, keys, ok_filter: bool | None = True):
     grand total, with rolled-up columns null — computed from ONE partial
     pass (the per-block combiner runs once; each coarser level reduces
     the previous level's already-tiny output, never the corpus)."""
-    import ray.data
-
     keys = list(keys)
     partials = parsed_ds.map_batches(
         lambda b: _partial_counts_gen(b, keys, ok_filter),
@@ -437,7 +435,7 @@ def rollup_counts(parsed_ds, keys, ok_filter: bool | None = True):
     # empty input: Sum over no rows is None, but SQL ROLLUP still emits
     # the () grouping-set row with COUNT 0
     total = cur.aggregate(Sum("n", alias_name="n"))["n"] or 0
-    grand = ray.data.from_arrow(pa.table(
+    grand = to_dataset(pa.table(
         {**{k: pa.nulls(1, pa.int64()) for k in keys},
          "n": pa.array([total], pa.int64())}))
     out = levels[0]
@@ -452,8 +450,6 @@ def cube_counts(parsed_ds, keys, ok_filter: bool | None = True):
     as :func:`rollup_counts`, every coarser set reduced from the finest
     already-tiny level, never from the corpus."""
     import itertools
-
-    import ray.data
 
     keys = list(keys)
     partials = parsed_ds.map_batches(
@@ -483,7 +479,7 @@ def cube_counts(parsed_ds, keys, ok_filter: bool | None = True):
             out = out.union(lv.map_batches(_cast_level(set(subset)),
                                            batch_format="pyarrow"))
     total = finest.aggregate(Sum("n", alias_name="n"))["n"] or 0
-    grand = ray.data.from_arrow(pa.table(
+    grand = to_dataset(pa.table(
         {**{k: pa.nulls(1, pa.int64()) for k in keys},
          "n": pa.array([total], pa.int64())}))
     return out.union(grand)

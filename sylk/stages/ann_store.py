@@ -53,6 +53,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from .collect import to_dataset
 from .similarity import (IVFIndex, ann_topk_bruteforce, _normalize,
                          _topk_partial)
 from .store_fold import (atomic_write, check_as_of, delete_files,
@@ -148,14 +149,14 @@ def ann_store_query(store_dir: str, queries: np.ndarray, k: int = 10,
                         as_of=as_of)
     empty = _topk_partial(pa.table({}), q, k)    # typed, zero rows
     if not files:
-        return ray.data.from_arrow(empty)
+        return to_dataset(empty)
     tbl = driver_read(store_dir, files, ["vec_id", "embedding"], "vec_id")
     if tbl is not None:
         top = _topk_partial(tbl, qm, k)
         if round_to is not None:
             top = top.set_column(2, "cosine", pa.array(np.round(
                 top.column("cosine").to_numpy(), round_to), pa.float64()))
-        return ray.data.from_arrow(top)
+        return to_dataset(top)
     pruned = ray.data.read_parquet(files, columns=["vec_id", "embedding"])
     del_files = delete_files(store_dir)
     if del_files:

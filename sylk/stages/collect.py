@@ -1,4 +1,4 @@
-"""The one driver gather and the one driver budget.
+"""The one driver gather, its inverse and the one driver budget.
 
 Every tiered operator picks its driver or exchange tier by one rule:
 its input fits in the driver when :func:`fits` its bytes, in-memory
@@ -30,6 +30,20 @@ the installed Ray Data (2.49):
   ``batch_format="pandas"`` can come back as pandas frames; they are
   converted.  Such a block's all-null column arrives typed ``null``,
   and the concatenation promotes it to the other blocks' type.
+
+The way back is :func:`to_dataset`: every driver-held result (a probe
+answer, a driver tier's output, a typed empty) becomes a Dataset
+through it.  Measured on 4 CPUs: ``ray.data.from_arrow`` on a driver
+table costs a remote metadata task the driver waits for (6-7 ms), and
+the caller's first consumer then starts a streaming executor (20-22
+ms, a 10 ms poll sleep included): a 10-row answer took 25.7-26.7 ms
+to hand back and read with ``take_all``.  ``ray.data.from_blocks``
+computes the block metadata in the driver, and ``materialize`` of that
+source-only plan sets its snapshot without an executor, so
+``take_all``, ``to_pandas`` and ``iter_rows`` read the blocks
+directly: 10.7-11.3 ms for the same answer.  A result that feeds
+another map costs what it did (42-44 ms against 41-43 ms for
+``from_arrow`` + ``map_batches`` + ``take_all``).
 """
 
 from __future__ import annotations
@@ -76,3 +90,15 @@ def collect(ds, tiered: bool = False):
         return mds, pa.table({})
     return mds, pa.Table.from_pydict(
         {f.name: pa.array([], f.type) for f in schema.base_schema})
+
+
+def to_dataset(tables):
+    """The inverse of :func:`collect`: a materialized Dataset over the
+    driver-held ``tables`` (one Arrow table, or a list of them, one
+    block each, so a caller's block count survives).  An empty table
+    keeps its schema."""
+    import ray.data
+
+    if isinstance(tables, pa.Table):
+        tables = [tables]
+    return ray.data.from_blocks(list(tables)).materialize()

@@ -14,8 +14,9 @@ Scale notes
   gram per block.
 * ``decontaminate`` is two-tier like the dedup/join families: the
   benchmark (eval-set) side is small by definition, so the default tier
-  broadcasts its distinct shingles once per worker (pandas hash Index,
-  vectorized membership); when the benchmark (doc, shingle) pairs do
+  broadcasts its distinct shingles through the object store and flags
+  corpus pairs with a stateless ``pc.is_in`` map (no actor pool to
+  start); when the benchmark (doc, shingle) pairs do
   not fit the driver budget it switches to a distributed semi-join on
   the shingle key — the tier DECISION reads the pairs' bytes from the
   materialized pairs' block metadata (``collect``) before any row
@@ -133,26 +134,8 @@ def _shingle_pairs_batch(batch: pa.Table, k: int, text_col: str = "text",
                      "shingle": pa.array(shingles, pa.string())})
 
 
-class _ShingleFlagger:
-    """Actor-pool stage: holds the broadcast benchmark-shingle hash
-    index (built once per actor in ``__init__``), flags corpus pairs
-    with one vectorized membership probe per batch."""
-
-    def __init__(self, bench_ref):
-        import pandas as pd
-        import ray
-
-        self._idx = pd.Index(ray.get(bench_ref))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mask = self._idx.get_indexer(
-            batch.column("shingle").to_numpy(zero_copy_only=False)) >= 0
-        return batch.filter(pa.array(mask))
-
-
 def decontaminate(docs_ds, bench_ds, k: int = 8,
-                  text_col: str = "text", id_col: str = "doc_id",
-                  concurrency: tuple[int, int] = (1, 16)):
+                  text_col: str = "text", id_col: str = "doc_id"):
     """Eval-set n-gram decontamination: flag every corpus doc sharing at
     least one word ``k``-gram with the benchmark set.  Returns a Dataset
     of (doc_id, n_hit) where ``n_hit`` = number of DISTINCT doc shingles
@@ -180,17 +163,16 @@ def decontaminate(docs_ds, bench_ds, k: int = 8,
     else:
         # distinct benchmark shingles (an all-empty benchmark may have
         # no schema, hence no column)
-        uniq = set(tbl.column("shingle").to_pylist()) \
-            if "shingle" in tbl.column_names else set()
-        bench_ref = ray.put(np.asarray(sorted(uniq), dtype=object))
-        # autoscaling actor pool: the corpus side is the 100-TB stream,
-        # so the max must track the cluster, not a constant — callers on
-        # big clusters raise ``concurrency`` (min stays 1 so small runs
-        # don't reserve idle actors)
-        hits = pairs.map_batches(_ShingleFlagger,
-                                 fn_constructor_args=(bench_ref,),
-                                 batch_format="pyarrow",
-                                 concurrency=concurrency)
+        bench_ref = ray.put(pc.unique(tbl.column("shingle"))
+                            if "shingle" in tbl.column_names
+                            else pa.array([], pa.string()))
+
+        def _flag(b: pa.Table) -> pa.Table:
+            return b.filter(pc.is_in(b.column("shingle"),
+                                     value_set=ray.get(bench_ref)))
+
+        hits = pairs.map_batches(_flag, batch_format="pyarrow",
+                                 batch_size=None)
     out = hits.groupby(id_col).aggregate(Count(alias_name="n_hit"))
     return out
 

@@ -48,7 +48,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.pairs import run_pairs
-from .collect import collect, fits
+from .collect import collect, fits, to_dataset
 
 _N_PERM = 64
 _BANDS = 16  # 16 bands x 4 rows
@@ -426,9 +426,7 @@ def _verify_broadcast(cand: pd.DataFrame, source_ds, id_col: str, val_col: str,
 
 
 def _no_verified_pairs(out_col: str):
-    import ray.data
-
-    return ray.data.from_arrow(pa.table({
+    return to_dataset(pa.table({
         "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
         out_col: pa.array([], pa.float64())}))
 
@@ -658,9 +656,7 @@ def dup_ngram_spans(docs_ds, k: int = 8, text_col: str = "text",
     # those blocks (no re-explode) for the distributed path.
     rows, tbl = collect(rows, tiered=True)
     if tbl is not None:
-        import ray.data
-
-        return ray.data.from_arrow(_gram_census_driver(tbl))
+        return to_dataset(_gram_census_driver(tbl))
 
     # gram document-frequency (rows are distinct per (doc, gram), so
     # count-per-gram == doc frequency); two-phase so only per-block
@@ -1490,8 +1486,6 @@ def semantic_dedup(emb_ds, threshold: float = 0.95, k: int = 8,
     mpairs, ptbl = collect(pairs, tiered=True)
     assign, atbl = collect(assign, tiered=True)
     if atbl is not None and ptbl is not None:
-        import ray.data
-
         ids = atbl.column(id_col).to_numpy(zero_copy_only=False)
         cl = atbl.column("cluster").to_numpy(zero_copy_only=False)
         order = np.argsort(ids, kind="stable")
@@ -1504,7 +1498,7 @@ def semantic_dedup(emb_ds, threshold: float = 0.95, k: int = 8,
             keep_mask = ~np.isin(ids, np.unique(b[same]))
         else:
             keep_mask = np.ones(len(ids), bool)
-        return ray.data.from_arrow(pa.table({
+        return to_dataset(pa.table({
             id_col: pa.array(ids[keep_mask], pa.int64()),
             "cluster": pa.array(cl[keep_mask], pa.int64())}))
 
@@ -1561,7 +1555,6 @@ def connected_components(nodes_ds, edges_ds, node_col: str = "doc_id",
     in the object store (edge table is candidate-sized, labels are
     O(nodes x 16B))."""
     import ray
-    import ray.data
     from ray.data.aggregate import Min, Sum
 
     from .join import hash_join
@@ -1572,8 +1565,8 @@ def connected_components(nodes_ds, edges_ds, node_col: str = "doc_id",
         return pa.table({"src": pa.array(np.concatenate([a, bb]), pa.int64()),
                          "dst": pa.array(np.concatenate([bb, a]), pa.int64())})
 
-    seed_e = ray.data.from_arrow(pa.table({"src": pa.array([], pa.int64()),
-                                           "dst": pa.array([], pa.int64())}))
+    seed_e = to_dataset(pa.table({"src": pa.array([], pa.int64()),
+                                  "dst": pa.array([], pa.int64())}))
     edges = seed_e.union(
         edges_ds.map_batches(_undir, batch_format="pyarrow",
                              batch_size=None)).materialize()

@@ -57,7 +57,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .collect import collect
+from .collect import collect, to_dataset
 from .store_fold import (check_watermark, complete_increments, fold,
                          inc_file, read_set, remove_increment,
                          write_increment, write_marker)
@@ -91,8 +91,6 @@ def dedup_ingest(ds, store_dir: str, out_dir: str, key_col: str,
     ``key_col`` (string) is the content identity — hashed with the
     md5-parity ``content_hash64`` kernel; ``order_col`` (int64) breaks
     in-increment ties (smallest wins)."""
-    import ray.data
-
     from .sample import content_hash64
 
     os.makedirs(store_dir, exist_ok=True)
@@ -161,8 +159,7 @@ def dedup_ingest(ds, store_dir: str, out_dir: str, key_col: str,
              .map_groups(_one_bucket, batch_format="pyarrow")
              .to_pandas())
     write_marker(store_dir, inc_id, {"buckets": int(len(stats))})
-    return ray.data.from_arrow(pa.Table.from_pandas(stats,
-                                                    preserve_index=False))
+    return to_dataset(pa.Table.from_pandas(stats, preserve_index=False))
 
 
 def read_accepted(out_dir: str, store_dir: str, inc_id: int | None = None):
@@ -181,7 +178,7 @@ def read_accepted(out_dir: str, store_dir: str, inc_id: int | None = None):
     if files:
         return ray.data.read_parquet(files)
     any_file = glob.glob(os.path.join(out_dir, "inc=*", "*.parquet"))[:1]
-    return ray.data.from_arrow(
+    return to_dataset(
         ray.data.read_parquet(any_file).schema().base_schema.empty_table()
         if any_file else pa.table({}))
 

@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .collect import collect
+from .collect import collect, to_dataset
 
 _SCALE = 1_000_000_000_000  # rank fixed point (1e12)
 _PSCALE = 1_000_000         # edge-probability fixed point (1e6)
@@ -47,8 +47,6 @@ def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
     the deterministic simple-PageRank variant).  N = count of distinct
     nodes appearing in the edge set.
     """
-    import ray
-    import ray.data
     from ray.data.aggregate import Count, Sum
 
     from .join import hash_join
@@ -118,7 +116,7 @@ def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
              .select_columns(["node"]).materialize())
     n_nodes = nodes.count()
     if n_nodes == 0:
-        return ray.data.from_arrow(pa.table({
+        return to_dataset(pa.table({
             node_col: pa.array([], pa.string()),
             rank_col: pa.array([], pa.int64())}))
     base = (15 * (_SCALE // n_nodes)) // 100
@@ -170,10 +168,9 @@ def _pagerank_driver(edges: pa.Table, iterations: int, damping_pct: int,
     vectorized in numpy.  Bit-identical to the distributed tier and
     the SQL oracle (same floor divisions in the same order)."""
     import pandas as pd
-    import ray.data
 
     if edges.num_rows == 0:
-        return ray.data.from_arrow(pa.table({
+        return to_dataset(pa.table({
             node_col: pa.array([], pa.string()),
             rank_col: pa.array([], pa.int64())}))
     src = edges.column("src").to_pandas()
@@ -195,7 +192,7 @@ def _pagerank_driver(edges: pa.Table, iterations: int, damping_pct: int,
         r = base + (damping_pct * contrib) // 100
     # node order: sorted for deterministic output blocks
     order = np.argsort(np.asarray(uniques, dtype=object))
-    return ray.data.from_arrow(pa.table({
+    return to_dataset(pa.table({
         node_col: pa.array(np.asarray(uniques, dtype=object)[order]),
         rank_col: pa.array(r[order], pa.int64())}))
 

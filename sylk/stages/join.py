@@ -39,7 +39,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .collect import collect, fits
+from .collect import collect, fits, to_dataset
 
 
 def broadcast_join(fact_ds, dim: pa.Table, on, right_on=None,
@@ -192,8 +192,6 @@ def _exchange_join(lds, rds, on, right_on, join_type: str):
     group, the rows as Arrow IPC bytes), one ``groupby("_g").map_groups``
     over their union, and the driver tier's pyarrow join per group.
     ``lds``/``rds`` are materialized."""
-    import ray.data
-
     from .dedup import _coarse_group_count
 
     # one row of each side types a group's missing side (and the keys)
@@ -203,8 +201,7 @@ def _exchange_join(lds, rds, on, right_on, join_type: str):
     rh = _conform(rh.slice(0, 0), right_on, types)
     n = lds.count() + rds.count()
     if not n:
-        return ray.data.from_arrow(_join_tables(lh, rh, on, right_on,
-                                                join_type))
+        return to_dataset(_join_tables(lh, rh, on, right_on, join_type))
     n_groups = _coarse_group_count(n)
 
     def _join_group(g: pa.Table) -> pa.Table:
@@ -240,8 +237,6 @@ def hash_join(left_ds, right_ds, on, right_on=None, join_type: str = "inner"):
     pyarrow join per group.  The right keys are cast to the left key
     types, and an empty side with no schema is typed as its key
     columns."""
-    import ray.data
-
     on = _names(on)
     right_on = on if right_on is None else _names(right_on)
     lds, rds = left_ds.materialize(), right_ds.materialize()
@@ -250,7 +245,7 @@ def hash_join(left_ds, right_ds, on, right_on=None, join_type: str = "inner"):
     out = _join_tables(collect(lds)[1], collect(rds)[1], on, right_on,
                        join_type)
     step = max(1, -(-out.num_rows // max(lds.num_blocks(), rds.num_blocks())))
-    return ray.data.from_arrow(
+    return to_dataset(
         [out.slice(i, step) for i in range(0, out.num_rows, step)] or out)
 
 

@@ -21,7 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data.aggregate import Count, Min, Sum
 
-from .collect import collect
+from .collect import collect, to_dataset
 
 # ASCII digit runs only ([0-9]+, not \d+): RE2's \d is ASCII-only but
 # Python re's \d is unicode — the explicit class is the parity-safe
@@ -223,7 +223,6 @@ def cooccurrence_counts(ds, basket_cols, item_col: str):
        items^2 x coarse groups.
     """
     import ray
-    import ray.data
 
     from .dedup import _coarse_grouped_pairs, _column, _keyed_pairs
 
@@ -240,7 +239,7 @@ def cooccurrence_counts(ds, basket_cols, item_col: str):
                       "type_b": pa.array([], pa.string()),
                       "n": pa.array([], pa.int64())})
     if len(vocab) < 2:  # no pair of distinct items (or no rows at all)
-        return ray.data.from_arrow(empty)
+        return to_dataset(empty)
     vocab_ref = ray.put(pa.array(vocab, vtbl.schema.field(item_col).type))
 
     from ..functions.hashing import mix64
@@ -265,7 +264,7 @@ def cooccurrence_counts(ds, basket_cols, item_col: str):
         rows, _basket_key,
         lambda g: _keyed_pairs(g, basket_cols, id_col="_code")))
     if not len(tbl):
-        return ray.data.from_arrow(empty)
+        return to_dataset(empty)
     merged = tbl.group_by(["a", "b"]).aggregate([("n", "sum")])
     a = merged.column("a").to_numpy(zero_copy_only=False)
     b = merged.column("b").to_numpy(zero_copy_only=False)
@@ -275,7 +274,7 @@ def cooccurrence_counts(ds, basket_cols, item_col: str):
         "type_b": pa.array(varr[b].astype(str)),
         "n": merged.column("n_sum").cast(pa.int64()),
     })
-    return ray.data.from_arrow(out)
+    return to_dataset(out)
 
 
 def corr_numerators(ds, key: str, x_col: str, y_col: str):

@@ -20,7 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.vectors import list_column_matrix
-from .collect import collect
+from .collect import collect, to_dataset
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -363,18 +363,16 @@ def kmeans_fixed(emb_ds, k: int = 8, iterations: int = 2,
     Init-selection exchange: per-block partial k-smallest ids, merged on
     the driver — O(blocks * k) rows, never a sort of the dataset.
     """
-    import ray.data
-
     res = _kmeans_qc(emb_ds, k, iterations, id_col, emb_col)
     if res is None:
-        return ray.data.from_arrow(pa.table({
+        return to_dataset(pa.table({
             "cluster": pa.array([], pa.int64()),
             "dim": pa.array([], pa.int64()),
             "qc": pa.array([], pa.int64()),
             "n": pa.array([], pa.int64())}))
     qc, n_final = res
     kk, dims = qc.shape
-    return ray.data.from_arrow(pa.table({
+    return to_dataset(pa.table({
         "cluster": pa.array(np.repeat(np.arange(kk, dtype=np.int64), dims),
                             pa.int64()),
         "dim": pa.array(np.tile(np.arange(dims, dtype=np.int64), kk),
@@ -487,13 +485,12 @@ def kmeans_assign(emb_ds, k: int = 8, iterations: int = 2,
     against the broadcast centroid matrix — no shuffle at all.
     """
     import ray
-    import ray.data
 
     if iterations < 1:
         raise ValueError("kmeans_assign needs iterations >= 1")
     res = _kmeans_qc(emb_ds, k, iterations - 1, id_col, emb_col)
     if res is None:
-        return ray.data.from_arrow(pa.table({
+        return to_dataset(pa.table({
             id_col: pa.array([], pa.int64()),
             "cluster": pa.array([], pa.int64())}))
     qc, _ = res

@@ -65,7 +65,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .collect import collect, fits
+from .collect import collect, fits, to_dataset
 
 __all__ = ["atomic_write", "atomic_json", "complete_increments",
            "write_marker", "read_marker", "increment_ids", "unmark",
@@ -321,10 +321,8 @@ def typed_result(ds, empty: pa.Table):
     """An exchange-tier probe answer that keeps its schema when empty:
     Ray drops the schema of an all-empty result, so the plan is
     materialized here and an empty answer becomes ``empty``."""
-    import ray.data
-
     ds = ds.materialize()
-    return ds if ds.count() else ray.data.from_arrow(empty)
+    return ds if ds.count() else to_dataset(empty)
 
 
 def purge(store_dir: str, id_col: str):

@@ -31,7 +31,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .collect import collect
+from .collect import collect, to_dataset
 
 
 def asof_join_value(left_ds, right_ds, key: str, t_col: str, tiebreak: str,
@@ -170,8 +170,8 @@ def gap_fill_counts(counts_ds, key_col: str, n_col: str = "n"):
     _, tbl = collect(counts_ds)
     tbl = tbl.select([key_col, n_col])
     if len(tbl) == 0:
-        return ray.data.from_arrow(pa.table({key_col: pa.array([], pa.int64()),
-                                             n_col: pa.array([], pa.int64())}))
+        return to_dataset(pa.table({key_col: pa.array([], pa.int64()),
+                                    n_col: pa.array([], pa.int64())}))
     lo = pc.min(tbl.column(key_col)).as_py()
     hi = pc.max(tbl.column(key_col)).as_py()
     ref = ray.put(tbl)
@@ -235,7 +235,7 @@ def read_day_range(path: str, day_lo: int, day_hi: int, columns=None):
             if day_lo <= d <= day_hi]
     dirs = [os.path.join(path, f"day={d}") for d in days]
     if not dirs:
-        return ray.data.from_arrow(pa.table({})), []
+        return to_dataset(pa.table({})), []
     dss = []
     for d, dirpath in zip(days, dirs):
         one = ray.data.read_parquet(dirpath, columns=columns)

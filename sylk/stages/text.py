@@ -18,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .collect import collect
+from .collect import collect, to_dataset
 
 # \S+ runs == str.split() token count on non-degenerate text
 _TOKEN_RE = r"\S+"
@@ -845,7 +845,7 @@ def token_typo_pairs(docs_ds, text_col: str = "text"):
                                           batch_size=None))
     vocab = sorted(set(_column(vtbl, "w").tolist()))
     if len(vocab) < 2:
-        return ray.data.from_arrow(pa.table({
+        return to_dataset(pa.table({
             "tok_a": pa.array([], pa.string()),
             "tok_b": pa.array([], pa.string())}))
 

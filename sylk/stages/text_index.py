@@ -93,7 +93,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .collect import collect
+from .collect import collect, to_dataset
 from .sample import content_hash64
 from .store_fold import (atomic_json, check_as_of, complete_increments,
                          delete_files, driver_read, fold, inc_file, purge,
@@ -312,7 +312,7 @@ def index_delete(store_dir: str, doc_ids, del_id: int) -> dict:
         from .join import anti_join, semi_join
 
         if ids is not None:
-            doc_ids = ray.data.from_arrow(pa.table({"doc_id": ids}))
+            doc_ids = to_dataset(pa.table({"doc_id": ids}))
         cand = semi_join(ray.data.read_parquet(dl_files, columns=cols),
                          doc_ids, on="doc_id")
         prior = delete_files(store_dir, exclude=del_id)
@@ -489,9 +489,6 @@ def index_query_bm25(store_dir: str, terms, k1: float = 1.2,
     forgotten wins over time travel, and the per-increment deltas the
     delete markers carry keep the stats exact (a tombstoned doc
     ingested AFTER the horizon subtracts nothing)."""
-    import ray
-    import ray.data
-
     terms = list(terms)
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
                       "bm25": pa.array([], pa.float64())})
@@ -502,7 +499,7 @@ def index_query_bm25(store_dir: str, terms, k1: float = 1.2,
                                 ["term", "doc_id", "tf", "dl"],
                                 as_of=as_of)
     if postings is None or n_docs <= 0:
-        return ray.data.from_arrow(empty)
+        return to_dataset(empty)
     driver = isinstance(postings, pa.Table)
     if driver:
         parts = _df(postings)
@@ -510,7 +507,7 @@ def index_query_bm25(store_dir: str, terms, k1: float = 1.2,
         _, parts = collect(postings.map_batches(_df, batch_format="pyarrow",
                                                 batch_size=None))
         if not len(parts):  # no query term occurs anywhere in the store
-            return ray.data.from_arrow(empty)
+            return to_dataset(empty)
     merged = parts.group_by("term").aggregate([("df", "sum")])
     dfs = dict(zip(merged.column("term").to_pylist(),
                    merged.column("df_sum").to_pylist()))
@@ -528,7 +525,7 @@ def index_query_bm25(store_dir: str, terms, k1: float = 1.2,
         if k is not None:
             out = out.sort_by([("bm25", "descending"),
                                ("doc_id", "ascending")]).slice(0, k)
-        return ray.data.from_arrow(out)
+        return to_dataset(out)
 
     from ray.data.aggregate import Sum
 
@@ -554,14 +551,12 @@ def index_match_docs(store_dir: str, terms, as_of: int | None = None):
     (append-only contract; shadowed crash leftovers are never read), so
     a per-doc row count after the term filter is the distinct-term
     count.  Returns Dataset[(doc_id,)]."""
-    import ray.data
-
     terms = sorted(set(terms))
     empty = pa.table({"doc_id": pa.array([], pa.int64())})
     postings = _pruned_postings(store_dir, terms, ["term", "doc_id"],
                                 as_of=as_of)
     if postings is None:
-        return ray.data.from_arrow(empty)
+        return to_dataset(empty)
     need = len(terms)
 
     def _all_terms(t: pa.Table) -> pa.Table:
@@ -569,7 +564,7 @@ def index_match_docs(store_dir: str, terms, as_of: int | None = None):
                                  need)).select(["doc_id"])
 
     if isinstance(postings, pa.Table):
-        return ray.data.from_arrow(_all_terms(_hits(postings)))
+        return to_dataset(_all_terms(_hits(postings)))
 
     from ray.data.aggregate import Sum
 
@@ -599,7 +594,6 @@ def index_phrase_docs(store_dir: str, phrase, as_of: int | None = None):
     volume is the phrase terms' total position count —
     term-frequency-bounded, like the BM25 probe.  Returns
     Dataset[(doc_id,)]."""
-    import ray.data
     from ray.data.aggregate import Count
 
     phrase = list(phrase)
@@ -614,7 +608,7 @@ def index_phrase_docs(store_dir: str, phrase, as_of: int | None = None):
                                 ["term", "doc_id", "positions"],
                                 as_of=as_of)
     if postings is None or k == 0:
-        return ray.data.from_arrow(empty)
+        return to_dataset(empty)
 
     def _starts(t: pa.Table) -> pa.Table:
         return (t.filter(pc.equal(t.column("n"), k))
@@ -626,7 +620,7 @@ def index_phrase_docs(store_dir: str, phrase, as_of: int | None = None):
         starts = pa.table({"doc_id": g.column("doc_id"),
                            "n": g.column("count_all")})
         hit = pc.unique(_starts(starts).column("doc_id")).sort()
-        return ray.data.from_arrow(pa.table({"doc_id": hit}))
+        return to_dataset(pa.table({"doc_id": hit}))
 
     # distinct doc_ids (a doc may hold several phrase instances)
     return typed_result(

@@ -50,6 +50,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .collect import to_dataset
 from .store_fold import complete_increments, fold, read_set, write_increment
 
 
@@ -90,8 +91,6 @@ def upsert_write(ds, store_dir: str, key_col: str, order_col: str,
     refused at or below the watermark, a rerun replaces the increment).
     Eager: the runs and the completeness marker are on disk on return.
     Returns a per-bucket stats Dataset (bucket, rows)."""
-    import ray.data
-
     def _tag(b: pa.Table) -> pa.Table:
         if b.num_columns == 0:
             return b
@@ -107,7 +106,7 @@ def upsert_write(ds, store_dir: str, key_col: str, order_col: str,
 
     stats = write_increment(ds, store_dir, inc_id, "_bkt", "p", fn=_tag,
                             reduce=_winners)
-    return ray.data.from_arrow(stats.rename_columns(["bucket", "rows"]))
+    return to_dataset(stats.rename_columns(["bucket", "rows"]))
 
 
 def read_current(store_dir: str, key_col: str, order_col: str,
@@ -130,7 +129,7 @@ def read_current(store_dir: str, key_col: str, order_col: str,
             if s]
     if not sets:
         any_run = glob.glob(os.path.join(store_dir, "p=*", "*.parquet"))[:1]
-        return ray.data.from_arrow(
+        return to_dataset(
             pq.read_schema(any_run[0]).empty_table().drop_columns(["_inc"])
             if any_run else pa.table({}))
 

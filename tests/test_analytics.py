@@ -275,3 +275,28 @@ def test_sliding_window_negative_epoch(ray_session):
     assert sorted(out.w_start) == [-3600, -2700, -1800, -900]
     for s in out.w_start:
         assert s <= -100 < s + 3600
+
+
+def test_type_value_geomean_is_zero_where_a_value_is_zero(ray_session,
+                                                          tmp_path):
+    """A type that holds a 0 value has geometric mean 0 in sylk and in
+    its DuckDB oracle; the other types keep their exact log-domain mean."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from sylk.pipelines.queries import build_oracle_sql, q_type_value_geomean
+
+    pq.write_table(pa.table({
+        "event_type": ["click", "click", "view", "view", "view", "buy"],
+        "value": [0.0, 2.5, 1.5, 4.0, 9.0, 0.0]}),
+        tmp_path / "events.parquet")
+    got = q_type_value_geomean(str(tmp_path)).to_pandas()
+    con = duckdb.connect()
+    con.execute("CREATE VIEW events AS SELECT * FROM read_parquet("
+                f"'{tmp_path / 'events.parquet'}')")
+    want = con.execute(build_oracle_sql()["type_value_geomean"]).df()
+    want = want.sort_values("event_type").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want[list(got.columns)])
+    assert got.set_index("event_type").geomean.to_dict() == {
+        "buy": 0.0, "click": 0.0, "view": round((1.5 * 4.0 * 9.0) ** (1 / 3),
+                                                6)}

@@ -2,14 +2,15 @@
 returns one Arrow table whatever the block kinds, and types its empty
 result; ``semi_join`` decides its tier, the first ``ann_ingest`` trains
 and writes, and ``ann_topk_ivf`` trains and probes, without running
-their input twice."""
+their input twice; ``to_dataset``, the way back, keeps a schema and a
+block count and reads like ``from_arrow``."""
 
 import pyarrow as pa
 import pytest
 from conftest import scale_tier
 
 import sylk.stages.join as join
-from sylk.stages.collect import collect
+from sylk.stages.collect import collect, to_dataset
 
 
 def _counted(log):
@@ -158,3 +159,30 @@ def test_ann_topk_ivf_runs_its_input_once(ray_session, tmp_path):
     assert _calls(log) == 2
     assert sorted(got.query_idx.unique()) == [0, 1]
     assert (got.groupby("query_idx").size() == 3).all()
+
+
+def test_to_dataset_keeps_an_empty_schema(ray_session):
+    empty = pa.table({"doc_id": pa.array([], pa.int64()),
+                      "bm25": pa.array([], pa.float64())})
+    ds = to_dataset(empty)
+    assert ds.count() == 0 and ds.take_all() == []
+    assert ds.schema().base_schema == empty.schema
+    assert collect(ds)[1].schema == empty.schema
+
+
+def test_to_dataset_keeps_one_block_per_table(ray_session):
+    t = pa.table({"k": pa.array(range(10), pa.int64())})
+    ds = to_dataset([t.slice(i, 3) for i in range(0, 10, 3)])
+    assert ds.num_blocks() == 4 and ds.count() == 10
+    assert to_dataset(t).num_blocks() == 1
+
+
+def test_to_dataset_reads_like_from_arrow(ray_session):
+    import ray.data
+
+    t = pa.table({"doc_id": pa.array([3, 1, 2], pa.int64()),
+                  "bm25": pa.array([0.5, None, 2.25], pa.float64()),
+                  "term": pa.array(["a", "b", None], pa.string())})
+    ours, theirs = to_dataset(t), ray.data.from_arrow(t)
+    assert ours.take_all() == theirs.take_all()
+    assert ours.to_pandas().equals(theirs.to_pandas())

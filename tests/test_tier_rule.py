@@ -55,6 +55,23 @@ def test_driver_gathers_go_through_collect():
     assert not found, f"driver gathers outside collect: {found}"
 
 
+def test_driver_results_go_back_through_to_dataset():
+    """A driver-held table becomes a Dataset through
+    ``collect.to_dataset`` alone: ``from_arrow`` on it waits for a
+    remote metadata task and leaves the first consumer an executor to
+    start."""
+    from pathlib import Path
+
+    import sylk
+
+    root = Path(sylk.__file__).parent
+    found = [str(p.relative_to(root))
+             for p in sorted(root.rglob("*.py"))
+             if p != root / "stages" / "collect.py"
+             and "from_arrow(" in p.read_text()]
+    assert not found, f"from_arrow outside collect: {found}"
+
+
 def test_one_pair_expansion():
     """All pairs within a run are built by functions.pairs.run_pairs
     alone; a per-run ``triu_indices`` or a per-pair Python loop is the
