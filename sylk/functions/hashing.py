@@ -1,8 +1,8 @@
 """Shared deterministic hashing kernels.
 
 One home for the splitmix64 finisher used by every bucketing/hashing
-operator (minhash permutations, shingle combine, bloom positions,
-bucketed-join placement, count-min rows, quantile sampling) — never
+operator (minhash permutations, shingle combine, bucketed-join
+placement, count-min rows, quantile sampling) — never
 Python ``hash`` (PYTHONHASHSEED varies across Ray workers), and one set
 of magic constants to keep correct.
 """

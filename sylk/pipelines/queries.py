@@ -2700,18 +2700,20 @@ def q_range_window_counts(sf_dir: str) -> pa.Table:
 # --- relational joins (star enrich / fact-fact / semi / anti) ---------------
 
 def q_region_rollup(sf_dir: str) -> pa.Table:
-    """Star-schema enrich: the orders fact streams against a broadcast
+    """Star-schema enrich: the orders fact ``hash_join``s a
     customer->nation->region dim built driver-side with pyarrow joins
-    (nation/region are always broadcast-sized; customer only at sandbox
-    scale — at 100 TB customer moves to the hash_join path), then a
-    two-phase grouped rollup.  Money is exact int64 cents (floor(x+0.5)
-    == SQL FLOOR(x + 0.5), no float-sum order sensitivity)."""
+    (in the driver while both fit the budget; above it the dim is
+    broadcast while it fits alone, else both sides are exchanged), then
+    a two-phase grouped rollup.  Money is exact int64 cents
+    (floor(x+0.5) == SQL FLOOR(x + 0.5), no float-sum order
+    sensitivity)."""
     import os
 
     import pyarrow.parquet as pq
     import ray.data
 
-    from ..stages.join import broadcast_join, cents_column, grouped_agg
+    from ..stages.collect import to_dataset
+    from ..stages.join import cents_column, grouped_agg, hash_join
 
     cust = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
                          columns=["c_custkey", "c_nationkey", "c_mktsegment"])
@@ -2725,7 +2727,8 @@ def q_region_rollup(sf_dir: str) -> pa.Table:
                .select(["c_custkey", "c_mktsegment", "r_name"]))
     orders = ray.data.read_parquet(os.path.join(sf_dir, "orders.parquet"),
                                    columns=["o_custkey", "o_totalprice"])
-    j = broadcast_join(orders, dim, on=["o_custkey"], right_on=["c_custkey"])
+    j = hash_join(orders, to_dataset(dim), on="o_custkey",
+                  right_on="c_custkey")
     j = j.map_batches(
         lambda b: cents_column(b, "revenue_cents", ["o_totalprice"],
                                lambda p: p * 100.0),
@@ -2737,16 +2740,17 @@ def q_region_rollup(sf_dir: str) -> pa.Table:
 
 def q_supplier_brand_revenue(sf_dir: str) -> pa.Table:
     """3-dim star enrich over the previously-untouched supplier/part
-    tables: lineitem streams against broadcast supplier->nation and
-    part dims, two-phase rollup of discounted revenue per (supplier
-    nation, part brand) — exact int64 cents via the shared
-    floor(x+0.5) pattern."""
+    tables: lineitem ``hash_join``s the supplier->nation and part dims
+    (each broadcast while it fits the budget and lineitem does not),
+    two-phase rollup of discounted revenue per (supplier nation, part
+    brand) — exact int64 cents via the shared floor(x+0.5) pattern."""
     import os
 
     import pyarrow.parquet as pq
     import ray.data
 
-    from ..stages.join import broadcast_join, cents_column, grouped_agg
+    from ..stages.collect import to_dataset
+    from ..stages.join import cents_column, grouped_agg, hash_join
 
     supp = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
                          columns=["s_suppkey", "s_nationkey"])
@@ -2760,8 +2764,8 @@ def q_supplier_brand_revenue(sf_dir: str) -> pa.Table:
     li = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_suppkey", "l_partkey", "l_extendedprice", "l_discount"])
-    j = broadcast_join(li, sdim, on=["l_suppkey"], right_on=["s_suppkey"])
-    j = broadcast_join(j, pdim, on=["l_partkey"], right_on=["p_partkey"])
+    j = hash_join(li, to_dataset(sdim), on="l_suppkey", right_on="s_suppkey")
+    j = hash_join(j, to_dataset(pdim), on="l_partkey", right_on="p_partkey")
     j = j.map_batches(
         lambda b: cents_column(b, "revenue_cents",
                                ["l_extendedprice", "l_discount"],
@@ -2774,8 +2778,9 @@ def q_supplier_brand_revenue(sf_dir: str) -> pa.Table:
 
 def q_priority_join_rollup(sf_dir: str) -> pa.Table:
     """Fact-fact hash join: lineitem x orders on orderkey (``hash_join``:
-    in the driver at sandbox scale, one keyed exchange above its row
-    limit), then the two-phase rollup per o_orderpriority."""
+    in the driver at sandbox scale, orders broadcast while it alone fits
+    the budget, one keyed exchange above it), then the two-phase rollup
+    per o_orderpriority."""
     import os
 
     import ray.data
@@ -2842,9 +2847,9 @@ def q_mktsegment_rollup_bucketed(sf_dir: str) -> pa.Table:
 
 def q_customers_without_big_orders(sf_dir: str) -> pa.Table:
     """Anti-join: customers with no order over 400k, counted per market
-    segment (the complement of the semi-join query).  Broadcast
-    distinct-key path at sandbox scale; ``hash_join``'s ``left_anti``
-    exchange beyond the key limit (equivalence in tests)."""
+    segment (the complement of the semi-join query): a ``left_anti``
+    ``hash_join`` against the big orders' customer keys, in whichever
+    tier their bytes pick (equivalence in tests)."""
     import os
 
     import ray.data
@@ -6154,23 +6159,22 @@ def q_normalized_dedup(sf_dir: str) -> pa.Table:
 
 
 def q_quiet_user_counts(sf_dir: str) -> pa.Table:
-    """Bloom-prefiltered distributed ANTI join: per-user event counts
-    for users with NO 'error' event in the 03:00 UTC hour-of-day (a
-    scale-invariant predicate — the quiet fraction stays ~55% at every
-    sf).  The bloom bitmap (fixed-size, mergeable — never O(keys)
-    driver state) routes definite non-matches around the exchange
-    entirely; only bloom 'maybe' rows pay the exact left_anti shuffle,
-    so the shuffled volume shrinks by the definite-miss fraction
-    (sylk/stages/join.py bloom_semi_join)."""
+    """Anti join: per-user event counts for users with NO 'error' event
+    in the 03:00 UTC hour-of-day (a scale-invariant predicate — the
+    quiet fraction stays ~55% at every sf).  The projected events are
+    read once and feed both sides of the ``left_anti`` ``hash_join``
+    (the error users are a small right side: in the driver tier, or
+    broadcast to the event blocks above the budget)."""
     import os
 
     import ray.data
 
     from ..stages.aggregate import grouped_counts_local
-    from ..stages.join import bloom_semi_join
+    from ..stages.join import anti_join
 
     ev = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["user_id", "event_type", "ts"])
+                               columns=["user_id", "event_type", "ts"]
+                               ).materialize()
 
     def _err3(b: pa.Table) -> pa.Table:
         ts = b.column("ts").cast(pa.timestamp("us")).cast(pa.int64()) \
@@ -6182,8 +6186,8 @@ def q_quiet_user_counts(sf_dir: str) -> pa.Table:
 
     err_users = ev.map_batches(_err3, batch_format="pyarrow",
                                batch_size=None)
-    quiet = bloom_semi_join(ev.select_columns(["user_id"]), err_users,
-                            on="user_id", anti=True)
+    quiet = anti_join(ev.select_columns(["user_id"]), err_users,
+                      on="user_id")
     return _table(grouped_counts_local(quiet, ["user_id"]),
                   ["user_id", "n"])
 

@@ -11,10 +11,9 @@ from .funnel import funnel_stages, grouped_min  # noqa: F401
 from .asof import (consecutive_dedup, fill_forward, lag, lead,  # noqa: F401
                    rolling_sum, running_max, running_total)
 from .temporal import asof_join_value, range_join  # noqa: F401
-from .join import (anti_join, bloom_semi_join, broadcast_join,  # noqa: F401
-                   bucketed_join, bucketed_write, cross_join,
-                   except_distinct, hash_join, intersect_distinct,
-                   semi_join, union_by_name)
+from .join import (anti_join, bucketed_join, bucketed_write,  # noqa: F401
+                   cross_join, except_distinct, hash_join,
+                   intersect_distinct, semi_join, union_by_name)
 from .sample import (deterministic_sample, group_reservoir,  # noqa: F401
                      stratified_sample, weighted_priority_sample)
 from .sessionize import gap_sessions, sessionize  # noqa: F401

@@ -12,15 +12,12 @@ Scale notes
   the gram machinery is the factorize + sliding-window + lexsort kernel
   (no Python loop over grams), string work happens once per DISTINCT
   gram per block.
-* ``decontaminate`` is two-tier like the dedup/join families: the
-  benchmark (eval-set) side is small by definition, so the default tier
-  broadcasts its distinct shingles through the object store and flags
-  corpus pairs with a stateless ``pc.is_in`` map (no actor pool to
-  start); when the benchmark (doc, shingle) pairs do
-  not fit the driver budget it switches to a distributed semi-join on
-  the shingle key — the tier DECISION reads the pairs' bytes from the
-  materialized pairs' block metadata (``collect``) before any row
-  reaches the driver.
+* ``decontaminate`` flags corpus shingles with one ``semi_join``
+  against the benchmark (eval-set) shingles, so it takes
+  ``join.hash_join``'s tiers: the benchmark side is small by definition,
+  so above the driver tier it is broadcast to the corpus blocks (no
+  shuffle) unless it does not fit the driver budget either, when both
+  sides are exchanged on the shingle key.
 * All redaction/counting regexes are RE2-compatible so the DuckDB
   oracles (``regexp_replace`` / ``regexp_extract_all``, also RE2)
   recompute them exactly.
@@ -32,7 +29,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .collect import collect
 
 # --- PII redaction ---------------------------------------------------------
 
@@ -142,37 +138,23 @@ def decontaminate(docs_ds, bench_ds, k: int = 8,
     found in the benchmark — the doc set a curation pipeline would drop
     (or audit) before training.
 
-    Tiers: broadcast the benchmark shingles (the 100-TB-corpus default —
-    eval sets are megabytes) unless the benchmark pairs do not fit the
-    driver budget, then a distributed semi-join on the
-    shingle key (both tiers produce identical output; see
-    tests/test_curate.py)."""
-    import ray
+    The flag is one :func:`~sylk.stages.join.semi_join` of the doc
+    shingles against the benchmark shingles, in whichever tier their
+    bytes pick: in the driver while both fit the driver budget, the
+    benchmark broadcast to the doc blocks while it alone fits (eval sets
+    are megabytes), both sides exchanged above it (all tiers produce
+    identical output; see tests/test_curate.py).  An all-empty
+    benchmark with no schema is typed as its shingle column."""
     from ray.data.aggregate import Count
 
     from .join import semi_join
 
-    pairs = docs_ds.map_batches(
-        lambda b: _shingle_pairs_batch(b, k, text_col, id_col),
-        batch_format="pyarrow", batch_size=None)
-    bench_pairs, tbl = collect(bench_ds.map_batches(
-        lambda b: _shingle_pairs_batch(b, k, text_col, id_col),
-        batch_format="pyarrow", batch_size=None), tiered=True)
-    if tbl is None:
-        hits = semi_join(pairs, bench_pairs, on="shingle")
-    else:
-        # distinct benchmark shingles (an all-empty benchmark may have
-        # no schema, hence no column)
-        bench_ref = ray.put(pc.unique(tbl.column("shingle"))
-                            if "shingle" in tbl.column_names
-                            else pa.array([], pa.string()))
+    def _pairs(ds):
+        return ds.map_batches(
+            lambda b: _shingle_pairs_batch(b, k, text_col, id_col),
+            batch_format="pyarrow", batch_size=None)
 
-        def _flag(b: pa.Table) -> pa.Table:
-            return b.filter(pc.is_in(b.column("shingle"),
-                                     value_set=ray.get(bench_ref)))
-
-        hits = pairs.map_batches(_flag, batch_format="pyarrow",
-                                 batch_size=None)
+    hits = semi_join(_pairs(docs_ds), _pairs(bench_ds), on="shingle")
     out = hits.groupby(id_col).aggregate(Count(alias_name="n_hit"))
     return out
 

@@ -3,29 +3,33 @@ semi/anti join) — Ray-Data-first.
 
 The reference crate has no joins (one string -> struct function); these
 are engine capabilities a training-data pipeline needs (dim enrich,
-fact-to-fact correlation, "rows without a match" filtering).  Three
-shapes, chosen by side sizes:
+fact-to-fact correlation, "rows without a match" filtering).
 
-* :func:`broadcast_join` — the small side is ``ray.put`` ONCE as an
-  Arrow table and every block hash-joins against it in pyarrow C++
-  (zero shuffle of the fact side).  The 100-TB default for star-schema
-  dims: the dim must fit in a worker heap (nation/region always;
-  customer only at sandbox scale — documented per query).
-* :func:`hash_join` — the one equi-join of two Datasets, in two tiers
-  picked from the in-memory bytes of both materialized sides (block
-  metadata).  When both fit the one driver budget together
-  (``collect.fits``, 64 MiB), both sides are collected and joined by
-  one pyarrow ``Table.join`` in the driver (no shuffle, no task), and
-  the result is split into as many blocks as the larger side had.
-  Above it, each block packs its rows into coarse key-hash groups (one
-  row per group, the rows as Arrow IPC bytes), one public
-  ``groupby().map_groups`` co-locates each group of both sides, and the
-  same pyarrow join runs per group.  No private Ray API is used.
-* :func:`semi_join` / :func:`anti_join` — while the right keys fit
-  the budget, a broadcast key-set filter (``pyarrow.compute.is_in`` per
-  block, no shuffle at all); above it, ``hash_join``'s ``left_semi`` /
-  ``left_anti`` exchange.  tests/test_join.py runs every join in both
-  tiers by lowering the budget.
+:func:`hash_join` is the one equi-join of two Datasets.  It runs in one
+of three tiers, picked from the in-memory bytes of both materialized
+sides (block metadata) against the one driver budget (``collect.fits``,
+64 MiB); the rule is not to move a side the answer does not need moved:
+
+* **driver** — both sides fit together: both are collected and joined
+  by one pyarrow ``Table.join`` in the driver (no shuffle, no task),
+  and the result is sliced into as many blocks as the larger side had.
+* **broadcast** — the right side fits alone and the join needs none of
+  its unmatched rows (``inner``, ``left_outer``, ``left_semi``,
+  ``left_anti``): the right side is ``ray.put`` once and every left
+  block joins it in a map (no shuffle; one output block per left
+  block).
+* **exchange** — everything else: each block packs its rows into
+  coarse key-hash groups (one row per group, the rows as Arrow IPC
+  bytes), one public ``groupby().map_groups`` co-locates each group of
+  both sides, and the same pyarrow join runs per group.  No private Ray
+  API is used.
+
+Every tier runs the same kernel (:func:`_join_tables`), so the key
+casts, the null semantics and the list-column handling of semi/anti
+joins live in one place.  :func:`semi_join` / :func:`anti_join` are
+``left_semi`` / ``left_anti`` hash joins against the right key column.
+tests/test_join.py runs every join in all three tiers by setting the
+budget.
 
 Aggregation after a join uses :func:`grouped_agg` — per-block pyarrow
 ``group_by`` partials (combiner) then one small ``groupby`` of the
@@ -40,27 +44,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .collect import collect, fits, to_dataset
-
-
-def broadcast_join(fact_ds, dim: pa.Table, on, right_on=None,
-                   join_type: str = "inner"):
-    """Join a streaming fact Dataset against a broadcast dim table.
-
-    ``dim`` is placed in the object store once; each block joins
-    zero-copy via pyarrow's C++ hash join.  No fact-side shuffle."""
-    import ray
-
-    on = list(on) if not isinstance(on, str) else [on]
-    right_on = (list(right_on) if not isinstance(right_on, str) else [right_on]) \
-        if right_on is not None else on
-    ref = ray.put(dim)
-
-    def _j(b: pa.Table) -> pa.Table:
-        d = ray.get(ref)
-        return b.join(d, keys=on, right_keys=right_on, join_type=join_type)
-
-    return fact_ds.map_batches(_j, batch_format="pyarrow", batch_size=None,
-                               zero_copy_batch=True)
 
 
 def cross_join(left_ds, right: pa.Table):
@@ -224,74 +207,70 @@ def _exchange_join(lds, rds, on, right_on, join_type: str):
             _join_group, batch_format="pyarrow")
 
 
+def _broadcast_join(lds, rt: pa.Table, on, right_on, join_type: str):
+    """Every block of ``lds`` joined against one ``ray.put`` copy of
+    ``rt`` by the driver tier's kernel: no shuffle, one output block per
+    left block, each with the driver tier's output schema.  Ray passes a
+    0-row block through a map without calling it (schemaless, as from
+    every map), so a schemaless left block never reaches the kernel."""
+    import ray
+
+    ref = ray.put(rt)
+
+    def _j(b: pa.Table) -> pa.Table:
+        return _join_tables(b, ray.get(ref), on, right_on, join_type)
+
+    return lds.map_batches(_j, batch_format="pyarrow", batch_size=None,
+                           zero_copy_batch=True)
+
+
+# join types that need no unmatched row of the right side
+_BROADCAST_TYPES = ("inner", "left_outer", "left_semi", "left_anti")
+
+
 def hash_join(left_ds, right_ds, on, right_on=None, join_type: str = "inner"):
     """Equi-join two Datasets (``join_type`` as in ``Dataset.join``:
     ``inner``, ``left_outer``, ``full_outer``, ``left_semi``, ...).
 
-    Two tiers, picked from the in-memory bytes of both materialized
-    sides: when they fit the driver budget both are collected and joined by
-    one pyarrow ``Table.join`` in the driver, and the result is sliced
-    into as many blocks as the larger side had, so a map after the join
-    stays parallel; above it :func:`_exchange_join` co-locates equal
-    keys through one public ``groupby().map_groups`` and runs the same
-    pyarrow join per group.  The right keys are cast to the left key
-    types, and an empty side with no schema is typed as its key
-    columns."""
+    Three tiers, picked from the in-memory bytes of both materialized
+    sides: when both fit the driver budget they are collected and
+    joined by one pyarrow ``Table.join`` in the driver, and the result
+    is sliced into as many blocks as the larger side had, so a map after
+    the join stays parallel; when the right side alone fits and
+    ``join_type`` needs none of its unmatched rows,
+    :func:`_broadcast_join` joins each left block against it; above
+    both :func:`_exchange_join` co-locates equal keys through one public
+    ``groupby().map_groups`` and runs the same pyarrow join per group.
+    The right keys are cast to the left key types, and an empty side
+    with no schema is typed as its key columns."""
     on = _names(on)
     right_on = on if right_on is None else _names(right_on)
     lds, rds = left_ds.materialize(), right_ds.materialize()
-    if not fits(lds.size_bytes(), rds.size_bytes()):
-        return _exchange_join(lds, rds, on, right_on, join_type)
-    out = _join_tables(collect(lds)[1], collect(rds)[1], on, right_on,
-                       join_type)
-    step = max(1, -(-out.num_rows // max(lds.num_blocks(), rds.num_blocks())))
-    return to_dataset(
-        [out.slice(i, step) for i in range(0, out.num_rows, step)] or out)
-
-
-def _semi_anti(left_ds, right_ds, on: str, right_key: str, anti: bool):
-    import ray
-
-    # One materialization of the right key column decides the tier from
-    # its block-metadata bytes (distinct keys <= rows) and feeds either
-    # tier, so an unmaterialized right plan runs once: a bare count()
-    # would execute it, and unique() or the join again.  Keys over the
-    # budget take hash_join's left_semi/left_anti exchange.
-    keys_ds, tbl = collect(right_ds.select_columns([right_key]), tiered=True)
-    if tbl is None:
-        jt = "left_anti" if anti else "left_semi"
-        return hash_join(left_ds, keys_ds, on=(on,), right_on=(right_key,),
-                         join_type=jt)
-    # SQL semi/anti semantics: a NULL right key never matches, so drop
-    # it; pc.is_in already treats left NULLs as non-members and casts
-    # the value set to the left key's type (a dictionary set it cannot)
-    keys = pc.unique(pc.drop_null(tbl.column(right_key))) if len(tbl) \
-        else pa.array([])
-    if pa.types.is_dictionary(keys.type):
-        keys = keys.dictionary_decode()
-    if not len(keys):
-        return left_ds if anti else left_ds.limit(0)
-    ref = ray.put(keys)
-
-    def _filt(b: pa.Table) -> pa.Table:
-        ks = ray.get(ref)
-        mask = pc.is_in(b.column(on), value_set=ks)
-        if anti:
-            mask = pc.invert(mask)
-        return b.filter(mask)
-
-    return left_ds.map_batches(_filt, batch_format="pyarrow", batch_size=None,
-                               zero_copy_batch=True)
+    if fits(lds.size_bytes(), rds.size_bytes()):
+        out = _join_tables(collect(lds)[1], collect(rds)[1], on, right_on,
+                           join_type)
+        step = max(1, -(-out.num_rows // max(lds.num_blocks(),
+                                             rds.num_blocks())))
+        return to_dataset(
+            [out.slice(i, step) for i in range(0, out.num_rows, step)] or out)
+    if join_type in _BROADCAST_TYPES and fits(rds.size_bytes()):
+        return _broadcast_join(lds, collect(rds)[1], on, right_on,
+                               join_type)
+    return _exchange_join(lds, rds, on, right_on, join_type)
 
 
 def semi_join(left_ds, right_ds, on: str, right_key: str | None = None):
     """Rows of ``left_ds`` whose ``on`` key appears in ``right_ds``."""
-    return _semi_anti(left_ds, right_ds, on, right_key or on, anti=False)
+    right_key = right_key or on
+    return hash_join(left_ds, right_ds.select_columns([right_key]), on,
+                     right_key, "left_semi")
 
 
 def anti_join(left_ds, right_ds, on: str, right_key: str | None = None):
     """Rows of ``left_ds`` whose ``on`` key does NOT appear in ``right_ds``."""
-    return _semi_anti(left_ds, right_ds, on, right_key or on, anti=True)
+    right_key = right_key or on
+    return hash_join(left_ds, right_ds.select_columns([right_key]), on,
+                     right_key, "left_anti")
 
 
 # --- post-join aggregation (two-phase) --------------------------------------
@@ -376,8 +355,9 @@ def bucketed_join(left_path: str, right_path: str, on: str,
                   right_on: str | None = None, join_type: str = "inner"):
     """Shuffle-free join of two bucket-compatible stores: for each
     bucket i, the left bucket streams as a Dataset while the right
-    bucket (1/n_buckets of the right side) loads once per task via the
-    broadcast path — the union of the per-bucket joins is the full join,
+    bucket (1/n_buckets of the right side) is joined against it by
+    :func:`hash_join`'s broadcast tier (:func:`_broadcast_join`) — the
+    union of the per-bucket joins is the full join,
     because equal keys always land in equal buckets.  Raises if the two
     stores were bucketed differently (a silent mismatch would drop
     rows)."""
@@ -407,127 +387,15 @@ def bucketed_join(left_path: str, right_path: str, on: str,
             if join_type == "inner":
                 continue
             raise ValueError(f"missing bucket {i} for {join_type} join")
-        lds = ray.data.read_parquet(ldir)
-        rtbl = pq.read_table(rdir)
-        parts.append(broadcast_join(lds, rtbl, on=[on],
-                                    right_on=[right_on],
-                                    join_type=join_type))
+        parts.append(_broadcast_join(ray.data.read_parquet(ldir),
+                                     pq.read_table(rdir), (on,),
+                                     (right_on,), join_type))
     if not parts:
         raise ValueError("no overlapping buckets")
     out = parts[0]
     for p in parts[1:]:
         out = out.union(p)
     return out
-
-
-# --- bloom-filtered semi/anti (shuffle reduction) ----------------------------
-
-_BLOOM_BITS = 1 << 24  # 2 MiB packed; FP ~0.5% at 1M keys, k=3
-_BLOOM_SALTS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9)
-
-
-def _bloom_positions(keys: np.ndarray, n_bits: int) -> list:
-    from ..functions.hashing import mix64
-
-    out = []
-    z0 = keys.astype(np.uint64)
-    for salt in _BLOOM_SALTS:
-        z = mix64(z0 ^ np.uint64(salt))
-        out.append((z % np.uint64(n_bits)).astype(np.int64))
-    return out
-
-
-def build_bloom(right_ds, key: str, n_bits: int = _BLOOM_BITS) -> np.ndarray:
-    """Mergeable bloom filter of a key column: each block emits a
-    partial, the driver ORs them — the same combiner shape as the HLL
-    sketch (driver state is one fixed-size bitmap, never O(keys)).
-
-    HYBRID partials: a block whose set-bit positions are smaller than
-    the packed bitmap ships the sorted distinct positions instead
-    (sparse key streams — the common dim-side case — move KBs per
-    block, not n_bits/8; at 10^5 blocks that is the difference between
-    GBs and MBs through the object store).  Dense blocks still ship
-    the bitmap, so a partial is never larger than n_bits/8 + O(1)."""
-    import ray
-
-    def _partial(b: pa.Table) -> pa.Table:
-        k = b.column(key).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        pos_parts = _bloom_positions(k, n_bits)
-        if 8 * 3 * len(k) < n_bits // 8:
-            pos = (np.unique(np.concatenate(pos_parts)) if len(k)
-                   else np.empty(0, dtype=np.int64))
-            return pa.table({"kind": pa.array(["pos"], pa.string()),
-                             "blob": pa.array([pos.tobytes()], pa.binary())})
-        bits = np.zeros(n_bits // 8, dtype=np.uint8)
-        for pos in pos_parts:
-            np.bitwise_or.at(bits, pos >> 3,
-                             np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
-        return pa.table({"kind": pa.array(["bits"], pa.string()),
-                         "blob": pa.array([bits.tobytes()], pa.binary())})
-
-    parts = right_ds.map_batches(_partial, batch_format="pyarrow",
-                                 batch_size=None).take_all()
-    merged = np.zeros(n_bits // 8, dtype=np.uint8)
-    for p in parts:
-        if p["kind"] == "pos":
-            pos = np.frombuffer(p["blob"], dtype=np.int64)
-            np.bitwise_or.at(merged, pos >> 3,
-                             np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
-        else:
-            merged |= np.frombuffer(p["blob"], dtype=np.uint8)
-    return merged
-
-
-def _bloom_maybe(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    n_bits = len(bits) * 8
-    maybe = np.ones(len(keys), dtype=bool)
-    for pos in _bloom_positions(keys, n_bits):
-        maybe &= ((bits[pos >> 3] >> (pos & 7)) & 1).astype(bool)
-    return maybe
-
-
-def bloom_semi_join(left_ds, right_ds, on: str, right_key: str | None = None,
-                    anti: bool = False, n_bits: int = _BLOOM_BITS):
-    """Exact semi/anti join with a bloom pre-filter on the LEFT side —
-    the shuffle-reduction pattern for the distributed path:
-
-    * semi: rows whose key the bloom rejects are DEFINITELY unmatched —
-      dropped before the shuffle; only 'maybe' rows (matches + the FP
-      tail) enter the exact ``left_semi`` join.
-    * anti: bloom-rejected rows are definitely part of the answer and
-      BYPASS the join entirely; only 'maybe' rows go through
-      ``left_anti`` to weed out false positives.
-
-    Either way false positives are resolved by the exact join, so the
-    result is identical to :func:`semi_join` / :func:`anti_join` — the
-    bloom only shrinks the shuffled volume (by ~the non-match fraction).
-    The filter itself is a fixed-size mergeable bitmap (`build_bloom`),
-    never O(keys) driver state."""
-    import ray
-
-    right_key = right_key or on
-    bits = build_bloom(right_ds.select_columns([right_key]), right_key,
-                       n_bits)
-    ref = ray.put(bits)
-
-    def _split(keep_maybe: bool):
-        def _f(b: pa.Table) -> pa.Table:
-            bb = ray.get(ref)
-            k = b.column(on).cast(pa.int64()).to_numpy(zero_copy_only=False)
-            m = _bloom_maybe(bb, k)
-            return b.filter(pa.array(m if keep_maybe else ~m))
-        return _f
-
-    maybes = left_ds.map_batches(_split(True), batch_format="pyarrow",
-                                 batch_size=None)
-    jt = "left_anti" if anti else "left_semi"
-    joined = hash_join(maybes, right_ds.select_columns([right_key]),
-                       on=(on,), right_on=(right_key,), join_type=jt)
-    if not anti:
-        return joined
-    definite = left_ds.map_batches(_split(False), batch_format="pyarrow",
-                                   batch_size=None)
-    return definite.union(joined)
 
 
 def union_by_name(ds_list):
@@ -605,31 +473,3 @@ def except_distinct(a_ds, b_ds, cols):
     return hash_join(_distinct_rows(a_ds, cols), _distinct_rows(b_ds, cols),
                      on=tuple(cols), join_type="left_anti")
 
-
-def salted_join(left_ds, right_ds, on: str, n_salts: int = 8):
-    """Skew-safe distributed hash join: when one left-side key is hot,
-    a plain hash join lands that key's every row in ONE partition.
-    Salting splits the hot key ``n_salts`` ways — the left side gets a
-    per-row salt (position-derived; any spread is correct, the join is
-    on (key, salt)), the right side is replicated once per salt value —
-    so the hot key's rows stream through ``n_salts`` partitions while
-    the exchange grows only by |right| x (n_salts - 1) replicated rows.
-    Use when the right side is small relative to the skew it absorbs
-    (dim tables); equivalence vs hash_join is exact.
-    """
-    def _salt_left(b: pa.Table) -> pa.Table:
-        salt = np.arange(len(b), dtype=np.int64) % n_salts
-        return b.append_column("_salt", pa.array(salt, pa.int64()))
-
-    def _replicate_right(b: pa.Table) -> pa.Table:
-        idx = np.repeat(np.arange(len(b), dtype=np.int64), n_salts)
-        rep = b.take(pa.array(idx))
-        salt = np.tile(np.arange(n_salts, dtype=np.int64), len(b))
-        return rep.append_column("_salt", pa.array(salt, pa.int64()))
-
-    lt = left_ds.map_batches(_salt_left, batch_format="pyarrow",
-                             batch_size=None)
-    rt = right_ds.map_batches(_replicate_right, batch_format="pyarrow",
-                              batch_size=None)
-    joined = hash_join(lt, rt, on=[on, "_salt"])
-    return joined.drop_columns(["_salt"])

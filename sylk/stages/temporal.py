@@ -162,7 +162,8 @@ def gap_fill_counts(counts_ds, key_col: str, n_col: str = "n"):
     broadcast once via the object store and each spine block LEFT-joins
     against it with pyarrow's C++ hash join.  Driver state is two
     scalars (lo, hi); the broadcast is bounded by the number of
-    occupied buckets — the same dim-table bound as join.broadcast_join.
+    occupied buckets — the same dim-table bound as the broadcast tier
+    of join.hash_join.
     """
     import ray
     import ray.data

@@ -27,3 +27,20 @@ def scale_tier(monkeypatch):
     from sylk.stages import collect
 
     monkeypatch.setattr(collect, "DRIVER_BUDGET", -1)
+
+
+def spy_join_tiers(monkeypatch) -> list:
+    """The tiers ``join.hash_join`` takes from now on: ``broadcast`` or
+    ``exchange`` per call (a driver-tier call adds nothing)."""
+    from sylk.stages import join
+
+    taken = []
+    for tier in ("broadcast", "exchange"):
+        real = getattr(join, f"_{tier}_join")
+
+        def _spy(*a, _real=real, _tier=tier, **k):
+            taken.append(_tier)
+            return _real(*a, **k)
+
+        monkeypatch.setattr(join, f"_{tier}_join", _spy)
+    return taken

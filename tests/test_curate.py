@@ -4,8 +4,9 @@ repetition signals, dataset profiling."""
 import numpy as np
 import pyarrow as pa
 import pytest
-from conftest import scale_tier
+from conftest import spy_join_tiers
 
+from sylk.stages import collect
 from sylk.stages.curate import (
     _shingle_pairs_batch,
     decontaminate,
@@ -100,14 +101,39 @@ def test_decontaminate_broadcast_flags_overlap():
     assert out == {100: 2, 102: 1}
 
 
-def test_decontaminate_distributed_equivalence(monkeypatch):
+def _decon_tiers(monkeypatch, corpus, bench):
+    """``decontaminate`` as (doc_id, n_hit) pairs in the driver tier, the
+    broadcast tier (a budget of the benchmark pairs' bytes: they fit,
+    the doc pairs do not) and the exchange tier; asserts each run's
+    semi-join took its tier."""
+    bench_bytes = bench.map_batches(
+        lambda b: _shingle_pairs_batch(b, 8), batch_format="pyarrow",
+        batch_size=None).materialize().size_bytes()
+    out = []
+    for budget, tier in ((collect.DRIVER_BUDGET, []),
+                         (bench_bytes, ["broadcast"]), (-1, ["exchange"])):
+        with monkeypatch.context() as m:
+            m.setattr(collect, "DRIVER_BUDGET", budget)
+            taken = spy_join_tiers(m)
+            out.append({(r["doc_id"], r["n_hit"])
+                        for r in decontaminate(corpus, bench, k=8).take_all()})
+        assert taken == tier, (budget, taken)
+    return out
+
+
+def test_decontaminate_distributed_equivalence(ray_session, monkeypatch):
     corpus, bench = _decon_datasets()
-    a = {(r["doc_id"], r["n_hit"])
-         for r in decontaminate(corpus, bench, k=8).take_all()}
-    scale_tier(monkeypatch)
-    b = {(r["doc_id"], r["n_hit"])
-         for r in decontaminate(corpus, bench, k=8).take_all()}
-    assert a == b and a
+    driver, broadcast, exchange = _decon_tiers(monkeypatch, corpus, bench)
+    assert driver == broadcast == exchange == {(100, 2), (102, 1)}
+
+
+def test_decontaminate_empty_benchmark(ray_session, monkeypatch):
+    """A benchmark of no rows and no schema flags nothing in every tier
+    (its shingle side is typed as the key column)."""
+    corpus, bench = _decon_datasets()
+    bench = bench.map_batches(lambda b: pa.table({}), batch_format="pyarrow")
+    assert bench.materialize().schema() is None
+    assert _decon_tiers(monkeypatch, corpus, bench) == [set(), set(), set()]
 
 
 def test_repetition_scores_hand_example():

@@ -1,10 +1,11 @@
-"""Join operator family: broadcast vs distributed equivalence, the two
-tiers of hash_join and semi/anti, post-join two-phase aggregation."""
+"""Join operator family: the three tiers of hash_join (driver,
+broadcast, exchange) and semi/anti, registry parity in the broadcast
+tier, post-join two-phase aggregation."""
 
 import pandas as pd
 import pyarrow as pa
 import pytest
-from conftest import scale_tier
+from conftest import scale_tier, spy_join_tiers
 
 from sylk.stages import collect
 from sylk.stages import join as J
@@ -26,31 +27,21 @@ def tables(ray_session):
     return left, right
 
 
-def test_broadcast_equals_hash_join(tables):
-    import ray.data
-
-    left, right = tables
-    b = J.broadcast_join(left, right, on=["k"]).to_pandas()
-    h = J.hash_join(left, ray.data.from_arrow(right), on="k").to_pandas()
-    cols = ["k", "v", "name"]
-    pd.testing.assert_frame_equal(
-        _norm(b[cols], ["k", "v"]), _norm(h[cols], ["k", "v"]))
-    assert set(b.k) == {0, 1, 2}  # inner join drops keys 3, 4 and right-only 7
-
-
 def test_semi_anti_tiering(tables, monkeypatch):
     import ray.data
 
     left, right = tables
     rds = ray.data.from_arrow(right)
-    semi_b = J.semi_join(left, rds, on="k").to_pandas()
-    anti_b = J.anti_join(left, rds, on="k").to_pandas()
-    scale_tier(monkeypatch)
-    semi_d = J.semi_join(left, rds, on="k").to_pandas()
-    anti_d = J.anti_join(left, rds, on="k").to_pandas()
+    # a budget of the right side's bytes holds its key column alone
+    (semi_b, anti_b), *others = _tiers(monkeypatch, lambda: [
+        J.semi_join(left, rds, on="k").to_pandas(),
+        J.anti_join(left, rds, on="k").to_pandas()], rds.size_bytes())
     key = ["k", "v"]
-    pd.testing.assert_frame_equal(_norm(semi_b[key], key), _norm(semi_d[key], key))
-    pd.testing.assert_frame_equal(_norm(anti_b[key], key), _norm(anti_d[key], key))
+    for semi_d, anti_d in others:
+        pd.testing.assert_frame_equal(_norm(semi_b[key], key),
+                                      _norm(semi_d[key], key))
+        pd.testing.assert_frame_equal(_norm(anti_b[key], key),
+                                      _norm(anti_d[key], key))
     assert set(semi_b.k) == {0, 1, 2}
     assert set(anti_b.k) == {3, 4}
     # semi/anti never duplicate left rows even with duplicate right keys
@@ -120,49 +111,21 @@ def test_bucketed_join_rejects_mismatched_stores(ray_session, tmp_path):
         J.bucketed_join(str(tmp_path / "a"), str(tmp_path / "b"), on="k")
 
 
-def test_bloom_semi_anti_exact(ray_session):
-    import ray.data
-
-    left = ray.data.from_items(
-        [{"k": i, "v": i * 2} for i in range(2000)], override_num_blocks=5)
-    right = ray.data.from_items(
-        [{"rk": i} for i in range(0, 2000, 3)], override_num_blocks=3)
-    want_semi = J.semi_join(left, right, on="k", right_key="rk").to_pandas()
-    want_anti = J.anti_join(left, right, on="k", right_key="rk").to_pandas()
-    # tiny bloom (512 bits for ~667 keys) forces a high FP rate — the
-    # exact join must still weed every false positive out
-    for n_bits in (512, 1 << 16):
-        got_semi = J.bloom_semi_join(left, right, on="k", right_key="rk",
-                                     n_bits=n_bits).to_pandas()
-        got_anti = J.bloom_semi_join(left, right, on="k", right_key="rk",
-                                     anti=True, n_bits=n_bits).to_pandas()
-        key = ["k"]
-        pd.testing.assert_frame_equal(
-            _norm(want_semi[["k", "v"]], key), _norm(got_semi[["k", "v"]], key))
-        pd.testing.assert_frame_equal(
-            _norm(want_anti[["k", "v"]], key), _norm(got_anti[["k", "v"]], key))
-
-
-def test_bloom_prefilter_drops_rows(ray_session):
-    import numpy as np
-    import ray.data
-
-    from sylk.stages.join import _bloom_maybe, build_bloom
-
-    right = ray.data.from_items([{"rk": i} for i in range(100)])
-    bits = build_bloom(right, "rk")
-    probe = np.arange(100_000, 110_000, dtype=np.int64)
-    fp = _bloom_maybe(bits, probe).mean()
-    assert fp < 0.01  # definite-absent keys rarely pass
-    assert _bloom_maybe(bits, np.arange(100, dtype=np.int64)).all()
-
-
-def _both_tiers(monkeypatch, fn):
-    """``fn()`` in the driver tier, then in the exchange tier."""
-    out = [fn()]
-    with monkeypatch.context() as m:
-        scale_tier(m)
-        out.append(fn())
+def _tiers(monkeypatch, fn, broadcast_budget=None):
+    """``fn()`` in the driver tier, then at ``broadcast_budget`` (when
+    given: at least the right side's bytes and below both sides', the
+    broadcast tier), then in the exchange tier.  Asserts each run's
+    joins took its tier."""
+    runs = [(collect.DRIVER_BUDGET, None), (-1, "exchange")]
+    if broadcast_budget is not None:
+        runs.insert(1, (broadcast_budget, "broadcast"))
+    out = []
+    for budget, tier in runs:
+        with monkeypatch.context() as m:
+            m.setattr(collect, "DRIVER_BUDGET", budget)
+            taken = spy_join_tiers(m)
+            out.append(fn())
+        assert set(taken) == ({tier} if tier else set()), (budget, taken)
     return out
 
 
@@ -179,8 +142,8 @@ def test_hash_join_first_block_empty(ray_session, monkeypatch):
     right = ray.data.from_arrow(pa.table({
         "k": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
         "y": pa.array([7, 7, 7, 7, 7, 7], pa.int64())}))
-    for out in _both_tiers(monkeypatch, lambda: J.hash_join(
-            left, right, on=("k",)).take_all()):
+    for out in _tiers(monkeypatch, lambda: J.hash_join(
+            left, right, on=("k",)).take_all(), right.size_bytes()):
         assert sorted((r["k"], r["x"], r["y"]) for r in out) == \
             [(3, 1, 7), (4, 2, 7)]
 
@@ -194,7 +157,7 @@ def test_hash_join_full_outer_coalesces_keys(ray_session, monkeypatch):
                                          "x": [10, 20, 30]}))
     right = ray.data.from_arrow(pa.table({"h": [2, 3, 4],
                                           "y": [5, 6, 7]}))
-    for out in _both_tiers(monkeypatch, lambda: J.hash_join(
+    for out in _tiers(monkeypatch, lambda: J.hash_join(
             left, right, on="h", join_type="full_outer").to_pandas()):
         out = out.set_index("h").sort_index()
         assert set(out.index) == {1, 2, 3, 4}
@@ -202,21 +165,30 @@ def test_hash_join_full_outer_coalesces_keys(ray_session, monkeypatch):
         assert out.loc[2, "x"] == 20 and out.loc[2, "y"] == 5
 
 
+_JOIN_TYPES = ("inner", "left_outer", "full_outer", "left_semi", "left_anti")
+
+
 def _sides(case):
-    """(left, right, on, right_on, join_type) Datasets for one case: a
-    null key and duplicate keys on both sides, in several blocks."""
+    """(left, right, on, right_on, join_type, shape) for one case: a
+    null key and duplicate keys on both sides, in several blocks.  A
+    case is a shape, a join type, or a shape then a join type
+    (``full_outer`` when none is named)."""
     import ray.data
 
-    k32 = pa.int32() if case == "int32_key" else pa.int64()
+    jt = next((t for t in _JOIN_TYPES if case.endswith(t)), "full_outer")
+    shape = case[:-len(jt)].rstrip("_") if case.endswith(jt) else case
+    k32 = pa.int32() if shape == "int32_key" else pa.int64()
     lblocks = [pa.table({"k": pa.array([0, 1, 2, None], k32),
                          "j": pa.array([0, 1, 0, 1], pa.int64()),
                          "x": ["a", "b", "c", "d"]}),
                pa.table({"k": pa.array([2, 3, 5, 5], k32),
                          "j": pa.array([0, 1, 1, 0], pa.int64()),
                          "x": ["e", "f", "g", "h"]})]
-    if case == "first_block_empty":
+    if shape == "first_block_empty":
         lblocks.insert(0, lblocks[0].slice(0, 0))
-    if case.startswith("list_"):  # a list-typed payload column
+    if shape == "schemaless_block":  # a 0-row left block with no columns
+        lblocks.insert(1, pa.table({}))
+    if shape == "list":  # a list-typed payload column
         lblocks = [b.append_column("v", pa.array(
             [[i] for i in range(b.num_rows)], pa.list_(pa.int64())))
             for b in lblocks]
@@ -225,16 +197,11 @@ def _sides(case):
                        "y": [10, 20, 21, 40, 50, 60]})
     left = ray.data.from_arrow(lblocks)
     right = ray.data.from_arrow([rtable.slice(0, 3), rtable.slice(3)])
-    on, right_on, jt = "k", "rk", case
-    if case == "composite":
-        on, right_on, jt = ("k", "j"), ("rk", "rj"), "full_outer"
-    elif case in ("int32_key", "first_block_empty"):
-        jt = "full_outer"
-    elif case.startswith("list_"):
-        jt = case[len("list_"):]
-    elif case.startswith("empty_"):
-        _, side, kind = case.split("_")
-        jt = "full_outer"
+    on, right_on = "k", "rk"
+    if shape == "composite":
+        on, right_on = ("k", "j"), ("rk", "rj")
+    elif shape.startswith("empty_"):
+        _, side, kind = shape.split("_")
 
         def _empty(b: pa.Table) -> pa.Table:
             return b.slice(0, 0) if kind == "typed" else pa.table({})
@@ -243,7 +210,7 @@ def _sides(case):
             left = left.map_batches(_empty, batch_format="pyarrow")
         else:
             right = right.map_batches(_empty, batch_format="pyarrow")
-    return left, right, on, right_on, jt
+    return left, right, on, right_on, jt, shape
 
 
 def _answer(ds):
@@ -256,71 +223,91 @@ _CASES = ["inner", "left_outer", "full_outer", "left_semi", "left_anti",
           "composite", "int32_key", "first_block_empty",
           "empty_left_typed", "empty_left_schemaless",
           "empty_right_typed", "empty_right_schemaless",
-          "list_left_semi", "list_left_anti"]
+          "list_left_semi", "list_left_anti",
+          "first_block_empty_left_outer", "schemaless_block_inner",
+          "empty_right_typed_left_outer", "empty_right_schemaless_left_outer",
+          "empty_right_typed_left_anti", "empty_right_schemaless_left_semi"]
 
 
 @pytest.mark.parametrize("case", _CASES)
 def test_hash_join_tiers_agree(ray_session, monkeypatch, case):
-    """The driver tier (with Ray's Dataset.join and groupby patched to
-    raise: it starts no shuffle) and the exchange tier give the same
-    rows and the same output schema.  A semi/anti join keeps a
-    list-typed left column, which pyarrow's join rejects outside the
-    keys (the ``list_`` cases)."""
+    """The driver tier, the broadcast tier (a budget of the right side's
+    bytes) and the exchange tier give the same rows and the same output
+    schema.  Neither the driver nor the broadcast tier starts a shuffle
+    (Ray's Dataset.join and groupby patched to raise), and the broadcast
+    tier keeps the left side's block count.  A join type that needs the
+    right side's unmatched rows takes the exchange at that budget, and a
+    left side of 0 bytes keeps both sides in the driver.  A semi/anti
+    join keeps a list-typed left column, which pyarrow's join rejects
+    outside the keys (the ``list`` cases)."""
     import ray.data
 
     def _no_shuffle(*a, **k):
-        raise AssertionError("the driver tier started a shuffle")
+        raise AssertionError("the tier started a shuffle")
 
-    left, right, on, right_on, jt = _sides(case)
-    with monkeypatch.context() as m:
-        m.setattr(ray.data.Dataset, "join", _no_shuffle)
-        m.setattr(ray.data.Dataset, "groupby", _no_shuffle)
-        driver = _answer(J.hash_join(left, right, on, right_on, jt))
-    with monkeypatch.context() as m:
-        scale_tier(m)
-        exchange = _answer(J.hash_join(left, right, on, right_on, jt))
-    assert driver == exchange
+    left, right, on, right_on, jt, shape = _sides(case)
+    left, right = left.materialize(), right.materialize()
+    middle = ("driver" if not left.size_bytes()
+              else "broadcast" if jt in J._BROADCAST_TYPES else "exchange")
+    answers = []
+    for tier, budget in (("driver", collect.DRIVER_BUDGET),
+                         (middle, right.size_bytes()), ("exchange", -1)):
+        with monkeypatch.context() as m:
+            m.setattr(collect, "DRIVER_BUDGET", budget)
+            if tier != "exchange":
+                m.setattr(ray.data.Dataset, "join", _no_shuffle)
+                m.setattr(ray.data.Dataset, "groupby", _no_shuffle)
+            taken = spy_join_tiers(m)
+            out = J.hash_join(left, right, on, right_on, jt).materialize()
+            answers.append(_answer(out))
+        assert taken == ([] if tier == "driver" else [tier])
+        if tier == "broadcast":
+            assert out.num_blocks() == left.num_blocks()
+    driver, *others = answers
+    assert all(a == driver for a in others)
     rows, schema = driver
-    if case == "int32_key":
+    if shape == "int32_key":
         assert ("k", "int32") in schema
-    if jt in ("inner", "left_semi", "left_anti"):
+    if jt in ("inner", "left_semi", "left_anti") and not shape.startswith(
+            "empty_"):
         keys = sorted(dict(r)["k"] for r in rows if dict(r)["k"] is not None)
         assert keys == {"inner": [1, 2, 2, 2, 2, 5, 5],
                         "left_semi": [1, 2, 2, 5, 5],
                         "left_anti": [0, 3]}[jt]
     # a schemaless empty side is typed as its key columns alone
-    if case == "empty_right_typed":
-        assert len(rows) == 8 and [n for n, _ in schema] == ["k", "j", "x",
-                                                             "rj", "y"]
-    if case == "empty_right_schemaless":
-        assert len(rows) == 8 and [n for n, _ in schema] == ["k", "j", "x"]
-    if case.startswith("empty_left"):
+    if shape.startswith("empty_right"):
+        names = ["k", "j", "x"]
+        if shape == "empty_right_typed" and jt in ("full_outer",
+                                                   "left_outer"):
+            names += ["rj", "y"]
+        assert [n for n, _ in schema] == names
+        assert len(rows) == (0 if jt == "left_semi" else 8)
+    if shape.startswith("empty_left"):
         assert len(rows) == 6 and schema[0] == ("k", "int64")
 
 
 def test_hash_join_tier_follows_block_bytes(ray_session, monkeypatch):
     """The tier is picked from the in-memory bytes of both materialized
     sides: at a driver budget of their sum the driver joins, one byte
-    below it the public groupby exchange runs."""
+    below it the right side is broadcast, and one byte below the right
+    side's bytes the public groupby exchange runs.  A full_outer join
+    needs the right side's unmatched rows, so one byte below the sum it
+    takes the exchange."""
     import ray.data
 
     left = ray.data.from_arrow(pa.table({"k": list(range(100)),
                                          "x": ["x" * 50] * 100}))
     right = ray.data.from_arrow(pa.table({"k": list(range(0, 100, 2))}))
-    size = left.size_bytes() + right.size_bytes()
-    groupbys = []
-    real = ray.data.Dataset.groupby
-
-    def _spy(self, *a, **k):
-        groupbys.append(a)
-        return real(self, *a, **k)
-
-    monkeypatch.setattr(ray.data.Dataset, "groupby", _spy)
-    for limit, exchanged in ((size, False), (size - 1, True)):
-        monkeypatch.setattr(collect, "DRIVER_BUDGET", limit)
-        groupbys.clear()
-        assert J.hash_join(left, right, on="k").count() == 50
-        assert bool(groupbys) == exchanged
+    size, rsize = left.size_bytes() + right.size_bytes(), right.size_bytes()
+    for budget, jt, n, tier in ((size, "inner", 50, []),
+                                (size - 1, "inner", 50, ["broadcast"]),
+                                (rsize - 1, "inner", 50, ["exchange"]),
+                                (size - 1, "full_outer", 100, ["exchange"])):
+        with monkeypatch.context() as m:
+            m.setattr(collect, "DRIVER_BUDGET", budget)
+            taken = spy_join_tiers(m)
+            assert J.hash_join(left, right, on="k", join_type=jt).count() == n
+        assert taken == tier, (budget, jt)
 
 
 @pytest.mark.parametrize("tier", ["driver", "exchange"])
@@ -370,10 +357,12 @@ def test_set_ops_keep_the_projected_schema(ray_session, monkeypatch):
     a = ray.data.from_arrow([pa.table({"g": [1, 1], "x": [0, 1]}),
                              pa.table({"g": [2, 2], "x": [0, 1]})])
     b = ray.data.from_arrow(pa.table({"g": [9], "x": [0]}))
-    for out in _both_tiers(monkeypatch, lambda: [
+    # the distinct right side fits alone at its own bytes
+    budget = J._distinct_rows(b, ["g"]).materialize().size_bytes()
+    for out in _tiers(monkeypatch, lambda: [
             J.intersect_distinct(a, b, ["g"]),
             J.except_distinct(b, b, "g"),
-            J.except_distinct(a.filter(expr="g > 5"), b, ["g"])]):
+            J.except_distinct(a.filter(expr="g > 5"), b, ["g"])], budget):
         for ds in out:
             ds = ds.materialize()
             assert ds.count() == 0
@@ -414,3 +403,52 @@ def test_cross_join_cartesian(ray_session):
     assert len(out) == 6
     assert set(zip(out.a, out.b)) == {(i, c) for i in (1, 2, 3)
                                       for c in ("x", "y")}
+
+
+# a budget per entry that holds each of its joins' right side and not
+# both sides (block-metadata bytes of the sides at sf0.001, right / left)
+_BROADCAST_ENTRIES = {
+    "region_rollup": 8 << 10,  # customer dim 4.8 KB / orders 24 KB
+    # supplier dim 0.2 KB / lineitem 192 KB, part dim 4.0 KB / 269 KB
+    "supplier_brand_revenue": 8 << 10,
+    "big_spender_customers": 4 << 10,  # big-order keys 2.4 KB / 3.1 KB
+    "customers_without_big_orders": 4 << 10,
+    "quiet_user_counts": 4 << 10,  # 03:00 error users 88 B / 8 KB
+    "mktsegment_rollup_bucketed": 4 << 10,  # broadcasts bucket by bucket
+    "priority_join_rollup": 64 << 10,  # orders 31 KB / lineitem 144 KB
+}
+
+
+@pytest.fixture(scope="module")
+def registry(ray_session):
+    import duckdb
+
+    import __ray_entry__ as e
+
+    con = duckdb.connect()
+    for t in ("customer", "orders", "lineitem", "nation", "region",
+              "supplier", "part", "events"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{SF}/{t}.parquet')")
+    return e.queries(), e.oracle_sql(), con
+
+
+@pytest.mark.parametrize("name", sorted(_BROADCAST_ENTRIES))
+def test_join_entries_match_oracle_in_broadcast_tier(registry, monkeypatch,
+                                                      name):
+    """Each join entry of the registry matches its DuckDB oracle at a
+    budget that holds each join's right side and not both sides: the
+    broadcast tier runs, the exchange never."""
+    qs, sql, con = registry
+
+    def _canon(df: pd.DataFrame) -> pd.DataFrame:
+        df = df[sorted(df.columns)]
+        return df.sort_values(list(df.columns),
+                              kind="mergesort").reset_index(drop=True)
+
+    monkeypatch.setattr(collect, "DRIVER_BUDGET", _BROADCAST_ENTRIES[name])
+    taken = spy_join_tiers(monkeypatch)
+    got = _canon(qs[name](SF).to_pandas())
+    assert taken and set(taken) == {"broadcast"}, taken
+    pd.testing.assert_frame_equal(got, _canon(con.execute(sql[name]).df()),
+                                  check_dtype=True)

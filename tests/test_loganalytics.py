@@ -308,26 +308,6 @@ def test_log_templates_local_equals_distributed(ray_session):
         b.astype({"n": "int64", "first_turn": "int64"}))
 
 
-# --- salted_join -----------------------------------------------------------
-
-def test_salted_join_equals_hash_join_under_skew(ray_session):
-    from sylk.stages.join import hash_join, salted_join
-
-    # one hot key carrying 88% of the fact side
-    rows = [{"k": 1, "v": i} for i in range(880)]
-    rows += [{"k": 2 + (i % 7), "v": i} for i in range(120)]
-    dim = [{"k": k, "name": f"dim{k}"} for k in range(1, 9)]
-    fact, d = _ds(rows, blocks=6), _ds(dim, blocks=2)
-    a = salted_join(fact, d, on="k", n_salts=4).to_pandas()
-    b = hash_join(fact, d, on="k").to_pandas()
-    cols = sorted(a.columns)
-    assert sorted(b.columns) == cols
-    aa = a[cols].sort_values(cols).reset_index(drop=True)
-    bb = b[cols].sort_values(cols).reset_index(drop=True)
-    assert aa.equals(bb)
-    assert len(aa) == 1000
-
-
 # --- day-partitioned store -------------------------------------------------
 
 def test_day_range_read_prunes_directories(ray_session, tmp_path):
