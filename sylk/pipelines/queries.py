@@ -2051,7 +2051,8 @@ def q_severity_pivot(sf_dir: str) -> pa.Table:
     out.columns = [f"s{s}" for s in range(8)]
     out = out.reset_index()
     out["facility"] = out["facility"].astype("int64")
-    return _table(__import__("ray").data.from_pandas(out), cols)
+    return _table(to_dataset(pa.Table.from_pandas(out, preserve_index=False)),
+                  cols)
 
 
 def q_user_activity_histogram(sf_dir: str) -> pa.Table:

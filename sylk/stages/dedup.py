@@ -19,13 +19,13 @@ north-rule):
   collected triples; above it the buckets go through a hash-partitioned
   ``groupby`` into coarse groups, each expanded by the same kernel (the
   corpus-scale path — triples are the ONLY payload shuffled).
-* Pair verification attaches the source values (text / signature /
-  vector) to each candidate pair.  While the candidate pairs fit the
-  budget, the needed rows are filtered WORKER-side against a
-  broadcast id set (``ray.put`` once) so only candidate rows ever reach
-  the driver.  Above it, :func:`_verify_pairs_join` collapses duplicate
-  pairs in one aggregate and attaches both payloads with two
-  ``join.hash_join`` calls (a-side, then b-side).
+* Every candidate generator returns a Dataset of distinct int64
+  (a, b) rows in both tiers (the exchange tier collapses a pair found
+  in several groups in one hash aggregate).  Pair verification
+  (:func:`_verify_pairs`) attaches the source values (text / vector
+  sketch) to each pair with two ``join.hash_join`` calls, source on
+  the left, a-side then b-side: while the pairs fit the budget they
+  are each join's broadcast side and the corpus never moves.
 
 Every tiered operator here picks its tier from input size alone: the
 bytes of its materialized input against the one driver budget
@@ -48,7 +48,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.pairs import run_pairs
-from .collect import collect, fits, to_dataset
+from .collect import collect, to_dataset
 
 _N_PERM = 64
 _BANDS = 16  # 16 bands x 4 rows
@@ -356,74 +356,31 @@ def _coarse_grouped_pairs(rows_ds, key_fn, pairs_fn):
 
 
 def _candidate_pairs(triples_ds):
-    """(doc_id, band, band_hash) Dataset -> unique candidate pairs.
+    """(doc_id, band, band_hash) Dataset -> Dataset of distinct (a, b)
+    candidate pairs: the pair kernel over the collected triples while
+    they fit the driver budget, else over coarse hash-co-located groups,
+    whose cross-group duplicates (a pair colliding in several bands)
+    collapse in one hash aggregate."""
+    from .join import _distinct_rows
 
-    Returns a pandas DataFrame (driver path, while the triples fit the
-    driver budget) or a Dataset (distributed path)."""
     def _pairs(t: pa.Table) -> pd.DataFrame:
         return _keyed_pairs(t, ["band", "band_hash"])[["a", "b"]]
 
     triples_ds, tbl = collect(triples_ds, tiered=True)
     if tbl is not None:
-        return _pairs(tbl)
+        return to_dataset(pa.Table.from_pandas(_pairs(tbl),
+                                               preserve_index=False))
 
     def _bucket_key(b: pa.Table) -> np.ndarray:
         band = b.column("band").to_numpy(zero_copy_only=False).astype(np.uint64)
         bh = b.column("band_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
         return (band << np.uint64(48)) ^ bh
 
-    # coarse hash-co-located groups + the same pair kernel the driver
-    # tier uses; duplicate pairs across bands are collapsed by the hash
-    # aggregate at the head of _verify_pairs_join
-    return _coarse_grouped_pairs(triples_ds, _bucket_key, _pairs)
+    return _distinct_rows(
+        _coarse_grouped_pairs(triples_ds, _bucket_key, _pairs), ["a", "b"])
 
 
 # --- pair verification ------------------------------------------------------
-
-def _collect_needed(source_ds, id_col: str, val_col: str, need_ids) -> dict:
-    """Broadcast the candidate id set, filter WORKER-side, collect only
-    the matching (id, value) rows — the driver never streams the corpus."""
-    import ray
-
-    need_arr = pa.array(sorted(int(i) for i in need_ids), pa.int64())
-    need_ref = ray.put(need_arr)
-
-    def _filt(b: pa.Table) -> pa.Table:
-        ns = ray.get(need_ref)
-        mask = pc.is_in(b.column(id_col).cast(pa.int64()), value_set=ns)
-        return b.filter(mask).select([id_col, val_col])
-
-    _, tbl = collect(source_ds.map_batches(_filt, batch_format="pyarrow",
-                                           batch_size=None))
-    if not len(tbl):
-        return {}
-    return dict(zip(tbl.column(id_col).to_pylist(), tbl.column(val_col).to_pylist()))
-
-
-def _verify_broadcast(cand: pd.DataFrame, source_ds, id_col: str, val_col: str,
-                      pair_fn: Callable, out_col: str):
-    """Verify candidates against a broadcast value lookup (``ray.put``
-    once, read per task).  Holds while the candidate id set fits in one
-    object; the join path takes over beyond that."""
-    import ray
-    import ray.data
-
-    need = set(cand["a"]).union(cand["b"])
-    ref = ray.put(_collect_needed(source_ds, id_col, val_col, need))
-
-    def _verify(batch: pd.DataFrame) -> pd.DataFrame:
-        lookup = ray.get(ref)
-        out_a, out_b, out_v = [], [], []
-        for x, y in zip(batch["a"], batch["b"]):
-            r = pair_fn(lookup.get(x), lookup.get(y))
-            if r is not None:
-                out_a.append(x)
-                out_b.append(y)
-                out_v.append(r)
-        return pd.DataFrame({"a": out_a, "b": out_b, out_col: out_v})
-
-    return ray.data.from_pandas(cand).map_batches(_verify, batch_format="pandas")
-
 
 def _no_verified_pairs(out_col: str):
     return to_dataset(pa.table({
@@ -431,52 +388,38 @@ def _no_verified_pairs(out_col: str):
         out_col: pa.array([], pa.float64())}))
 
 
-def _verify_pairs_join(pairs_ds, source_ds, id_col: str, val_col: str,
-                       pair_fn: Callable, out_col: str):
-    """Pair verification above the broadcast tier: each candidate is ONE
-    (a, b) row; multi-band duplicates collapse in a hash AGGREGATE (not
-    map_groups); the source is joined twice with :func:`join.hash_join`
-    — a-side then b-side — so both payloads land on the SAME row, and
-    verification is a per-batch map over thousands of pairs at a time.
-    Each join runs in the driver only while its sides (the source
-    payload column included) fit the driver budget, and keeps the
-    larger side's block count, so the map stays parallel.  No per-pair
-    pandas group ever materializes (the round-1 simhash hang and the
-    round-2 verdict's #2 were exactly that shape)."""
-    from .join import _distinct_rows, hash_join
+def _verify_pairs(pairs_ds, source_ds, id_col: str, val_col: str,
+                  pair_fn: Callable, out_col: str):
+    """The one pair verifier: ``pairs_ds`` holds distinct (a, b) rows;
+    the source is joined twice with :func:`join.hash_join`, source on
+    the left, on ``a`` and then on ``b``, so both payloads land on the
+    SAME row, and one map calls ``pair_fn(va, vb)`` per pair (a pair
+    with a member missing from the source is dropped by the inner
+    joins).  While the pairs fit the driver budget they are the
+    broadcast side of each join and the corpus never moves; while
+    everything fits, both joins run in the driver and keep the larger
+    side's block count, so the map stays parallel.  No per-pair pandas
+    group ever materializes."""
+    from .join import hash_join
 
     # materialize FIRST — candidate-sized — so a zero-candidate corpus
-    # skips the dedup aggregate and BOTH joins with a typed empty
+    # skips both joins with a typed empty
     pairs_ds = pairs_ds.materialize()
     if pairs_ds.count() == 0:
         return _no_verified_pairs(out_col)
-    # a pair colliding in d bands arrives d times; collapse in a hash
-    # aggregate (candidate-sized exchange, vectorized reduce) so the
-    # joins never ship a payload twice for the same pair
-    pairs_ds = _distinct_rows(pairs_ds, ["a", "b"])
-    src = source_ds.select_columns([id_col, val_col])
+    src = source_ds.select_columns([id_col, val_col]).materialize()
+    # (id=a, val=va, b) on the first join; the second join's right
+    # columns of the same names come out as <name>_r
+    j = hash_join(src, hash_join(src, pairs_ds, on=id_col, right_on="a"),
+                  on=id_col, right_on="b")
 
-    def _rename(ja: str, va: str):
-        def f(b: pa.Table) -> pa.Table:
-            return b.rename_columns([ja, va])
-        return f
-
-    # a member missing from the source drops its pairs (inner join) —
-    # same "not verifiable" semantics as the broadcast tier
-    j = hash_join(pairs_ds, src.map_batches(
-        _rename("_ja", "_va"), batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True), on="a", right_on="_ja")
-    j = hash_join(j, src.map_batches(
-        _rename("_jb", "_vb"), batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True), on="b", right_on="_jb")
-
-    def _verify_batch(b: pa.Table) -> pa.Table:
+    def _verify_batch(t: pa.Table) -> pa.Table:
         oa, ob, ov = [], [], []
-        for x, y, ta, tb in zip(b.column("a").to_pylist(),
-                                b.column("b").to_pylist(),
-                                b.column("_va").to_pylist(),
-                                b.column("_vb").to_pylist()):
-            r = pair_fn(ta, tb)
+        for x, y, va, vb in zip(t.column(f"{id_col}_r").to_pylist(),
+                                t.column(id_col).to_pylist(),
+                                t.column(f"{val_col}_r").to_pylist(),
+                                t.column(val_col).to_pylist()):
+            r = pair_fn(va, vb)
             if r is not None:
                 oa.append(x)
                 ob.append(y)
@@ -486,24 +429,6 @@ def _verify_pairs_join(pairs_ds, source_ds, id_col: str, val_col: str,
                          out_col: pa.array(ov, pa.float64())})
 
     return j.map_batches(_verify_batch, batch_format="pyarrow")
-
-
-def _verify_pairs(cand, source_ds, id_col: str, val_col: str, pair_fn: Callable,
-                  out_col: str):
-    """Route a candidate set (DataFrame or Dataset) through the broadcast
-    or join verification path."""
-    import ray.data
-
-    if isinstance(cand, pd.DataFrame):
-        if len(cand) == 0:
-            return _no_verified_pairs(out_col)
-        if not fits(cand.memory_usage(index=False).sum()):
-            return _verify_pairs_join(
-                ray.data.from_pandas(cand[["a", "b"]]), source_ds,
-                id_col, val_col, pair_fn, out_col)
-        return _verify_broadcast(cand, source_ds, id_col, val_col, pair_fn, out_col)
-    # Dataset input = edge rows from the distributed candidate path
-    return _verify_pairs_join(cand, source_ds, id_col, val_col, pair_fn, out_col)
 
 
 # --- MinHash-LSH near-dup ---------------------------------------------------
@@ -762,7 +687,6 @@ def ngram_jaccard_dup_pairs(docs_ds, threshold: float = 0.6, k: int = 3,
     Jaccard over 64-bit shingle hashes equals Jaccard over the shingle
     strings unless blake2b+splitmix64 collide (P ~ n_shingles^2 / 2^64;
     ~1e-10 at sf0.1) — the oracle gate would catch a collision."""
-    import ray.data
     from ray.data.aggregate import Max, Sum
 
     rows = docs_ds.map_batches(
@@ -795,7 +719,8 @@ def ngram_jaccard_dup_pairs(docs_ds, threshold: float = 0.6, k: int = 3,
 
     rows, tbl = collect(rows, tiered=True)
     if tbl is not None:
-        return ray.data.from_pandas(_finish(_shared(tbl)))
+        return to_dataset(pa.Table.from_pandas(_finish(_shared(tbl)),
+                                               preserve_index=False))
 
     def _sh_key(b: pa.Table) -> np.ndarray:
         return b.column("sh").to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -927,13 +852,14 @@ def sorted_neighborhood_pairs(docs_ds, window: int = 2, key_chars: int = 30,
 
     rows, tbl = collect(rows, tiered=True)
     if tbl is not None:
-        return _verify_pairs(_pairs(tbl), docs_ds, "doc_id", text_col,
-                             _jac, "jaccard")
+        cand = to_dataset(pa.Table.from_pandas(_pairs(tbl),
+                                               preserve_index=False))
+    else:
+        def _j_key(b: pa.Table) -> np.ndarray:
+            return b.column("j").to_numpy(zero_copy_only=False) \
+                .astype(np.uint64)
 
-    def _j_key(b: pa.Table) -> np.ndarray:
-        return b.column("j").to_numpy(zero_copy_only=False).astype(np.uint64)
-
-    cand = _coarse_grouped_pairs(rows, _j_key, _pairs)
+        cand = _coarse_grouped_pairs(rows, _j_key, _pairs)
     return _verify_pairs(cand, docs_ds, "doc_id", text_col, _jac, "jaccard")
 
 
@@ -942,11 +868,13 @@ def ngram_jaccard_dup_pairs_prefix(docs_ds, threshold: float = 0.6,
     """The 100-TB shape of :func:`ngram_jaccard_dup_pairs`: PPJoin
     prefix-filtered candidate generation (full recall by the prefix
     theorem) + exact per-pair Jaccard verification through the shared
-    broadcast/edge-join machinery.  Same exact answer, but the inverted
+    verifier (:func:`_verify_pairs`).  Same exact answer, but the inverted
     index holds only each doc's (1-t)-ish prefix, so hot-shingle buckets
     shrink quadratically.  Ordering the universe by hash value (uniform)
     needs no global frequency pass; rarity-first ordering would prune
     harder at the cost of one extra count pass."""
+    from .join import _distinct_rows
+
     rows = docs_ds.map_batches(
         lambda b: ngram_prefix_rows(b, text_col, k, threshold),
         batch_format="pyarrow", batch_size=None,
@@ -961,13 +889,15 @@ def ngram_jaccard_dup_pairs_prefix(docs_ds, threshold: float = 0.6,
 
     rows, tbl = collect(rows, tiered=True)
     if tbl is not None:
-        return _verify_pairs(_pairs(tbl), docs_ds, "doc_id", text_col, _jac,
-                             "jaccard")
+        pairs = to_dataset(pa.Table.from_pandas(_pairs(tbl),
+                                                preserve_index=False))
+    else:
+        def _sh_key(b: pa.Table) -> np.ndarray:
+            return b.column("sh").to_numpy(zero_copy_only=False) \
+                .astype(np.uint64)
 
-    def _sh_key(b: pa.Table) -> np.ndarray:
-        return b.column("sh").to_numpy(zero_copy_only=False).astype(np.uint64)
-
-    pairs = _coarse_grouped_pairs(rows, _sh_key, _pairs)
+        pairs = _distinct_rows(_coarse_grouped_pairs(rows, _sh_key, _pairs),
+                               ["a", "b"])
     return _verify_pairs(pairs, docs_ds, "doc_id", text_col, _jac,
                          "jaccard")
 
@@ -1056,7 +986,6 @@ def dedup_turns(transcripts_ds):
     the driver (pandas drop_duplicates); above it the driver holds none
     of them and the materialized rows go through the
     hash-partition groupby shuffle (the corpus-scale path)."""
-    import ray.data
 
     compact, tbl = collect(transcripts_ds.map_batches(
         lambda df: df.drop_duplicates(["conv_id", "turn_idx"]),
@@ -1065,7 +994,7 @@ def dedup_turns(transcripts_ds):
     ), tiered=True)
     if tbl is not None:
         pdf = tbl.to_pandas().drop_duplicates(["conv_id", "turn_idx"])
-        return ray.data.from_pandas(pdf.reset_index(drop=True))
+        return to_dataset(pa.Table.from_pandas(pdf, preserve_index=False))
 
     def _first(g: pd.DataFrame) -> pd.DataFrame:
         return g.head(1)
@@ -1160,7 +1089,6 @@ def simhash_dup_pairs(docs_ds, max_hamming: int = 3, text_col: str = "text"):
     # verification (Python loop / per-group assemble) became the
     # bottleneck; this path is linear vectorized in |candidates|.
     import ray
-    import ray.data
 
     _, sig_tbl = collect(sig_ds)
     ids_arr = sig_tbl.column("doc_id").to_numpy(zero_copy_only=False)
@@ -1188,18 +1116,7 @@ def simhash_dup_pairs(docs_ds, max_hamming: int = 3, text_col: str = "text"):
         return pd.DataFrame({"a": a[keep], "b": b[keep],
                              "hamming": ham[keep]})
 
-    if isinstance(cand, pd.DataFrame):
-        cand_ds = ray.data.from_pandas(cand[["a", "b"]]) if len(cand) else \
-            ray.data.from_pandas(_empty_pairs())
-    else:
-        # distributed candidate path emits edge rows (a pair repeats per
-        # colliding band): reduce to unique pairs with a sort-based
-        # aggregate (vectorized C++), never per-pair map_groups
-        from .join import _distinct_rows
-
-        cand_ds = _distinct_rows(cand, ["a", "b"])
-    return cand_ds.map_batches(_verify, batch_format="pandas",
-                               batch_size=None)
+    return cand.map_batches(_verify, batch_format="pandas", batch_size=None)
 
 
 # --- winnowing (rolling-hash document fingerprints) ------------------------
@@ -1250,7 +1167,6 @@ def winnow_dup_pairs(docs_ds, min_shared: int = 3, k: int = 8, w: int = 16,
     pairs, count per (a, b) with a two-phase groupby — no driver
     materialization anywhere.  The driver tier returns int64
     (a, b, shared_fps) also when no pair qualifies."""
-    import ray.data
 
     exploded = docs_ds.map_batches(
         lambda b: _winnow_explode(b, text_col, k, w),
@@ -1261,8 +1177,9 @@ def winnow_dup_pairs(docs_ds, min_shared: int = 3, k: int = 8, w: int = 16,
     if tbl is not None:
         counts = _keyed_pairs(tbl, "fp")
         kept = counts[counts["n"] >= min_shared].reset_index(drop=True)
-        return ray.data.from_pandas(
-            kept.rename(columns={"n": "shared_fps"}).astype("int64"))
+        return to_dataset(pa.Table.from_pandas(
+            kept.rename(columns={"n": "shared_fps"}).astype("int64"),
+            preserve_index=False))
     from ray.data.aggregate import Sum
 
     def _fp_key(b: pa.Table) -> np.ndarray:
@@ -1346,23 +1263,19 @@ def embedding_dup_pairs(emb_ds, threshold: float = 0.98, n_bands: int = 16,
             return None
         return round(c, round_to) if round_to is not None else c
 
-    if isinstance(cand, pd.DataFrame) and fits(
-            cand.memory_usage(index=False).sum()):
-        return _verify_broadcast(cand, emb_ds, "vec_id", "embedding", _cos,
-                                 "cosine")
-
-    # join path, TWO-STAGE (VERDICT r4 #4 — the one-stage join shipped
+    # TWO-STAGE verify (VERDICT r4 #4 — a one-stage join shipped
     # candidates x 2 full float64 vectors, ~1 GiB at sf0.1 because the
-    # bands are loose by design).  Stage 1 joins candidates with int16
-    # QUANTIZED sketches (8-byte scale header + d x int16: ~3.8x
+    # bands are loose by design).  Stage 1 verifies candidates against
+    # int16 QUANTIZED sketches (8-byte scale header + d x int16: ~3.8x
     # smaller at d=64) and prunes with an EXACT angular error bound —
     # a pair survives iff quantized cosine + bound >= threshold, so no
     # true pair can be pruned (each vector's quantization radius r
     # deviates its direction by at most arcsin(r/|q|)).  Stage 2
-    # re-fetches FULL vectors for surviving ids only (semi-join) and
-    # verifies exactly: the full-precision exchange is bounded by the
-    # near-dup volume, not the candidate volume.  (acero's hash join
-    # rejects list-typed payloads, hence the binary blobs.)
+    # verifies the survivors exactly against the FULL vectors; the
+    # verifier joins the source on the left, so the survivor pairs are
+    # the broadcast side while they fit and the corpus stays in place.
+    # (acero's hash join rejects list-typed payloads, hence the binary
+    # blobs.)
     def _pack_q(b: pa.Table) -> pa.Table:
         vecs = list_column_matrix(b["embedding"])
         s = np.abs(vecs).max(axis=1)
@@ -1408,44 +1321,14 @@ def embedding_dup_pairs(emb_ds, threshold: float = 0.98, n_bands: int = 16,
         return _cos(np.frombuffer(ba, dtype=np.float64),
                     np.frombuffer(bb, dtype=np.float64))
 
-    if isinstance(cand, pd.DataFrame):
-        if len(cand) == 0:
-            import ray.data
-
-            return ray.data.from_pandas(
-                pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                              "b": pd.Series([], dtype="int64"),
-                              "cosine": pd.Series([], dtype="float64")}))
-        import ray.data
-
-        cand = ray.data.from_pandas(cand[["a", "b"]])
-
-    from .join import semi_join
-
     packed_q = emb_ds.map_batches(_pack_q, batch_format="pyarrow",
                                   batch_size=None)
-    # materialize: survivors feed BOTH the id semi-join and the stage-2
-    # pair join (two consumers); size is survivor-bounded
-    surv = _verify_pairs_join(cand, packed_q, "vec_id", "qvb",
-                              _cos_q_gate, "qcos").materialize()
-
-    def _surv_ids(b: pa.Table) -> pa.Table:
-        return pa.table({"_sid": pa.array(np.concatenate(
-            [b.column("a").to_numpy(zero_copy_only=False),
-             b.column("b").to_numpy(zero_copy_only=False)]).astype(
-                 np.int64), pa.int64())})
-
-    def _surv_pairs(b: pa.Table) -> pa.Table:
-        return b.select(["a", "b"])
-
+    surv = _verify_pairs(cand, packed_q, "vec_id", "qvb", _cos_q_gate,
+                         "qcos")
     packed = emb_ds.map_batches(_pack, batch_format="pyarrow",
                                 batch_size=None)
-    packed = semi_join(packed, surv.map_batches(
-        _surv_ids, batch_format="pyarrow", batch_size=None),
-        on="vec_id", right_key="_sid")
-    return _verify_pairs_join(surv.map_batches(
-        _surv_pairs, batch_format="pyarrow", batch_size=None),
-        packed, "vec_id", "vecb", _cos_packed, "cosine")
+    return _verify_pairs(surv, packed, "vec_id", "vecb", _cos_packed,
+                         "cosine")
 
 
 def semantic_dedup(emb_ds, threshold: float = 0.95, k: int = 8,
@@ -1738,7 +1621,8 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.5,
 
     rows, tbl = collect(rows, tiered=True)
     if tbl is not None:
-        return ray.data.from_pandas(_local(tbl))
+        return to_dataset(pa.Table.from_pandas(_local(tbl),
+                                               preserve_index=False))
 
     # ---- distributed tier ----
     # N: token rows are generated per block, so a doc's rows never span

@@ -220,9 +220,10 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
     those ``p=`` partitions' prior files — at corpus scale the store is
     large but the probe IO is bounded by the increment's colliding hash
     ranges, not the store (raise ``bits`` as the corpus grows).
-    Verification texts are semi-joined down to candidate doc ids before
-    the pair join, and cross-rejected ids are removed with an anti-join
-    (bounded broadcast tier with a distributed fallback) — no driver-held
+    Candidate pairs are verified by ``dedup._verify_pairs`` (two
+    ``hash_join`` calls with the texts on the left, so the pairs are
+    the broadcast side while they fit and the texts never move), and
+    cross-rejected ids are removed with an anti-join — no driver-held
     id set at any size.
 
     Doc ids must be globally unique across increments (they key the
@@ -233,10 +234,9 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
     import ray.data
 
     from .aggregate import grouped_counts
-    from .dedup import (connected_components, minhash_bands_batch,
-                        minhash_dup_pairs, ngram_jaccard,
-                        _verify_broadcast, _verify_pairs)
-    from .join import anti_join, hash_join, semi_join
+    from .dedup import (connected_components, minhash_dup_pairs,
+                        ngram_jaccard, _verify_pairs)
+    from .join import anti_join, hash_join
 
     n_inc = ds.count()
     pairs = minhash_dup_pairs(ds, threshold=threshold, text_col=text_col)
@@ -310,7 +310,7 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
         cand = grouped_counts(
             cand.map_batches(_ab, batch_format="pyarrow",
                              batch_size=None), ["a", "b"]) \
-            .drop_columns(["n"]).materialize()
+            .drop_columns(["n"])
 
         def _sel_texts(b: pa.Table) -> pa.Table:
             # upstream joins/map_groups can emit schemaless empty
@@ -321,14 +321,6 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
                                  text_col: pa.array([], pa.string())})
             return b.select([id_col, text_col])
 
-        def _cand_ids(b: pa.Table) -> pa.Table:
-            if b.num_columns == 0:
-                return pa.table({"_cid": pa.array([], pa.int64())})
-            return pa.table({"_cid": pa.array(np.concatenate(
-                [b.column("a").to_numpy(zero_copy_only=False),
-                 b.column("b").to_numpy(zero_copy_only=False)]),
-                pa.int64())})
-
         texts = kept.map_batches(
             _sel_texts, batch_format="pyarrow", batch_size=None) \
             .union(read_accepted(out_dir, store_dir).map_batches(
@@ -338,39 +330,19 @@ def neardup_ingest(ds, store_dir: str, out_dir: str, inc_id: int,
             j = ngram_jaccard(ta or "", tb or "")
             return j if j >= threshold else None
 
-        # tiered verify (each distributed exchange costs seconds of
-        # fixed overhead — CLAUDE.md): a bounded candidate collect
-        # routes small pair sets through the broadcast verifier (texts
-        # arrive via a worker-side is-in filter, never a full stream);
-        # above the budget, semi-join-pruned texts + the edge-join path.
-        cand, ctbl = collect(cand, tiered=True)
-        verified = None
-        if ctbl is not None:
-            if ctbl.num_rows:
-                verified = _verify_broadcast(
-                    ctbl.to_pandas()[["a", "b"]], texts, id_col,
-                    text_col, _jac, "jaccard")
-        else:
-            # prune the verification corpus to candidate docs BEFORE
-            # the pair join: only colliding texts enter the exchange
-            texts = semi_join(texts, cand.map_batches(
-                _cand_ids, batch_format="pyarrow", batch_size=None),
-                on=id_col, right_key="_cid")
-            verified = _verify_pairs(cand, texts, id_col, text_col,
-                                     _jac, "jaccard")
+        verified = _verify_pairs(cand, texts, id_col, text_col, _jac,
+                                 "jaccard")
 
         def _sel_a(b: pa.Table) -> pa.Table:
             if b.num_columns == 0:
                 return pa.table({"a": pa.array([], pa.int64())})
             return b.select(["a"])
 
-        if verified is not None:
-            # cross-rejected ids leave via an ANTI-JOIN (bounded
-            # broadcast tier, distributed left_anti fallback) — the
-            # driver never holds an unbounded id set
-            kept = anti_join(kept, verified.map_batches(
-                _sel_a, batch_format="pyarrow", batch_size=None),
-                on=id_col, right_key="a")
+        # cross-rejected ids leave via an ANTI-JOIN (hash_join's tiers)
+        # — the driver never holds an unbounded id set
+        kept = anti_join(kept, verified.map_batches(
+            _sel_a, batch_format="pyarrow", batch_size=None),
+            on=id_col, right_key="a")
 
     # ---- writes ----
     # ORDER MATTERS: band store FIRST, accepted output second (in the

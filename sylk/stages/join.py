@@ -26,8 +26,11 @@ sides (block metadata) against the one driver budget (``collect.fits``,
 
 Every tier runs the same kernel (:func:`_join_tables`), so the key
 casts, the null semantics and the list-column handling of semi/anti
-joins live in one place.  :func:`semi_join` / :func:`anti_join` are
-``left_semi`` / ``left_anti`` hash joins against the right key column.
+joins live in one place.  A right non-key column whose name the left
+side also has comes out as ``<name>_r`` (the right keys are coalesced
+into the left ones and never collide).  :func:`semi_join` /
+:func:`anti_join` are ``left_semi`` / ``left_anti`` hash joins against
+the right key column.
 tests/test_join.py runs every join in all three tiers by setting the
 budget.
 
@@ -124,7 +127,7 @@ def _join_tables(lt: pa.Table, rt: pa.Table, on, right_on,
                         join_type=join_type.replace("_", " "))
         return lt.take(np.sort(hit.column("__row").to_numpy()))
     return lt.join(rt, keys=list(on), right_keys=list(right_on),
-                   join_type=join_type.replace("_", " "))
+                   join_type=join_type.replace("_", " "), right_suffix="_r")
 
 
 def _ipc(t: pa.Table) -> bytes:

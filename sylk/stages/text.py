@@ -269,7 +269,6 @@ def top_ngrams(ds, text_col: str = "text", n: int = 2, k: int = 20):
     from ray.data.aggregate import Sum
 
     import pandas as pd
-    import ray
 
     partials = ds.map_batches(
         lambda b: ngram_count_partial(b, text_col, n),
@@ -288,7 +287,7 @@ def top_ngrams(ds, text_col: str = "text", n: int = 2, k: int = 20):
                                              batch_size=None).to_pandas()
     out = cand.sort_values(["n", "ngram"], ascending=[False, True],
                            kind="mergesort").head(k).reset_index(drop=True)
-    return ray.data.from_pandas(out)
+    return to_dataset(pa.Table.from_pandas(out, preserve_index=False))
 
 
 def char_pair_count_partial(batch: pa.Table,
@@ -345,7 +344,6 @@ def bpe_pair_counts(ds, text_col: str = "text", k: int = 20):
     -> deterministic top-k (count DESC, pair ASC).  Returns
     Dataset[(a:str, b:str, n:int64)] of single-character symbols."""
     import pandas as pd
-    import ray
     from ray.data.aggregate import Sum
 
     partials = ds.map_batches(
@@ -369,11 +367,11 @@ def bpe_pair_counts(ds, text_col: str = "text", k: int = 20):
         ["n", "pair"], ascending=[False, True],
         kind="mergesort").head(int(k))
     pairs = df["pair"].to_numpy().astype(np.uint64)
-    return ray.data.from_pandas(pd.DataFrame({
+    return to_dataset(pa.Table.from_pandas(pd.DataFrame({
         "a": [chr(int(p) >> 32) for p in pairs],
         "b": [chr(int(p) & 0xFFFFFFFF) for p in pairs],
         "n": df["n"].to_numpy().astype(np.int64),
-    }))
+    }), preserve_index=False))
 
 
 def term_tf_rows(batch: pa.Table, text_col: str = "text",

@@ -5,7 +5,7 @@ tier, post-join two-phase aggregation."""
 import pandas as pd
 import pyarrow as pa
 import pytest
-from conftest import scale_tier, spy_join_tiers
+from conftest import spy_join_tiers
 
 from sylk.stages import collect
 from sylk.stages import join as J
@@ -195,6 +195,8 @@ def _sides(case):
     rtable = pa.table({"rk": pa.array([1, 2, 2, 4, 5, None], pa.int64()),
                        "rj": pa.array([1, 0, 0, 0, 1, 1], pa.int64()),
                        "y": [10, 20, 21, 40, 50, 60]})
+    if shape == "same_name":  # a right payload column named like a left one
+        rtable = rtable.rename_columns(["rk", "rj", "x"])
     left = ray.data.from_arrow(lblocks)
     right = ray.data.from_arrow([rtable.slice(0, 3), rtable.slice(3)])
     on, right_on = "k", "rk"
@@ -226,7 +228,8 @@ _CASES = ["inner", "left_outer", "full_outer", "left_semi", "left_anti",
           "list_left_semi", "list_left_anti",
           "first_block_empty_left_outer", "schemaless_block_inner",
           "empty_right_typed_left_outer", "empty_right_schemaless_left_outer",
-          "empty_right_typed_left_anti", "empty_right_schemaless_left_semi"]
+          "empty_right_typed_left_anti", "empty_right_schemaless_left_semi",
+          "same_name_inner", "same_name_left_outer"]
 
 
 @pytest.mark.parametrize("case", _CASES)
@@ -239,7 +242,9 @@ def test_hash_join_tiers_agree(ray_session, monkeypatch, case):
     right side's unmatched rows takes the exchange at that budget, and a
     left side of 0 bytes keeps both sides in the driver.  A semi/anti
     join keeps a list-typed left column, which pyarrow's join rejects
-    outside the keys (the ``list`` cases)."""
+    outside the keys (the ``list`` cases).  A right non-key column named
+    like a left column comes out as ``<name>_r`` (the ``same_name``
+    cases)."""
     import ray.data
 
     def _no_shuffle(*a, **k):
@@ -284,6 +289,9 @@ def test_hash_join_tiers_agree(ray_session, monkeypatch, case):
         assert len(rows) == (0 if jt == "left_semi" else 8)
     if shape.startswith("empty_left"):
         assert len(rows) == 6 and schema[0] == ("k", "int64")
+    if shape == "same_name":
+        assert [n for n, _ in schema] == ["k", "j", "x", "rj", "x_r"]
+        assert ("b", 10) in {(dict(r)["x"], dict(r)["x_r"]) for r in rows}
 
 
 def test_hash_join_tier_follows_block_bytes(ray_session, monkeypatch):
@@ -310,38 +318,42 @@ def test_hash_join_tier_follows_block_bytes(ray_session, monkeypatch):
         assert taken == tier, (budget, jt)
 
 
-@pytest.mark.parametrize("tier", ["driver", "exchange"])
-def test_verify_pairs_join_keeps_the_input_blocks(ray_session, monkeypatch,
-                                                  tier):
-    """Pair verification above the broadcast tier keeps the 4 blocks of
-    its inputs in both tiers (the driver tier slices each join's result
-    into as many blocks as its larger input), so the Python pair map
-    after the joins runs in parallel, and both tiers verify the same
-    pairs."""
+@pytest.mark.parametrize("tier", ["driver", "broadcast", "exchange"])
+def test_verify_pairs_tiers(ray_session, monkeypatch, tier):
+    """Pair verification verifies the same pairs in every tier of its
+    two source-left joins and keeps the 4 blocks of its inputs, so the
+    Python pair map after the joins runs in parallel.  At a budget
+    between the pairs' bytes and the pairs' plus the source's bytes
+    both joins broadcast the pairs: the source is never shuffled."""
     import ray.data
 
     from sylk.stages import dedup as D
 
-    if tier == "exchange":
-        scale_tier(monkeypatch)
     n = 6000
-    # every candidate twice (two colliding bands), plus a pair whose b
-    # is missing from the source
+    # distinct candidates (the generators deduplicate), plus a pair
+    # whose b is missing from the source
     pairs = pa.table({
-        "a": pa.array(list(range(n)) * 2 + [0], pa.int64()),
-        "b": pa.array([(i + 1) % n for i in range(n)] * 2 + [n + 5],
+        "a": pa.array(list(range(n)) + [0], pa.int64()),
+        "b": pa.array([(i + 1) % n for i in range(n)] + [n + 5],
                       pa.int64())})
-    src = pa.table({"doc_id": pa.array(range(n), pa.int64()), "text": [str(i % 7) for i in range(n)]})
-    pairs_ds = ray.data.from_arrow([pairs.slice(i, 3001)
-                                    for i in range(0, len(pairs), 3001)])
+    src = pa.table({"doc_id": pa.array(range(n), pa.int64()),
+                    "text": [str(i % 7) for i in range(n)]})
+    pairs_ds = ray.data.from_arrow([pairs.slice(i, 1501)
+                                    for i in range(0, len(pairs), 1501)
+                                    ]).materialize()
     src_ds = ray.data.from_arrow([src.slice(i, 1500)
-                                  for i in range(0, n, 1500)])
+                                  for i in range(0, n, 1500)]).materialize()
+    budget = {"driver": collect.DRIVER_BUDGET, "exchange": -1,
+              "broadcast": pairs_ds.size_bytes() + src_ds.size_bytes() - 1}
+    monkeypatch.setattr(collect, "DRIVER_BUDGET", budget[tier])
+    taken = spy_join_tiers(monkeypatch)
 
     def _same(ta, tb):
         return 1.0 if ta == tb else None
 
-    out = D._verify_pairs_join(pairs_ds, src_ds, "doc_id", "text", _same,
-                               "score").materialize()
+    out = D._verify_pairs(pairs_ds, src_ds, "doc_id", "text", _same,
+                          "score").materialize()
+    assert taken == ([] if tier == "driver" else [tier] * 2)
     got = sorted((r["a"], r["b"]) for r in out.take_all())
     # i % 7 == (i + 1) % 7 only at the wrap-around n - 1 -> 0
     assert got == [(n - 1, 0)]

@@ -57,9 +57,9 @@ def test_driver_gathers_go_through_collect():
 
 def test_driver_results_go_back_through_to_dataset():
     """A driver-held table becomes a Dataset through
-    ``collect.to_dataset`` alone: ``from_arrow`` on it waits for a
-    remote metadata task and leaves the first consumer an executor to
-    start."""
+    ``collect.to_dataset`` alone: ``from_arrow`` or ``from_pandas`` on
+    it waits for a remote metadata task and leaves the first consumer
+    an executor to start."""
     from pathlib import Path
 
     import sylk
@@ -68,8 +68,9 @@ def test_driver_results_go_back_through_to_dataset():
     found = [str(p.relative_to(root))
              for p in sorted(root.rglob("*.py"))
              if p != root / "stages" / "collect.py"
-             and "from_arrow(" in p.read_text()]
-    assert not found, f"from_arrow outside collect: {found}"
+             and any(f in p.read_text()
+                     for f in ("from_arrow(", "data.from_pandas("))]
+    assert not found, f"from_arrow/from_pandas outside collect: {found}"
 
 
 def test_one_pair_expansion():
